@@ -12,8 +12,8 @@ This benchmark runs one composite executor workload (the five Section 3
 join algorithms plus selection, distinct projection, and both aggregation
 engines) at the Table 2 join shape (4000x4000 tuples, 40 tuples/page),
 once per execution mode, and emits a machine-readable comparison to
-``benchmarks/out/bench_batch_executor.json`` and the repo-root
-``BENCH_PR2.json``.
+``benchmarks/out/bench_batch_executor.json`` (the repo-root
+``BENCH_PR2.json`` is the frozen PR-2 run of it).
 
 Knobs:
 
@@ -209,7 +209,7 @@ def test_batch_executor_speedup():
         },
         "threshold": {"min_speedup": MIN_SPEEDUP, "full_scale": SCALE >= 1.0},
     }
-    emit_json("bench_batch_executor", payload, root_copy="BENCH_PR2.json")
+    emit_json("bench_batch_executor", payload)
     emit(
         "batch_executor",
         format_table(

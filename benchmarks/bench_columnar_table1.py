@@ -1,18 +1,6 @@
-"""E22 -- Columnar packed pages + executable indexes (the Table 1 story).
+"""E22 -- Executable indexes over packed pages (the Table 1 story).
 
-Two claims, both measured:
-
-**Part A -- columnar scan speedup.**  The PR-7 packed-column page layout
-(``array('q')``/``array('d')`` buffers per column) rewrites the batch hot
-loops of selection, projection, and aggregation to stream contiguous
-buffers instead of tuple lists.  Each component runs once per layout mode
-(``columnar=True`` vs the PR-2 row-view batch loops, ``columnar=False``)
-and asserts identical rows *and* byte-identical OperationCounters -- the
-speedup is pure interpreter mechanics, the counted cost model is
-untouched.  The composite headline must clear ``MIN_SPEEDUP`` at full
-scale.
-
-**Part B -- the Table 1 access-method crossover, by measurement.**
+**The Table 1 access-method crossover, by measurement.**
 Section 2 of the paper ranks access methods by CPU cost: an index lookup
 costs a ``log2(n)`` descent plus ``s*n`` qualifying-tuple fetches (one
 comparison + one TID dereference each), while a full scan pays one
@@ -30,10 +18,11 @@ measured crossover and asserts it brackets the formula's prediction.
 Point lookups (selectivity ``1/n``, far below any crossover) must beat
 the full scan on wall-clock for both tree indexes.
 
-Knobs: ``REPRO_BENCH_SCALE`` scales tuple counts (CI smoke runs 0.25);
-the >= 2x Part A headline only applies at full scale.  Emits
-``benchmarks/out/bench_columnar_table1.json`` and the repo-root
-``BENCH_PR7.json``.
+Both sides run the production batch arm: the scan through the predicate's
+column mask, the index probe through the TID-run gather.
+
+Knobs: ``REPRO_BENCH_SCALE`` scales tuple counts (CI smoke runs 0.25).
+Emits ``benchmarks/out/bench_columnar_table1.json``.
 """
 
 from __future__ import annotations
@@ -47,18 +36,9 @@ from repro.access.avl import AVLTree
 from repro.access.btree import BPlusTree
 from repro.cost.counters import OperationCounters
 from repro.cost.parameters import CostParameters
-from repro.operators.aggregate import (
-    AggregateFunction,
-    AggregateSpec,
-    hash_aggregate,
-    sort_aggregate,
-)
-from repro.operators.projection import hash_project
 from repro.operators.selection import Comparison, select, select_via_index
-from repro.storage.disk import SimulatedDisk
 from repro.storage.relation import Relation
 from repro.storage.tuples import DataType, Field, Schema
-from repro.workload.generator import join_inputs
 
 from conftest import emit, emit_json, format_table
 
@@ -66,7 +46,6 @@ SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 N_TUPLES = max(200, int(4000 * SCALE))
 PAGE_BYTES = 4096  # full pages: hundreds of tuples per packed column buffer
 REPS = 3
-MIN_SPEEDUP = 2.0 if SCALE >= 1.0 else 1.0
 
 #: Selectivity ladder for the range-predicate crossover walk.
 LADDER = [0.01, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0]
@@ -85,70 +64,7 @@ def timed(fn: Callable[[], Any]) -> Tuple[float, Any]:
     return best, outcome
 
 
-# -- Part A: columnar vs row-view batch loops ---------------------------------------
-
-
-def columnar_components(r) -> List[Tuple[str, Callable[[bool], Any]]]:
-    """Each component maps ``columnar`` -> (rows, counters-dict)."""
-    aggs = [
-        AggregateSpec(AggregateFunction.COUNT),
-        AggregateSpec(AggregateFunction.SUM, "rpayload"),
-    ]
-    wide_aggs = aggs + [
-        AggregateSpec(AggregateFunction.MIN, "rpayload"),
-        AggregateSpec(AggregateFunction.MAX, "rpayload"),
-        AggregateSpec(AggregateFunction.AVG, "rpayload"),
-    ]
-    domain = 20 * N_TUPLES
-
-    def run_select(fraction: float, columnar: bool):
-        c = OperationCounters()
-        pred = Comparison("rkey", "<", int(domain * fraction))
-        return list(select(r, pred, c, columnar=columnar)), c.as_dict()
-
-    def run_project(columnar: bool):
-        c = OperationCounters()
-        out = hash_project(
-            r, ["rkey"], False, c,
-            disk=SimulatedDisk(c), columnar=columnar,
-        )
-        return list(out), c.as_dict()
-
-    def run_distinct(columnar: bool):
-        c = OperationCounters()
-        out = hash_project(
-            r, ["rkey"], True, c,
-            disk=SimulatedDisk(c), columnar=columnar,
-        )
-        return sorted(out), c.as_dict()
-
-    def run_hash_agg(columnar: bool):
-        c = OperationCounters()
-        out = hash_aggregate(r, ["rkey"], aggs, c, columnar=columnar)
-        return sorted(out), c.as_dict()
-
-    def run_scalar_agg(columnar: bool):
-        c = OperationCounters()
-        out = hash_aggregate(r, [], wide_aggs, c, columnar=columnar)
-        return list(out), c.as_dict()
-
-    def run_sort_agg(columnar: bool):
-        c = OperationCounters()
-        out = sort_aggregate(r, ["rkey"], aggs, c, columnar=columnar)
-        return list(out), c.as_dict()
-
-    return [
-        ("select-5pct", lambda col: run_select(0.05, col)),
-        ("select-50pct", lambda col: run_select(0.5, col)),
-        ("project", run_project),
-        ("project-distinct", run_distinct),
-        ("hash-aggregate", run_hash_agg),
-        ("scalar-aggregate", run_scalar_agg),
-        ("sort-aggregate", run_sort_agg),
-    ]
-
-
-# -- Part B: executable indexes vs full scans ---------------------------------------
+# -- executable indexes vs full scans -------------------------------------------
 
 
 def build_indexed_relation():
@@ -258,34 +174,7 @@ def model_crossover(ladder_rows: List[Dict[str, Any]], tree: str) -> float:
     return float("inf")
 
 
-def test_columnar_speedup_and_table1_crossover():
-    # ---- Part A --------------------------------------------------------------------
-    r, _ = join_inputs(
-        N_TUPLES, N_TUPLES, key_domain=20 * N_TUPLES, page_bytes=PAGE_BYTES
-    )
-    assert r.storage_stats()["packed_columns"] > 0, "pages are not packed"
-
-    components: List[Dict[str, Any]] = []
-    total_rows_mode = total_columnar = 0.0
-    for name, runner in columnar_components(r):
-        t_rows, out_rows = timed(lambda: runner(False))
-        t_col, out_col = timed(lambda: runner(True))
-        assert out_col[0] == out_rows[0], "%s: rows diverge" % name
-        assert out_col[1] == out_rows[1], "%s: counters diverge" % name
-        components.append({
-            "component": name,
-            "rows": N_TUPLES,
-            "row_view_s": round(t_rows, 6),
-            "columnar_s": round(t_col, 6),
-            "speedup": round(t_rows / t_col, 3),
-            "identical_results": True,
-            "identical_counters": True,
-        })
-        total_rows_mode += t_rows
-        total_columnar += t_col
-    headline = total_rows_mode / total_columnar
-
-    # ---- Part B --------------------------------------------------------------------
+def test_table1_crossover_by_measurement():
     params = CostParameters()
     relation, trees = build_indexed_relation()
     stats = relation.storage_stats()
@@ -332,15 +221,6 @@ def test_columnar_speedup_and_table1_crossover():
         "tuples": N_TUPLES,
         "page_bytes": PAGE_BYTES,
         "reps": REPS,
-        "columnar": {
-            "components": components,
-            "total": {
-                "row_view_s": round(total_rows_mode, 6),
-                "columnar_s": round(total_columnar, 6),
-                "speedup": round(headline, 3),
-            },
-            "threshold": {"min_speedup": MIN_SPEEDUP, "full_scale": SCALE >= 1.0},
-        },
         "table1": {
             "storage_stats": stats,
             "ladder": ladder_rows,
@@ -350,21 +230,10 @@ def test_columnar_speedup_and_table1_crossover():
             "measured_model_crossover": crossovers,
         },
     }
-    emit_json("bench_columnar_table1", payload, root_copy="BENCH_PR7.json")
+    emit_json("bench_columnar_table1", payload)
     emit(
         "columnar_table1",
         format_table(
-            ["component", "row-view (s)", "columnar (s)", "speedup"],
-            [
-                (c["component"], c["row_view_s"], c["columnar_s"],
-                 "%.2fx" % c["speedup"])
-                for c in components
-            ]
-            + [("TOTAL", round(total_rows_mode, 4), round(total_columnar, 4),
-                "%.2fx" % headline)],
-        )
-        + [""]
-        + format_table(
             ["s", "scan model", "btree model", "avl model", "scan wall",
              "btree wall", "avl wall"],
             [
@@ -381,9 +250,4 @@ def test_columnar_speedup_and_table1_crossover():
             "measured model crossover            btree %.3f  avl %.3f"
             % (crossovers["btree"], crossovers["avl"]),
         ],
-    )
-
-    assert headline >= MIN_SPEEDUP, (
-        "columnar executor %.2fx vs row-view batch; need >= %.1fx"
-        % (headline, MIN_SPEEDUP)
     )

@@ -12,8 +12,8 @@ bit-identical rows and operation counters.
 This benchmark measures that overhead at the Table 2 join shape
 (4000x4000 tuples, 40 tuples/page) for the two partitioned hash joins
 plus a full-scan selection, and microbenchmarks the admission
-round-trip.  Results go to ``benchmarks/out/bench_governor.json`` and
-the repo-root ``BENCH_PR3.json``.
+round-trip.  Results go to ``benchmarks/out/bench_governor.json`` (the
+repo-root ``BENCH_PR3.json`` is the frozen PR-3 run of it).
 
 Knobs:
 
@@ -192,7 +192,7 @@ def test_governor_happy_path_overhead():
         },
         "threshold": {"max_overhead": MAX_OVERHEAD, "full_scale": SCALE >= 1.0},
     }
-    emit_json("bench_governor", payload, root_copy="BENCH_PR3.json")
+    emit_json("bench_governor", payload)
     emit(
         "governor_overhead",
         format_table(

@@ -1,21 +1,8 @@
-"""E23/E24 -- the vectorized join pipeline and the skew-adaptive hybrid hash.
+"""E24 -- the skew-adaptive hybrid hash and its pipeline forecast.
 
-Three claims, all measured:
+Two claims, both measured:
 
-**Part A -- columnar join speedup (E23).**  PR-9 extends the packed-column
-batch kernels into every join algorithm: build sides stage into column
-buffers, probes hash packed key columns directly, and matches are
-group-gathered buffer-to-buffer (:mod:`repro.join.vectorized`).  Each
-3/4/5-way chain runs once per layout mode (``columnar=True`` vs the PR-7
-row-view batch loops, ``columnar=False``) and asserts identical rows *and*
-byte-identical ``OperationCounters`` -- the speedup is pure interpreter
-mechanics; the counted cost model is untouched.  The composite headline
-over the in-memory hash-join chains must clear ``MIN_SPEEDUP`` at full
-scale.  Spilling and sort-merge configurations are reported alongside but
-carry no floor: once the simulated disk dominates the modelled cost, the
-interpreter win is a second-order effect.
-
-**Part B -- E24 skew ablation.**  The hybrid hash join's runtime-adaptive
+**E24 skew ablation.**  The hybrid hash join's runtime-adaptive
 re-split (phase 1a tracks per-spill-bucket key loads; overflowing buckets
 are re-split into salted sub-buckets *before* S streams through phase 1b)
 against the static baseline (``adaptive=False``), which falls back to the
@@ -27,32 +14,29 @@ must never regress, and at full scale the skewed rungs must show a strict
 adaptive win while uniform stays resplit-free (the forecast gate vetoes
 unprofitable re-splits).
 
-**Part C -- forecast sanity.**  ``hash_pipeline_forecast`` degrades to the
+**Forecast sanity.**  ``hash_pipeline_forecast`` degrades to the
 paper's closed-form ``hybrid_hash_cost`` at ``hot_fraction == 0`` and its
 adaptive-vs-static gap widens monotonically with the hot fraction -- the
 planner-facing justification for keeping the adaptive path on by default.
 
 Knobs: ``REPRO_BENCH_SCALE`` scales tuple counts (CI smoke runs 0.25);
-strict win/floor assertions only apply at full scale.  Emits
-``benchmarks/out/bench_join_pipeline.json`` and the repo-root
-``BENCH_PR9.json``.
+strict win assertions only apply at full scale.  Emits
+``benchmarks/out/bench_join_pipeline.json``.
 """
 
 from __future__ import annotations
 
 import os
-import random
 import time
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
-from repro.cost.counters import OperationCounters
 from repro.cost.join_model import (
     JoinWorkload,
     hash_pipeline_forecast,
     hybrid_hash_cost,
 )
 from repro.cost.parameters import CostParameters
-from repro.join import ALL_JOINS, HybridHashJoin, JoinSpec
+from repro.join import HybridHashJoin, JoinSpec
 from repro.storage.relation import Relation
 from repro.storage.tuples import DataType, Field, Schema
 from repro.workload.distributions import zipf_keys
@@ -60,15 +44,6 @@ from repro.workload.distributions import zipf_keys
 from conftest import emit, emit_json, format_table
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-N_TUPLES = max(200, int(4000 * SCALE))
-PAGE_BYTES = 4096  # full pages: hundreds of tuples per packed column buffer
-REPS = 3
-MIN_SPEEDUP = 1.5 if SCALE >= 1.0 else 1.0
-
-#: Key domain for the chain tables: ~2 matches per probe key, so a 5-way
-#: chain fans out without exploding.
-CHAIN_DOMAIN = max(8, N_TUPLES // 2)
-
 #: E24 workload shape (see docs/EXPERIMENTS.md): |S| = 4|R|, a key domain
 #: wide enough that hot buckets hold many separable keys, narrow pages so
 #: per-tuple work dominates, and a grant ~1/7th of R's footprint.
@@ -77,18 +52,7 @@ E24_PAGE_BYTES = 512
 E24_THETAS = (0.0, 0.8, 1.2)
 
 
-def timed(fn: Callable[[], Any]) -> Tuple[float, Any]:
-    """Best-of-REPS wall seconds plus the last run's outcome."""
-    best = float("inf")
-    outcome = None
-    for _ in range(REPS):
-        start = time.perf_counter()
-        outcome = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, outcome
-
-
-def make_relation(name, rows, columns, page_bytes=PAGE_BYTES):
+def make_relation(name, rows, columns, page_bytes):
     schema = Schema([Field(c, DataType.INTEGER) for c in columns])
     rel = Relation(name, schema, page_bytes)
     rel.extend_rows(rows)
@@ -112,91 +76,7 @@ def chain_spec(r, s, r_field, s_field, memory_pages):
     )
 
 
-# -- Part A: columnar vs row-view join chains ---------------------------------------
-
-
-def chain_tables(n_tables: int):
-    """``n_tables`` same-size relations sharing keys but not column names."""
-    rng = random.Random(17 + n_tables)
-    tables = []
-    for i in range(n_tables):
-        rows = [
-            (rng.randrange(CHAIN_DOMAIN), rng.randrange(10 ** 6))
-            for _ in range(N_TUPLES)
-        ]
-        tables.append((("k%d" % i, "p%d" % i), rows))
-    return tables
-
-
-def run_chain(name: str, tables, memory_pages: int, columnar: bool):
-    """Left-deep chain t0 |x| t1 |x| ... through one algorithm/mode."""
-    counters = OperationCounters()
-    cols, rows = tables[0]
-    current = make_relation("t0", rows, cols)
-    for i in range(1, len(tables)):
-        cols, rows = tables[i]
-        nxt = make_relation("t%d" % i, rows, cols)
-        algo = ALL_JOINS[name](counters=counters, columnar=columnar)
-        spec = chain_spec(current, nxt, "k%d" % (i - 1), "k%d" % i, memory_pages)
-        current = algo.join(spec).relation
-    return current, counters.as_dict()
-
-
-#: (label, algorithm, n_tables, memory_pages, in headline composite).  The
-#: floored headline covers the in-memory hash-join chains -- the pipeline
-#: the vectorized kernels target.  The spill and sort-merge rows document
-#: that IO-bound configurations neither regress nor diverge.
-CHAIN_CONFIGS = [
-    ("hybrid-3way", "hybrid-hash", 3, 400, True),
-    ("hybrid-4way", "hybrid-hash", 4, 400, True),
-    ("hybrid-5way", "hybrid-hash", 5, 400, True),
-    ("simple-3way", "simple-hash", 3, 400, True),
-    ("simple-4way", "simple-hash", 4, 400, True),
-    ("simple-5way", "simple-hash", 5, 400, True),
-    ("sort-merge-4way", "sort-merge", 4, 400, False),
-    ("hybrid-4way-spill", "hybrid-hash", 4, 8, False),
-]
-
-
-def part_a() -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
-    configs: List[Dict[str, Any]] = []
-    head_rows = head_col = 0.0
-    for label, algo, n_tables, mem, in_headline in CHAIN_CONFIGS:
-        tables = chain_tables(n_tables)
-        t_rows, (out_rows, counters_rows) = timed(
-            lambda: run_chain(algo, tables, mem, columnar=False)
-        )
-        t_col, (out_col, counters_col) = timed(
-            lambda: run_chain(algo, tables, mem, columnar=True)
-        )
-        assert sorted(out_col) == sorted(out_rows), "%s: rows diverge" % label
-        assert counters_col == counters_rows, "%s: counters diverge" % label
-        configs.append({
-            "config": label,
-            "algorithm": algo,
-            "n_tables": n_tables,
-            "memory_pages": mem,
-            "output_rows": out_col.cardinality,
-            "row_view_s": round(t_rows, 6),
-            "columnar_s": round(t_col, 6),
-            "speedup": round(t_rows / t_col, 3),
-            "in_headline": in_headline,
-            "identical_results": True,
-            "identical_counters": True,
-        })
-        if in_headline:
-            head_rows += t_rows
-            head_col += t_col
-    headline = {
-        "row_view_s": round(head_rows, 6),
-        "columnar_s": round(head_col, 6),
-        "speedup": round(head_rows / head_col, 3),
-        "threshold": {"min_speedup": MIN_SPEEDUP, "full_scale": SCALE >= 1.0},
-    }
-    return configs, headline
-
-
-# -- Part B: E24 skew ablation ------------------------------------------------------
+# -- E24 skew ablation ----------------------------------------------------------
 
 
 def e24_inputs(theta: float):
@@ -226,7 +106,7 @@ def e24_run(theta: float, adaptive: bool):
     return algo, result, wall
 
 
-def part_b() -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
+def skew_ablation() -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
     rows: List[Dict[str, Any]] = []
     for theta in E24_THETAS:
         adaptive, a_result, a_wall = e24_run(theta, adaptive=True)
@@ -274,10 +154,10 @@ def part_b() -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
     return config, rows
 
 
-# -- Part C: forecast sanity --------------------------------------------------------
+# -- forecast sanity -------------------------------------------------------------
 
 
-def part_c() -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
+def forecast_sanity() -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
     params = CostParameters(r_pages=1000, s_pages=4000)
     workload = JoinWorkload(params, memory_pages=100)
     closed_form = hybrid_hash_cost(workload)
@@ -310,37 +190,20 @@ def part_c() -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
     return workload_doc, rows
 
 
-def test_join_pipeline_speedup_and_skew_ablation():
-    configs, headline = part_a()
-    e24_config, e24_rows = part_b()
-    forecast_workload, forecast_rows = part_c()
+def test_skew_ablation_and_forecast():
+    e24_config, e24_rows = skew_ablation()
+    forecast_workload, forecast_rows = forecast_sanity()
 
     payload = {
         "experiment": "bench_join_pipeline",
         "scale": SCALE,
-        "tuples_per_chain_table": N_TUPLES,
-        "page_bytes": PAGE_BYTES,
-        "reps": REPS,
-        "pipeline": {"configs": configs, "headline": headline},
         "e24_skew": {"config": e24_config, "rows": e24_rows},
         "forecast": {"workload": forecast_workload, "rows": forecast_rows},
     }
-    emit_json("bench_join_pipeline", payload, root_copy="BENCH_PR9.json")
+    emit_json("bench_join_pipeline", payload)
     emit(
         "join_pipeline",
         format_table(
-            ["config", "rows out", "row-view (s)", "columnar (s)", "speedup"],
-            [
-                (c["config"], c["output_rows"], c["row_view_s"],
-                 c["columnar_s"], "%.2fx" % c["speedup"])
-                for c in configs
-            ]
-            + [("HEADLINE (in-memory hash chains)", "",
-                headline["row_view_s"], headline["columnar_s"],
-                "%.2fx" % headline["speedup"])],
-        )
-        + [""]
-        + format_table(
             ["theta", "resplits", "adaptive model (s)", "static model (s)",
              "saving (s)"],
             [
@@ -358,9 +221,4 @@ def test_join_pipeline_speedup_and_skew_ablation():
                 for f in forecast_rows
             ],
         ),
-    )
-
-    assert headline["speedup"] >= MIN_SPEEDUP, (
-        "columnar join pipeline %.2fx vs row-view batch; need >= %.1fx"
-        % (headline["speedup"], MIN_SPEEDUP)
     )

@@ -119,8 +119,8 @@ def test_group_commit_batches_about_ten(benchmark):
 # ---------------------------------------------------------------------------
 # PR 4 -- the batched commit + parallel restart pipeline, gated.
 #
-# Two ends of the durability pipeline, one payload (committed as the
-# repo-root ``BENCH_PR4.json``):
+# Two ends of the durability pipeline, one payload (the repo-root
+# ``BENCH_PR4.json`` is the frozen PR-4 run of it):
 #
 # * write side: adaptive group commit vs the durable-per-commit baseline
 #   on the Section 5 transfer workload (simulated tps; the paper's
@@ -224,7 +224,7 @@ def test_batched_pipeline_gate(benchmark):
             "full_scale": full_scale,
         },
     }
-    emit_json("bench_recovery_pipeline", payload, root_copy="BENCH_PR4.json")
+    emit_json("bench_recovery_pipeline", payload)
 
     # Correctness before speed: the parallel image must be byte-identical.
     assert identical

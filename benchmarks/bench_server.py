@@ -18,8 +18,9 @@ second claim: **past** the saturation knee throughput must *plateau*,
 not collapse -- a statement blocked in the lock table parks its
 admission slot, so contention no longer eats admission capacity and the
 overloaded rungs keep committing.  The emitted numbers
-(``BENCH_PR8.json``, with the pre-parking ``BENCH_PR6.json`` run
-embedded as ``before``) record tps, p50/p99 latency, group sizes, parks,
+(``benchmarks/out/bench_server.json``, with the pre-parking
+``BENCH_PR6.json`` run embedded as ``before``; ``BENCH_PR8.json`` is the
+frozen PR-8 run) record tps, p50/p99 latency, group sizes, parks,
 requeues, and governor admissions per rung.
 
 Assertions:
@@ -257,7 +258,7 @@ def test_server_throughput_ladder():
                 for r in before.get("rungs", [])
             ],
         }
-    emit_json("bench_server", payload, root_copy="BENCH_PR8.json")
+    emit_json("bench_server", payload)
 
     # Nonzero throughput everywhere; scaling up to saturation.
     for rung in rungs:

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Sequence
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def emit(experiment: str, lines: Iterable[str]) -> str:
@@ -29,25 +28,18 @@ def emit(experiment: str, lines: Iterable[str]) -> str:
     return path
 
 
-def emit_json(
-    experiment: str,
-    payload: Dict[str, Any],
-    root_copy: Optional[str] = None,
-) -> str:
+def emit_json(experiment: str, payload: Dict[str, Any]) -> str:
     """Persist a machine-readable result to ``benchmarks/out/<experiment>.json``.
 
-    ``root_copy`` optionally names a repo-root file (e.g. ``BENCH_PR2.json``)
-    that receives the same payload, for results that are committed alongside
-    the code they measure.
+    ``benchmarks/out/`` is the only write target: the repo-root
+    ``BENCH_PR*.json`` files are frozen history, and a reduced-scale smoke
+    run must not be able to rewrite them.
     """
     os.makedirs(OUT_DIR, exist_ok=True)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     path = os.path.join(OUT_DIR, experiment + ".json")
     with open(path, "w") as f:
         f.write(text)
-    if root_copy is not None:
-        with open(os.path.join(REPO_ROOT, root_copy), "w") as f:
-            f.write(text)
     return path
 
 

@@ -64,7 +64,6 @@ class MainMemoryDatabase:
         params: Optional[CostParameters] = None,
         page_bytes: int = 4096,
         batch: bool = True,
-        columnar: bool = True,
         join_workers: int = 1,
         reuse_cache: bool = True,
         governor: Optional[GovernorConfig] = None,
@@ -92,12 +91,10 @@ class MainMemoryDatabase:
         #: number in parallel), DDL/DML hold the write side.  Bank
         #: statements never touch it -- only the relational engine does.
         self._catalog_rw = ReadWriteLock("repro.core.MainMemoryDatabase._catalog_rw")
-        #: Page-at-a-time operator execution (docs/PERF.md); counted costs
-        #: are identical to the tuple-at-a-time loops either way.
+        #: Page-at-a-time operator execution over the packed column
+        #: buffers (docs/PERF.md); counted costs are identical to the
+        #: tuple-at-a-time specification (``batch=False``) either way.
         self.batch = batch
-        #: Columnar batch kernels over the packed page buffers; ``False``
-        #: keeps the row-view batch loops (same rows, same counters).
-        self.columnar = columnar
         #: Worker processes for partitioned hash joins (1 = serial).
         self.join_workers = validate_workers(join_workers)
         #: Materialised-subplan reuse cache (None when disabled).  DML on
@@ -354,7 +351,6 @@ class MainMemoryDatabase:
                     params=self.params,
                     counters=self.counters,
                     batch=self.batch,
-                    columnar=self.columnar,
                     join_workers=self.join_workers,
                     reuse_cache=self.reuse,
                     guard=handle.guard,

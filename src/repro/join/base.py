@@ -132,24 +132,19 @@ class JoinAlgorithm(abc.ABC):
         counters: Optional[OperationCounters] = None,
         disk: Optional[SimulatedDisk] = None,
         batch: bool = True,
-        columnar: bool = True,
         workers: int = 1,
     ) -> None:
         self.counters = counters if counters is not None else OperationCounters()
         # Spills share the counters so IO lands in the same report.
         self.disk = disk if disk is not None else SimulatedDisk(self.counters)
-        #: Page-at-a-time execution with bulk counter charging (results and
-        #: counters are identical to the tuple-at-a-time path; see
-        #: tests/test_batch_equivalence.py).  ``batch=False`` selects the
-        #: historical per-row loops.
+        #: The production arm: page-at-a-time execution with bulk counter
+        #: charging over the packed column buffers -- hash tables store row
+        #: indices into a column staging area and matches are
+        #: group-gathered buffer-to-buffer (see :mod:`repro.join.vectorized`).
+        #: ``batch=False`` selects the tuple-at-a-time specification;
+        #: results and counters are identical either way (see
+        #: tests/test_batch_equivalence.py).
         self.batch = batch
-        #: Columnar (vectorized) build/probe/merge kernels inside the batch
-        #: arms: hash tables store row indices into a column staging area
-        #: and matches are group-gathered buffer-to-buffer (see
-        #: :mod:`repro.join.vectorized`).  Results and counters stay
-        #: byte-identical to the row-view batch path; only effective when
-        #: ``batch`` is on.
-        self.columnar = columnar
         #: Worker processes for the partitioned hash joins (GRACE/hybrid).
         #: 1 means serial; >1 offloads pure-CPU bucket work to a fork pool
         #: with deterministic bucket-order assembly, so results and

@@ -20,7 +20,6 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 from repro.access.hash_index import HashIndex
 from repro.join.base import JoinAlgorithm, JoinSpec
 from repro.join.parallel import (
-    join_bucket,
     make_pool,
     precomputed_classifier,
     residue_chunk_task,
@@ -155,27 +154,15 @@ class GraceHashJoin(JoinAlgorithm):
                     s_rows = read_bucket(self.disk, s_file)
                     self.disk.delete(r_file)
                     self.disk.delete(s_file)
-                    if self.columnar:
-                        join_bucket_columnar(
-                            r_rows,
-                            s_rows,
-                            r_index,
-                            s_index,
-                            fudge,
-                            self.counters,
-                            output,
-                        )
-                    else:
-                        output.extend_rows(
-                            join_bucket(
-                                r_rows,
-                                s_rows,
-                                r_index,
-                                s_index,
-                                fudge,
-                                self.counters,
-                            )
-                        )
+                    join_bucket_columnar(
+                        r_rows,
+                        s_rows,
+                        r_index,
+                        s_index,
+                        fudge,
+                        self.counters,
+                        output,
+                    )
                 return
 
             jobs: List[Tuple[List[Row], List[Row], int, int, float]] = []

@@ -48,13 +48,12 @@ overflow pair is processed exactly like a spill bucket, including the
 recursion check against the *shrunken* capacity -- the degradation ladder
 of docs/ROBUSTNESS.md.
 
-Execution comes in four flavours with identical results and counters: the
-historical tuple-at-a-time loops (``batch=False``), the row-view
-page-at-a-time path (``batch=True, columnar=False``), the columnar batch
-path (default; the resident table stores row indices into a
+Execution comes in two arms with identical results and counters: the
+tuple-at-a-time specification (``batch=False``) and the production batch
+arm (default; the resident table stores row indices into a
 :class:`~repro.join.vectorized.ColumnStore` and matches are group-gathered
-buffer-to-buffer), and the batch path with a worker pool (``workers > 1``)
-where the coordinator keeps all disk IO in serial order and workers handle
+buffer-to-buffer).  With a worker pool (``workers > 1``) the batch arm's
+coordinator keeps all disk IO in serial order and workers handle
 classification and bucket build/probe (see :mod:`repro.join.parallel`).
 Recursive overflow buckets are always joined serially in the coordinator,
 at their in-order sequence point.  Worker failures in phase 2 are absorbed
@@ -71,7 +70,6 @@ from repro.access.hash_index import HashIndex
 from repro.join.base import JoinAlgorithm, JoinSpec
 from repro.join.parallel import (
     hybrid_class_chunk_task,
-    join_bucket,
     make_pool,
     precomputed_classifier,
 )
@@ -188,8 +186,9 @@ class HybridHashJoin(JoinAlgorithm):
         price of giving the memory back.  The caller replaces ``resident``
         with an empty table and routes all later class-0 tuples to the
         returned writers; phase 2 then joins the pair like any spilled
-        bucket.  In columnar mode the table stores row indices, so the
-        dumped rows are fetched from ``store`` (same order, same charges).
+        bucket.  The batch arm's table stores row indices, so it passes
+        the ``store`` the dumped rows are fetched from (same order, same
+        charges).
         """
         base = self.scratch_name(spec, "ovf")
         ovf_r = SpillWriter(
@@ -277,8 +276,8 @@ class HybridHashJoin(JoinAlgorithm):
         independently salted function, and written out as sub-bucket
         files; phase 1b then routes its S tuples straight to the
         sub-buckets.  Decisions are driven purely by the phase-1a counts,
-        so they are identical across the tuple / row-view / columnar /
-        parallel modes.  Charges: the bucket re-read (IO), one hash per
+        so they are identical across the tuple, batch and parallel
+        executions.  Charges: the bucket re-read (IO), one hash per
         re-hashed R tuple, one move per tuple into the sub-bucket buffers
         plus flush IO -- paid now to save S's fat-bucket round trip.
         """
@@ -559,17 +558,15 @@ class HybridHashJoin(JoinAlgorithm):
         buckets, q = partition_fan_out(
             spec.r.page_count, memory, params.fudge
         )
-        r_key, s_key = spec.r_key, spec.s_key
+        r_key = spec.r_key
         r_ki, s_ki = spec.r_key_index, spec.s_key_index
 
         resident = HashIndex(self.counters, max_load=params.fudge)
         demoted = False
         ovf_r: Optional[SpillWriter] = None
         ovf_s: Optional[SpillWriter] = None
-        use_columnar = self.columnar
-        store: Optional[ColumnStore] = (
-            ColumnStore(spec.r) if use_columnar else None
-        )
+        # R0 is staged column-wise; ``resident`` maps keys to store indices.
+        store = ColumnStore(spec.r)
 
         track = self.adaptive and buckets > 0 and depth < self.MAX_RECURSION
         counts = [0] * buckets
@@ -601,6 +598,9 @@ class HybridHashJoin(JoinAlgorithm):
             )
 
         # ---- Phase 1a: partition R, building R0's table page by page. ----
+        # Per page the resident class is collected as (keys, slots) and the
+        # spill classes as rows; ``demoted`` only changes where the
+        # resident class goes -- the overflow writer instead of the table.
         r_writer = None
         if buckets > 0:
             r_names = [
@@ -624,15 +624,13 @@ class HybridHashJoin(JoinAlgorithm):
             keys = page.column(r_ki)
             if buckets == 0:
                 # Everything is resident (q == 1): no classification and
-                # no spill; the columnar arm indexes the key column and
-                # stages the page's buffers without touching a row tuple.
+                # no spill; the key column is indexed and the page's
+                # buffers staged without touching a row tuple.
                 if demoted:
                     self.counters.hash_key(n)
                     ovf_r.write_many(0, page.tuples)
-                elif use_columnar:
-                    insert_page(resident, store, keys, page)
                 else:
-                    resident.insert_batch(list(zip(keys, page.tuples)))
+                    insert_page(resident, store, keys, page)
                 continue
             classes = (
                 classify_r(keys)
@@ -641,25 +639,29 @@ class HybridHashJoin(JoinAlgorithm):
             )
             pending: List[List[Row]] = [[] for _ in range(buckets)]
             spilled = 0
-            if use_columnar and not demoted:
-                rows: Optional[List[Row]] = None
-                res_keys: List[Any] = []
-                res_pos: List[int] = []
-                for i, (k, cls) in enumerate(zip(keys, classes)):
-                    if cls == 0:
-                        res_keys.append(k)
-                        res_pos.append(i)
-                    else:
-                        if rows is None:
-                            rows = page.tuples
-                        b = cls - 1
-                        pending[b].append(rows[i])
-                        spilled += 1
-                        if track:
-                            counts[b] += 1
-                            kc = key_counts[b]
-                            kc[k] = kc.get(k, 0) + 1
-                if res_pos:
+            rows: Optional[List[Row]] = None
+            res_keys: List[Any] = []
+            res_pos: List[int] = []
+            for i, (k, cls) in enumerate(zip(keys, classes)):
+                if cls == 0:
+                    res_keys.append(k)
+                    res_pos.append(i)
+                else:
+                    if rows is None:
+                        rows = page.tuples
+                    b = cls - 1
+                    pending[b].append(rows[i])
+                    spilled += 1
+                    if track:
+                        counts[b] += 1
+                        kc = key_counts[b]
+                        kc[k] = kc.get(k, 0) + 1
+            if res_pos:
+                if demoted:
+                    self.counters.hash_key(len(res_pos))
+                    rows = page.tuples
+                    ovf_r.write_many(0, [rows[i] for i in res_pos])
+                else:
                     base = len(store)
                     resident.insert_batch(
                         zip(res_keys, range(base, base + len(res_pos)))
@@ -667,26 +669,6 @@ class HybridHashJoin(JoinAlgorithm):
                     store.add_columns(
                         gather_columns(page.columns, res_pos), len(res_pos)
                     )
-            else:
-                page_rows = page.tuples
-                to_insert: List[Tuple[Any, Row]] = []
-                for k, row, cls in zip(keys, page_rows, classes):
-                    if cls == 0:
-                        to_insert.append((k, row))
-                    else:
-                        b = cls - 1
-                        pending[b].append(row)
-                        spilled += 1
-                        if track:
-                            counts[b] += 1
-                            kc = key_counts[b]
-                            kc[k] = kc.get(k, 0) + 1
-                if demoted:
-                    if to_insert:
-                        self.counters.hash_key(len(to_insert))
-                        ovf_r.write_many(0, [row for _, row in to_insert])
-                else:
-                    resident.insert_batch(to_insert)
             if spilled:
                 self.counters.hash_key(spilled)
                 for b, bucket_rows in enumerate(pending):
@@ -725,16 +707,8 @@ class HybridHashJoin(JoinAlgorithm):
                 if demoted:
                     self.counters.hash_key(n)
                     ovf_s.write_many(0, page.tuples)
-                elif use_columnar:
-                    probe_page(resident, store, output, keys, page)
                 else:
-                    matched: List[Row] = []
-                    for chain, s_row in zip(
-                        resident.probe_batch(keys), page.tuples
-                    ):
-                        if chain:
-                            matched.extend(r_row + s_row for r_row in chain)
-                    output.extend_rows(matched)
+                    probe_page(resident, store, output, keys, page)
                 continue
             classes = (
                 classify_s(keys)
@@ -752,62 +726,35 @@ class HybridHashJoin(JoinAlgorithm):
                 if resplit
                 else None
             )
-            if use_columnar and not demoted:
-                rows = None
-                probe_keys: List[Any] = []
-                probe_pos: List[int] = []
-                for i, (k, cls) in enumerate(zip(keys, classes)):
-                    if cls == 0:
-                        probe_keys.append(k)
-                        probe_pos.append(i)
+            rows = None
+            probe_keys: List[Any] = []
+            probe_pos: List[int] = []
+            for i, (k, cls) in enumerate(zip(keys, classes)):
+                if cls == 0:
+                    probe_keys.append(k)
+                    probe_pos.append(i)
+                else:
+                    if rows is None:
+                        rows = page.tuples
+                    b = cls - 1
+                    plan = resplit.get(b) if resplit else None
+                    if plan is None:
+                        pending[b].append(rows[i])
+                        spilled += 1
                     else:
-                        if rows is None:
-                            rows = page.tuples
-                        b = cls - 1
-                        plan = resplit.get(b) if resplit else None
-                        if plan is None:
-                            pending[b].append(rows[i])
-                            spilled += 1
-                        else:
-                            sub_pending[b][
-                                resplit_class(k, plan.sub_buckets, depth)
-                            ].append(rows[i])
-                            routed += 1
-                if probe_pos:
+                        sub_pending[b][
+                            resplit_class(k, plan.sub_buckets, depth)
+                        ].append(rows[i])
+                        routed += 1
+            if probe_pos:
+                if demoted:
+                    self.counters.hash_key(len(probe_pos))
+                    rows = page.tuples
+                    ovf_s.write_many(0, [rows[i] for i in probe_pos])
+                else:
                     probe_page(
                         resident, store, output, probe_keys, page, probe_pos
                     )
-            else:
-                page_rows = page.tuples
-                probe_keys = []
-                probe_rows: List[Row] = []
-                for k, row, cls in zip(keys, page_rows, classes):
-                    if cls == 0:
-                        probe_keys.append(k)
-                        probe_rows.append(row)
-                    else:
-                        b = cls - 1
-                        plan = resplit.get(b) if resplit else None
-                        if plan is None:
-                            pending[b].append(row)
-                            spilled += 1
-                        else:
-                            sub_pending[b][
-                                resplit_class(k, plan.sub_buckets, depth)
-                            ].append(row)
-                            routed += 1
-                if demoted:
-                    if probe_rows:
-                        self.counters.hash_key(len(probe_rows))
-                        ovf_s.write_many(0, probe_rows)
-                else:
-                    matched = []
-                    for chain, s_row in zip(
-                        resident.probe_batch(probe_keys), probe_rows
-                    ):
-                        if chain:
-                            matched.extend(r_row + s_row for r_row in chain)
-                    output.extend_rows(matched)
             if spilled or routed:
                 # One class hash per spilled tuple; routed (re-split)
                 # tuples pay one extra sub-bucket hash each.
@@ -868,22 +815,15 @@ class HybridHashJoin(JoinAlgorithm):
                 continue
 
             if pool is None:
-                if use_columnar:
-                    join_bucket_columnar(
-                        r_rows,
-                        s_rows,
-                        r_index,
-                        s_index,
-                        fudge,
-                        self.counters,
-                        output,
-                    )
-                else:
-                    output.extend_rows(
-                        join_bucket(
-                            r_rows, s_rows, r_index, s_index, fudge, self.counters
-                        )
-                    )
+                join_bucket_columnar(
+                    r_rows,
+                    s_rows,
+                    r_index,
+                    s_index,
+                    fudge,
+                    self.counters,
+                    output,
+                )
             else:
                 entries.append(("job", (r_rows, s_rows, r_index, s_index, fudge)))
 

@@ -39,11 +39,11 @@ class SimpleHashJoin(JoinAlgorithm):
         passes = max(
             1, math.ceil(spec.r.page_count * params.fudge / spec.memory_pages)
         )
-        if passes == 1 and self.columnar:
+        if passes == 1:
             # One pass means no passed-over spill: the whole join is one
             # build + one probe, which the columnar kernels run without
             # materialising a single row tuple.
-            self._execute_columnar(spec, output)
+            self._execute_one_pass_batch(spec, output)
             return
         r_key, s_key = spec.r_key, spec.s_key
 
@@ -97,13 +97,13 @@ class SimpleHashJoin(JoinAlgorithm):
             self._charge_spill(spec.s, passed_s)
             r_rows, s_rows = passed_r, passed_s
 
-    def _execute_columnar(self, spec: JoinSpec, output: Relation) -> None:
+    def _execute_one_pass_batch(self, spec: JoinSpec, output: Relation) -> None:
         """Single-pass vectorized arm (see :mod:`repro.join.vectorized`).
 
-        Charge-identical to the one-pass batch arm: the up-front bulk
-        ``hash_key`` per relation (the pass's partition hash), then the
-        hash table's own insert/probe charges -- only the *values* differ
-        (store indices instead of row tuples), which no charge observes.
+        Charges what one pass of the multi-pass loop charges: the up-front
+        bulk ``hash_key`` per relation (the pass's partition hash), then
+        the hash table's own insert/probe charges -- the table stores
+        store indices instead of row tuples, which no charge observes.
         """
         params = spec.params
         r_ki, s_ki = spec.r_key_index, spec.s_key_index

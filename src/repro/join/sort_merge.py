@@ -83,8 +83,7 @@ class SortMergeJoin(JoinAlgorithm):
         capacity = spec.memory_tuples(relation.tuples_per_page)
         tuples_per_page = relation.tuples_per_page
 
-        bulk = self.batch
-        if bulk:
+        if self.batch:
             n = relation.cardinality
             fill = min(n, capacity)
             fill_charges = heap_push_charges(fill)
@@ -101,7 +100,7 @@ class SortMergeJoin(JoinAlgorithm):
         source = iter(relation)
 
         for row in itertools.islice(source, capacity):
-            if not bulk:
+            if not self.batch:
                 self.charge_heap_op(len(heap) + 1)
             heapq.heappush(heap, (0, key(row), next(seq), row))
 
@@ -151,10 +150,10 @@ class SortMergeJoin(JoinAlgorithm):
             nxt = next(source, None)
             if nxt is not None:
                 nk = key(nxt)
-                if not bulk:
+                if not self.batch:
                     self.counters.compare()
                 nfence = fence if nk >= k else fence + 1
-                if not bulk:
+                if not self.batch:
                     self.charge_heap_op(len(heap) + 1)
                 heapq.heappush(heap, (nfence, nk, next(seq), nxt))
         flush_run_page()
@@ -203,10 +202,7 @@ class SortMergeJoin(JoinAlgorithm):
         total_pages = (spec.r.page_count + spec.s.page_count) * spec.params.fudge
         if total_pages <= spec.memory_pages:
             if self.batch:
-                if self.columnar:
-                    self._execute_in_memory_columnar(spec, output)
-                else:
-                    self._execute_in_memory_batch(spec, output)
+                self._execute_in_memory_batch(spec, output)
             else:
                 self._execute_in_memory(spec, output)
             return
@@ -253,45 +249,19 @@ class SortMergeJoin(JoinAlgorithm):
         )
         self._merge_join(iter(merged), output)
 
-    def _execute_in_memory_batch(self, spec: JoinSpec, output: Relation) -> None:
-        """Batch in-memory variant: stable sorts instead of explicit heaps.
-
-        Heap entries carry an insertion sequence number, so the tuple path
-        pops rows in *stable* key order -- exactly what ``list.sort`` on
-        the key produces -- and ``heapq.merge`` of two sorted streams with
-        ties favouring the first equals concatenation plus a stable sort.
-        Heap charges are computed arithmetically; identical totals.
-        """
-
-        def sorted_rows(
-            relation: Relation, field: str, source: int
-        ) -> List[Tuple[Any, int, Row]]:
-            ki = relation.schema.index_of(field)
-            items: List[Tuple[Any, int, Row]] = []
-            for page in relation.pages:
-                # Keys come straight off the packed join-key column; zip
-                # against the cached row view yields the same triples.
-                items.extend(
-                    zip(page.column(ki), itertools.repeat(source), page.tuples)
-                )
-            charges = heap_push_charges(len(items))
-            self.counters.compare(charges)
-            self.counters.swap_tuples(charges)
-            items.sort(key=operator.itemgetter(0))
-            return items
-
-        merged = sorted_rows(spec.r, spec.r_field, 0)
-        merged.extend(sorted_rows(spec.s, spec.s_field, 1))
-        merged.sort(key=operator.itemgetter(0))
-        self._merge_join_batch(merged, output)
-
-    def _execute_in_memory_columnar(
+    def _execute_in_memory_batch(
         self, spec: JoinSpec, output: Relation
     ) -> None:
-        """Vectorized in-memory variant: sort row *indices*, gather matches.
+        """Batch in-memory variant: sort row *indices*, gather matches.
 
-        Identical sort keys, stability, and charges to the row-view batch
-        arm -- the triples carry a global row index into a
+        Stable sorts stand in for the explicit heaps.  Heap entries carry
+        an insertion sequence number, so the tuple path pops rows in
+        *stable* key order -- exactly what ``list.sort`` on the key
+        produces -- and ``heapq.merge`` of two sorted streams with ties
+        favouring the first equals concatenation plus a stable sort.  Heap
+        charges are computed arithmetically; identical totals.
+
+        The sorted triples carry a global row index into a
         :class:`~repro.join.vectorized.ColumnStore` instead of the row
         tuple, and the merge loop group-gathers survivor columns straight
         into ``Relation.extend_columns``.
@@ -327,9 +297,9 @@ class SortMergeJoin(JoinAlgorithm):
         s_store, s_items = sorted_entries(spec.s, spec.s_field, 1)
         merged.extend(s_items)
         merged.sort(key=operator.itemgetter(0))
-        self._merge_join_columnar(merged, r_store, s_store, output)
+        self._merge_join_batch(merged, r_store, s_store, output)
 
-    def _merge_join_columnar(
+    def _merge_join_batch(
         self,
         merged: Sequence[Tuple[Any, int, int]],
         r_store: ColumnStore,
@@ -383,28 +353,6 @@ class SortMergeJoin(JoinAlgorithm):
                 have_group = True
             (r_group if source == 0 else s_group).append(row)
         flush_group()
-
-    def _merge_join_batch(
-        self, merged: Sequence[Tuple[Any, int, Row]], output: Relation
-    ) -> None:
-        """Group a materialised sorted stream and cross-match in bulk."""
-        self.checkpoint()
-        self.counters.compare(len(merged))  # one merge comparison per tuple
-        matched: List[Row] = []
-        i, n = 0, len(merged)
-        while i < n:
-            k = merged[i][0]
-            r_group: List[Row] = []
-            s_group: List[Row] = []
-            j = i
-            while j < n and merged[j][0] == k:
-                (r_group if merged[j][1] == 0 else s_group).append(merged[j][2])
-                j += 1
-            if r_group and s_group:
-                for r_row in r_group:
-                    matched.extend(r_row + s_row for s_row in s_group)
-            i = j
-        output.extend_rows(matched)
 
 
 __all__ = ["SortMergeJoin"]

@@ -1,30 +1,31 @@
-"""Columnar (vectorized) join kernels -- the PR-9 hot path.
+"""Columnar (vectorized) join kernels -- the production arm's hot path.
 
-The row-view batch arms of the hash joins materialise every tuple twice:
-once when a page's cached row view is built for the build/probe loops, and
-once more when each match concatenates ``r_row + s_row``.  The kernels here
-never touch a row tuple on the happy path.  The build side stages its pages
-into a :class:`ColumnStore` (one oversized columnar page) and the hash
-table stores **row indices** instead of row tuples; probing hashes a whole
-key column per page, flattens the match chains into parallel build/probe
-index lists, and group-gathers both sides' survivor columns straight into
-``Relation.extend_columns``.
+A row-at-a-time hash join materialises every tuple twice: once when a
+page's row view is built for the build/probe loops, and once more when
+each match concatenates ``r_row + s_row``.  The kernels here never touch
+a row tuple on the happy path.  The build side stages its pages into a
+:class:`ColumnStore` (one oversized columnar page) and the hash table
+stores **row indices** instead of row tuples; probing hashes a whole key
+column per page, flattens the match chains into parallel build/probe
+index lists, and group-gathers both sides' survivor columns straight
+into ``Relation.extend_columns``.
 
-Counter identity with the row arms is by construction:
+Counter identity with the tuple-at-a-time specification arm is by
+construction:
 
 * :meth:`~repro.access.hash_index.HashIndex.insert_batch` and
   :meth:`~repro.access.hash_index.HashIndex.probe_batch` charge from the
   *keys* and their order alone -- one hash + one move + one comparison per
   chain entry scanned per insert, one hash + one comparison per chain
-  entry per probe.  Storing an index where the row arm stores a tuple
-  changes no charge.
-* Gathers and ``extend_columns`` are uncharged, exactly like the row
-  arms' uncharged ``emit`` / ``extend_rows`` output paths.
+  entry per probe.  Storing an index where the specification stores a
+  tuple changes no charge.
+* Gathers and ``extend_columns`` are uncharged, exactly like the
+  specification's uncharged ``emit`` output path.
 
 The differential suite (tests/test_batch_equivalence.py and
 tests/test_join_pipeline.py) asserts byte-identical rows *and*
-``OperationCounters`` across the tuple / row-view / columnar modes for
-every algorithm.
+``OperationCounters`` between the specification arm (``batch=False``) and
+the production arm for every algorithm.
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ def flatten_chains(
 ) -> Tuple[List[int], List[int]]:
     """Flatten probe chains into parallel (build, probe) index lists.
 
-    Preserves the row arms' match order exactly: probe rows in input
-    order, each probe row's matches in chain order.
+    Preserves the specification's match order exactly: probe rows in
+    input order, each probe row's matches in chain order.
     """
     build_idx: List[int] = []
     probe_idx: List[int] = []

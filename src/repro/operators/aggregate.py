@@ -18,9 +18,8 @@ import enum
 import heapq
 import itertools
 import math
-import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cost.counters import OperationCounters, heap_push_charges
 from repro.join.partition import SpillWriter, partition_hash, read_bucket
@@ -256,8 +255,6 @@ def _hash_aggregate_columnar(
     return rows
 
 
-
-
 def hash_aggregate(
     relation: Relation,
     group_by: Sequence[str],
@@ -269,7 +266,6 @@ def hash_aggregate(
     output_name: Optional[str] = None,
     batch: bool = True,
     token: Optional[Any] = None,
-    columnar: bool = True,
     _depth: int = 0,
 ) -> Relation:
     """One-pass hash aggregation with hybrid-hash overflow.
@@ -282,13 +278,14 @@ def hash_aggregate(
     aggregated recursively -- the "variant of the hybrid-hash algorithm"
     the paper recommends when the result exceeds memory.
 
-    The default ``batch`` path walks pages with a hoisted key extractor
-    and charges the hash/compare counters in page-sized bulk; spill order,
-    results, and counter totals are identical to ``batch=False``.  When no
-    memory grant caps the group table (``memory_pages is None``, so no
-    tuple can ever spill) the default ``columnar`` path drops to
-    :func:`_hash_aggregate_columnar`, folding packed column buffers with
-    per-aggregate tight loops -- again bit-identical rows and counters.
+    The default ``batch`` path charges the hash/compare counters in
+    page-sized bulk; spill order, results, and counter totals are
+    identical to ``batch=False``.  When no memory grant caps the group
+    table (``memory_pages is None``, so no tuple can ever spill) it folds
+    packed column buffers with per-aggregate tight loops
+    (:func:`_hash_aggregate_columnar`); under a grant it walks each page's
+    row view with a hoisted key extractor, because an overflowing tuple
+    spills as a row.
 
     ``token`` is a :class:`repro.governor.CancellationToken` checked once
     per page of input (and through every overflow recursion level).
@@ -328,7 +325,7 @@ def hash_aggregate(
         return writer
 
     if batch:
-        if columnar and capacity is None:
+        if capacity is None:
             out.extend_rows(
                 _hash_aggregate_columnar(
                     relation, group_indexes, agg_indexes, aggregates,
@@ -398,7 +395,6 @@ def hash_aggregate(
                 disk=disk,
                 batch=batch,
                 token=token,
-                columnar=columnar,
                 _depth=_depth + 1,
             )
             for page in partial.pages:
@@ -416,19 +412,21 @@ def _sort_aggregate_columnar(
 ) -> List[Row]:
     """Sort-aggregate over packed columns: argsort keys, fold segments.
 
-    Observationally identical to the pair-sort-then-accumulate batch arm:
+    Observationally identical to the heap-then-accumulate specification
+    in :func:`sort_aggregate`:
 
-    * Keys sort stably by position, exactly like the stable pair sort.
-      Single-column groups sort the bare scalars -- ``(a,) < (b,)`` is
-      ``a < b``, so the order cannot differ from 1-tuples.
+    * Keys sort stably by position -- the heap's pop order, since its
+      entries carry an insertion sequence number.  Single-column groups
+      sort the bare scalars -- ``(a,) < (b,)`` is ``a < b``, so the order
+      cannot differ from 1-tuples.
     * Group boundaries use ``is``-then-``==``, the same identity shortcut
-      tuple equality applies element-wise in the pair path.
+      tuple equality applies element-wise to the spec's key tuples.
     * Fold order within a group is ascending position (stable sort), the
       same float-addition sequence the accumulators see; SUM/AVG start at
       0.0 and MIN/MAX keep the first extreme, mirroring
       :class:`_Accumulator` exactly (including its None bootstrap).
-    * Charges are the arithmetic heap totals plus one neighbour check per
-      tuple -- identical numbers to the pair path.
+    * Charges are the heap-operation totals computed arithmetically
+      (:func:`heap_push_charges`) plus one neighbour check per tuple.
     """
     single = len(group_indexes) == 1
     keys: List[Any] = []
@@ -442,8 +440,11 @@ def _sort_aggregate_columnar(
             continue
         if single:
             keys.extend(page.column(group_indexes[0]))
-        else:
+        elif group_indexes:
             keys.extend(page_keys(page, group_indexes))
+        else:
+            # Ungrouped: every row belongs to the one () group.
+            keys.extend([()] * len(page))
         for vals, idx in zip(acols, agg_indexes):
             if vals is not None:
                 vals.extend(page.column(idx))
@@ -499,7 +500,6 @@ def sort_aggregate(
     output_name: Optional[str] = None,
     batch: bool = True,
     token: Optional[Any] = None,
-    columnar: bool = True,
 ) -> Relation:
     """Sort-based baseline: heap-sort on the grouping key, fold neighbours.
 
@@ -507,11 +507,11 @@ def sort_aggregate(
     priority-queue accounting of Section 3.4) plus one comparison per tuple
     for the neighbour check.
 
-    The ``batch`` path replaces the explicit heap with a stable
-    ``list.sort`` (identical order: heap entries carry an insertion
-    sequence number, so pops come out in stable key order) and computes
-    the heap-operation charges arithmetically -- same results, same
-    counter totals.
+    The ``batch`` path replaces the explicit heap with a stable sort of
+    row positions over the packed key column and computes the
+    heap-operation charges arithmetically (see
+    :func:`_sort_aggregate_columnar`) -- same results, same counter
+    totals.
     """
     counters = counters if counters is not None else OperationCounters()
     out_schema = _output_schema(relation.schema, group_by, aggregates)
@@ -525,53 +525,33 @@ def sort_aggregate(
     ]
 
     if batch:
-        if columnar and group_indexes:
-            out.extend_rows(
-                _sort_aggregate_columnar(
-                    relation, group_indexes, agg_indexes, aggregates,
-                    counters, token,
-                )
+        out.extend_rows(
+            _sort_aggregate_columnar(
+                relation, group_indexes, agg_indexes, aggregates,
+                counters, token,
             )
-            return out
-        keyfn = tuple_projector(group_indexes)
-        pairs: List[Tuple[Tuple[Any, ...], Row]] = []
-        for page in relation.pages:
-            if token is not None:
-                token.check()
-            pairs.extend((keyfn(row), row) for row in page.tuples)
-        charges = heap_push_charges(len(pairs))
-        counters.compare(charges)
-        counters.swap_tuples(charges)
-        # Stable sort by key == heap order with the sequence tiebreak.
-        pairs.sort(key=operator.itemgetter(0))
-        counters.compare(len(pairs))  # one neighbour check per pop
-        ordered: Iterable[Tuple[Tuple[Any, ...], Row]] = pairs
-    else:
-        heap: List[Tuple[Tuple[Any, ...], int, Row]] = []
-        seq = itertools.count()
-        tpp = max(1, relation.tuples_per_page)
-        for n, row in enumerate(relation):
-            if token is not None and n % tpp == 0:
-                token.check()
-            levels = max(1, math.ceil(math.log2(len(heap) + 2)))
-            counters.compare(levels)
-            counters.swap_tuples(levels)
-            heapq.heappush(
-                heap, (tuple(row[i] for i in group_indexes), next(seq), row)
-            )
+        )
+        return out
 
-        def _pop_all() -> Iterable[Tuple[Tuple[Any, ...], Row]]:
-            while heap:
-                key, _, row = heapq.heappop(heap)
-                counters.compare()
-                yield key, row
-
-        ordered = _pop_all()
+    heap: List[Tuple[Tuple[Any, ...], int, Row]] = []
+    seq = itertools.count()
+    tpp = max(1, relation.tuples_per_page)
+    for n, row in enumerate(relation):
+        if token is not None and n % tpp == 0:
+            token.check()
+        levels = max(1, math.ceil(math.log2(len(heap) + 2)))
+        counters.compare(levels)
+        counters.swap_tuples(levels)
+        heapq.heappush(
+            heap, (tuple(row[i] for i in group_indexes), next(seq), row)
+        )
 
     current: Optional[Tuple[Any, ...]] = None
     accs: List[_Accumulator] = []
     emitted: List[Row] = []
-    for key, row in ordered:
+    while heap:
+        key, _, row = heapq.heappop(heap)
+        counters.compare()
         if key != current:
             if current is not None:
                 emitted.append(current + tuple(a.result() for a in accs))

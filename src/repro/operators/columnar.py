@@ -1,15 +1,17 @@
 """Columnar batch-execution kernels and their counter charge helpers.
 
-The PR-7 hot path: batch operators scan the packed column buffers of
-:class:`~repro.storage.page.Page` directly instead of materialising row
-tuples, and copy survivors column-to-column into the output relation.
+The production arm's hot path: batch operators scan the packed column
+buffers of :class:`~repro.storage.page.Page` directly instead of
+materialising row tuples, and copy survivors column-to-column into the
+output relation.
 
 Charging discipline: the helpers below are the *only* way the columnar
 kernels touch :class:`~repro.cost.counters.OperationCounters`, and each
-charges exactly what the historical tuple-at-a-time loop charges for the
-same page of input -- the counter-parity lint knows them by name (see
+charges exactly what the tuple-at-a-time specification arm charges for
+the same page of input -- the counter-parity lint knows them by name (see
 ``LintConfig.charge_helpers``) and the differential tests assert the
-totals stay byte-identical across all three execution modes.
+totals stay byte-identical between the specification arm
+(``batch=False``) and the production arm.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ from repro.operators.aggregate import hash_aggregate, sort_aggregate
 from repro.operators.columnar import charge_page_moves
 from repro.storage.disk import SimulatedDisk
 from repro.storage.relation import Relation
-from repro.storage.tuples import tuple_projector
 
 
 def _plain_project(
@@ -26,7 +25,6 @@ def _plain_project(
     output_name: Optional[str],
     batch: bool = True,
     token: Optional[Any] = None,
-    columnar: bool = True,
 ) -> Relation:
     out = Relation(
         output_name or ("project(%s)" % relation.name),
@@ -35,24 +33,15 @@ def _plain_project(
     )
     indexes = [relation.schema.index_of(c) for c in columns]
     if batch:
-        if columnar:
-            # Kept columns flow buffer-to-buffer; dropped ones are never
-            # touched -- no row tuple exists anywhere on this path.
-            for page in relation.pages:
-                if token is not None:
-                    token.check()
-                n = len(page)
-                charge_page_moves(counters, n)
-                if n:
-                    out.extend_columns([page.column(i) for i in indexes], n)
-            return out
-        getter = tuple_projector(indexes)
+        # Kept columns flow buffer-to-buffer; dropped ones are never
+        # touched -- no row tuple exists anywhere on this path.
         for page in relation.pages:
             if token is not None:
                 token.check()
-            rows = page.tuples
-            counters.move_tuple(len(rows))
-            out.extend_rows([getter(row) for row in rows])
+            n = len(page)
+            charge_page_moves(counters, n)
+            if n:
+                out.extend_columns([page.column(i) for i in indexes], n)
         return out
     tpp = max(1, relation.tuples_per_page)
     for n, row in enumerate(relation):
@@ -74,14 +63,12 @@ def hash_project(
     output_name: Optional[str] = None,
     batch: bool = True,
     token: Optional[Any] = None,
-    columnar: bool = True,
 ) -> Relation:
     """Project onto ``columns``; hash-deduplicate when ``distinct``."""
     counters = counters if counters is not None else OperationCounters()
     if not distinct:
         return _plain_project(
-            relation, columns, counters, output_name, batch, token=token,
-            columnar=columnar,
+            relation, columns, counters, output_name, batch, token=token
         )
     return hash_aggregate(
         relation,
@@ -94,7 +81,6 @@ def hash_project(
         output_name=output_name or ("project(%s)" % relation.name),
         batch=batch,
         token=token,
-        columnar=columnar,
     )
 
 
@@ -106,14 +92,12 @@ def sort_project(
     output_name: Optional[str] = None,
     batch: bool = True,
     token: Optional[Any] = None,
-    columnar: bool = True,
 ) -> Relation:
     """Sort-based projection baseline (duplicates collapse after sorting)."""
     counters = counters if counters is not None else OperationCounters()
     if not distinct:
         return _plain_project(
-            relation, columns, counters, output_name, batch, token=token,
-            columnar=columnar,
+            relation, columns, counters, output_name, batch, token=token
         )
     return sort_aggregate(
         relation,
@@ -123,7 +107,6 @@ def sort_project(
         output_name=output_name or ("project(%s)" % relation.name),
         batch=batch,
         token=token,
-        columnar=columnar,
     )
 
 

@@ -26,7 +26,6 @@ from repro.operators.columnar import (
     page_keys,
 )
 from repro.storage.relation import Relation, Row
-from repro.storage.tuples import Schema, tuple_projector
 from repro.errors import PlannerError
 
 
@@ -47,7 +46,6 @@ def cross_product(
     counters: Optional[OperationCounters] = None,
     output_name: Optional[str] = None,
     batch: bool = True,
-    columnar: bool = True,
 ) -> Relation:
     """``R x S`` -- every pairing, charged one move per output tuple."""
     counters = counters if counters is not None else OperationCounters()
@@ -61,27 +59,19 @@ def cross_product(
         max(r.page_bytes, schema.tuple_bytes),
     )
     if batch:
+        # Per (r-row, s-page): the r-values broadcast into constant
+        # columns and the s-columns copy buffer-to-buffer.
         s_pages = s.pages
-        if columnar:
-            # Per (r-row, s-page): the r-values broadcast into constant
-            # columns and the s-columns copy buffer-to-buffer.
-            for r_page in r.pages:
-                for r_row in r_page.tuples:
-                    for s_page in s_pages:
-                        n = len(s_page)
-                        charge_page_moves(counters, n)
-                        if n:
-                            out.extend_columns(
-                                [[v] * n for v in r_row] + list(s_page.columns),
-                                n,
-                            )
-            return out
         for r_page in r.pages:
             for r_row in r_page.tuples:
                 for s_page in s_pages:
-                    rows = s_page.tuples
-                    counters.move_tuple(len(rows))
-                    out.extend_rows([r_row + s_row for s_row in rows])
+                    n = len(s_page)
+                    charge_page_moves(counters, n)
+                    if n:
+                        out.extend_columns(
+                            [[v] * n for v in r_row] + list(s_page.columns),
+                            n,
+                        )
         return out
     for r_row in r:
         for s_row in s:
@@ -99,7 +89,6 @@ def divide(
     counters: Optional[OperationCounters] = None,
     output_name: Optional[str] = None,
     batch: bool = True,
-    columnar: bool = True,
 ) -> Relation:
     """Relational division: group values related to every divisor tuple.
 
@@ -124,21 +113,12 @@ def divide(
     attr_idx = [r.schema.index_of(c) for c in r_attr]
     div_idx = [divisor.schema.index_of(c) for c in divisor_attr]
 
-    group_key = tuple_projector(group_idx)
-    attr_key = tuple_projector(attr_idx)
-    div_key = tuple_projector(div_idx)
-
     # Pass 1: hash the divisor into a set.
     required: Set[Tuple[Any, ...]] = set()
     if batch:
         for page in divisor.pages:
-            if columnar:
-                charge_page_hashes(counters, len(page))
-                required.update(page_keys(page, div_idx))
-                continue
-            rows = page.tuples
-            counters.hash_key(len(rows))
-            required.update(map(div_key, rows))
+            charge_page_hashes(counters, len(page))
+            required.update(page_keys(page, div_idx))
     else:
         for row in divisor:
             counters.hash_key()
@@ -154,15 +134,9 @@ def divide(
         seen_groups: Set[Tuple[Any, ...]] = set()
         if batch:
             for page in r.pages:
-                if columnar:
-                    charge_page_hashes(counters, len(page))
-                    keys = page_keys(page, group_idx)
-                else:
-                    rows = page.tuples
-                    counters.hash_key(len(rows))
-                    keys = [group_key(row) for row in rows]
+                charge_page_hashes(counters, len(page))
                 fresh: List[Tuple[Any, ...]] = []
-                for key in keys:
+                for key in page_keys(page, group_idx):
                     if key not in seen_groups:
                         seen_groups.add(key)
                         fresh.append(key)
@@ -180,23 +154,13 @@ def divide(
     covered: Dict[Tuple[Any, ...], Set[Tuple[Any, ...]]] = {}
     if batch:
         for page in r.pages:
-            if columnar:
-                charge_page_group(counters, len(page))
-                for member, key in zip(
-                    page_keys(page, attr_idx), page_keys(page, group_idx)
-                ):
-                    if member not in required:
-                        continue
-                    covered.setdefault(key, set()).add(member)
-                continue
-            rows = page.tuples
-            counters.hash_key(len(rows))
-            counters.compare(len(rows))
-            for row in rows:
-                member = attr_key(row)
+            charge_page_group(counters, len(page))
+            for member, key in zip(
+                page_keys(page, attr_idx), page_keys(page, group_idx)
+            ):
                 if member not in required:
                     continue
-                covered.setdefault(group_key(row), set()).add(member)
+                covered.setdefault(key, set()).add(member)
         counters.compare(len(covered))
         want = len(required)
         out.extend_rows(

@@ -11,7 +11,17 @@ from __future__ import annotations
 import abc
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.access.interface import Index
 from repro.cost.counters import OperationCounters
@@ -75,22 +85,24 @@ class Predicate(abc.ABC):
     def compile(self, schema: Schema) -> Callable[[Row], bool]:
         """A row -> bool closure with field indexes resolved up front.
 
-        The batch executor evaluates predicates through this instead of
-        :meth:`evaluate`, hoisting the ``schema.index_of`` lookups and the
-        combinator-tree dispatch out of the per-tuple loop.  Semantics are
-        identical to :meth:`evaluate` by construction.
+        Hoists the ``schema.index_of`` lookups and the combinator-tree
+        dispatch out of the per-tuple loop.  Semantics are identical to
+        :meth:`evaluate` by construction.
         """
         return lambda row: self.evaluate(schema, row)
 
-    def compile_mask(self, schema: Schema) -> Optional[Callable[[Page], List[bool]]]:
-        """A page -> boolean-mask closure over the packed column buffers.
+    def compile_mask(self, schema: Schema) -> Callable[[Page], Sequence[bool]]:
+        """A page -> boolean-mask closure (a list or a numpy bool array).
 
-        The columnar batch executor evaluates predicates through this:
-        one listcomp per page over a contiguous column instead of a
-        closure call per row.  ``None`` means the predicate cannot be
-        vectorised and the executor falls back to :meth:`compile`.
+        The batch executor evaluates predicates through this.  The
+        built-in predicates override it with one listcomp (or one numpy
+        comparison) per page over a contiguous column buffer; this
+        default serves a user-defined predicate that only implements
+        :meth:`evaluate`, by running :meth:`compile` over the page's row
+        view.
         """
-        return None
+        test = self.compile(schema)
+        return lambda page: [bool(test(row)) for row in page.tuples]
 
     def columns(self) -> List[str]:
         """Column names the predicate references."""
@@ -131,7 +143,7 @@ class Comparison(Predicate):
         value = self.value
         return lambda row: op(row[idx], value)
 
-    def compile_mask(self, schema: Schema) -> Optional[Callable[[Page], List[bool]]]:
+    def compile_mask(self, schema: Schema) -> Callable[[Page], Sequence[bool]]:
         idx = schema.index_of(self.column)
         value = self.value
         op = _OPS[self.op]
@@ -189,7 +201,7 @@ class Prefix(Predicate):
         prefix = self.prefix
         return lambda row: isinstance(row[idx], str) and row[idx].startswith(prefix)
 
-    def compile_mask(self, schema: Schema) -> Optional[Callable[[Page], List[bool]]]:
+    def compile_mask(self, schema: Schema) -> Callable[[Page], Sequence[bool]]:
         idx = schema.index_of(self.column)
         prefix = self.prefix
         return lambda page: [
@@ -224,11 +236,9 @@ class And(Predicate):
         right = self.right.compile(schema)
         return lambda row: left(row) and right(row)
 
-    def compile_mask(self, schema: Schema) -> Optional[Callable[[Page], List[bool]]]:
+    def compile_mask(self, schema: Schema) -> Callable[[Page], Sequence[bool]]:
         left = self.left.compile_mask(schema)
         right = self.right.compile_mask(schema)
-        if left is None or right is None:
-            return None
 
         def masker(page: Page):
             a, b = left(page), right(page)
@@ -262,11 +272,9 @@ class Or(Predicate):
         right = self.right.compile(schema)
         return lambda row: left(row) or right(row)
 
-    def compile_mask(self, schema: Schema) -> Optional[Callable[[Page], List[bool]]]:
+    def compile_mask(self, schema: Schema) -> Callable[[Page], Sequence[bool]]:
         left = self.left.compile_mask(schema)
         right = self.right.compile_mask(schema)
-        if left is None or right is None:
-            return None
 
         def masker(page: Page):
             a, b = left(page), right(page)
@@ -298,10 +306,8 @@ class Not(Predicate):
         inner = self.inner.compile(schema)
         return lambda row: not inner(row)
 
-    def compile_mask(self, schema: Schema) -> Optional[Callable[[Page], List[bool]]]:
+    def compile_mask(self, schema: Schema) -> Callable[[Page], Sequence[bool]]:
         inner = self.inner.compile_mask(schema)
-        if inner is None:
-            return None
 
         def masker(page: Page):
             m = inner(page)
@@ -328,15 +334,13 @@ def select(
     output_name: Optional[str] = None,
     batch: bool = True,
     token: Optional[Any] = None,
-    columnar: bool = True,
 ) -> Relation:
     """Full-scan selection, charging the predicate's comparisons per tuple.
 
-    The default batch path evaluates the predicate's columnar mask over
-    each page's packed buffers and copies survivors column-to-column;
-    ``columnar=False`` keeps the PR-2 page-at-a-time row loop, and
-    ``batch=False`` the historical tuple-at-a-time loop.  All three
-    produce identical outputs and identical counter totals (asserted by
+    The default batch path evaluates the predicate's mask over each page's
+    packed buffers and copies survivors column-to-column; ``batch=False``
+    is the tuple-at-a-time specification.  Both produce identical outputs
+    and identical counter totals (asserted by
     tests/test_batch_equivalence.py).
 
     ``token`` is a :class:`repro.governor.CancellationToken` checked once
@@ -351,22 +355,13 @@ def select(
     )
     per_tuple = predicate.comparisons()
     if batch:
-        masker = predicate.compile_mask(relation.schema) if columnar else None
-        if masker is not None:
-            for page in relation.pages:
-                if token is not None:
-                    token.check()
-                charge_page_compares(counters, per_tuple * len(page))
-                if len(page):
-                    append_selected(out, page, masker(page))
-            return out
-        test = predicate.compile(relation.schema)
+        masker = predicate.compile_mask(relation.schema)
         for page in relation.pages:
             if token is not None:
                 token.check()
-            rows = page.tuples
-            counters.compare(per_tuple * len(rows))
-            out.extend_rows([row for row in rows if test(row)])
+            charge_page_compares(counters, per_tuple * len(page))
+            if len(page):
+                append_selected(out, page, masker(page))
         return out
     tpp = max(1, relation.tuples_per_page)
     for i, row in enumerate(relation):
@@ -419,6 +414,54 @@ def _gather_tid_runs(
         flush()
 
 
+def _index_tids(
+    index: Index,
+    predicate: "Union[Comparison, Prefix]",
+    token: Optional[Any],
+    tpp: int,
+) -> Iterator[Tuple[int, int]]:
+    """Probe ``index`` for ``predicate``; yield qualifying TIDs in index order.
+
+    ``token`` is checked once per ``tpp`` index entries visited (an entry
+    an open range endpoint rejects still counts), so a cancelled query
+    stops within one page's worth of probing.
+    """
+    open_endpoint = False
+    if isinstance(predicate, Prefix):
+        if not index.supports_range_scan:
+            raise PlannerError(
+                "prefix predicates need an ordered index on %r"
+                % predicate.column
+            )
+        entries = index.range_scan(*predicate.range_bounds)
+    elif predicate.is_equality:
+        for i, tid in enumerate(index.search(predicate.value)):
+            if token is not None and i % tpp == 0:
+                token.check()
+            yield tid
+        return
+    else:
+        if not index.supports_range_scan:
+            raise PlannerError(
+                "index on %r cannot serve a %r predicate; hash indexes only "
+                "support equality" % (predicate.column, predicate.op)
+            )
+        if predicate.op in (">", ">="):
+            entries = index.range_scan(predicate.value, None)
+        elif predicate.op in ("<", "<="):
+            entries = index.range_scan(None, predicate.value)
+        else:
+            raise PlannerError("operator %r cannot use an index" % predicate.op)
+        open_endpoint = predicate.op in (">", "<")
+    for i, (key, tid) in enumerate(entries):
+        if token is not None and i % tpp == 0:
+            token.check()
+        # Open endpoints: drop the boundary key itself.
+        if open_endpoint and key == predicate.value:
+            continue
+        yield tid
+
+
 def select_via_index(
     relation: Relation,
     index: Index,
@@ -426,7 +469,7 @@ def select_via_index(
     counters: Optional[OperationCounters] = None,
     output_name: Optional[str] = None,
     token: Optional[Any] = None,
-    columnar: bool = False,
+    batch: bool = True,
 ) -> Relation:
     """Index-assisted selection for equality, range, and prefix predicates.
 
@@ -437,11 +480,12 @@ def select_via_index(
     ``emp.name = "Jones"`` and the ``emp.name = "J*"`` queries go through
     here.
 
-    ``columnar=True`` keeps the probe itself unchanged but materialises
-    the qualifying TIDs as a column feeding ``Relation.extend_columns``
-    directly (see :func:`_gather_tid_runs`) instead of fetching row tuples
-    one TID at a time.  Output rows, counter totals, and the cadence of
-    ``token`` checks are identical either way.
+    The probe is the same in both arms.  The default batch arm
+    materialises the qualifying TIDs as a column feeding
+    ``Relation.extend_columns`` directly (see :func:`_gather_tid_runs`);
+    ``batch=False`` fetches row tuples one TID at a time.  Output rows,
+    counter totals, and the cadence of ``token`` checks are identical
+    either way.
     """
     counters = counters if counters is not None else OperationCounters()
     out = Relation(
@@ -449,84 +493,16 @@ def select_via_index(
         relation.schema,
         relation.page_bytes,
     )
-    tpp = max(1, relation.tuples_per_page)
-    if isinstance(predicate, Prefix):
-        if not index.supports_range_scan:
-            raise PlannerError(
-                "prefix predicates need an ordered index on %r"
-                % predicate.column
-            )
-        low, high = predicate.range_bounds
-        if columnar:
-
-            def prefix_tids() -> Iterable[Tuple[int, int]]:
-                for i, (_key, tid) in enumerate(index.range_scan(low, high)):
-                    if token is not None and i % tpp == 0:
-                        token.check()
-                    yield tid
-
-            _gather_tid_runs(relation, out, prefix_tids(), counters, False)
-            return out
-        for i, (_key, tid) in enumerate(index.range_scan(low, high)):
-            if token is not None and i % tpp == 0:
-                token.check()
+    tids = _index_tids(
+        index, predicate, token, max(1, relation.tuples_per_page)
+    )
+    equality = isinstance(predicate, Comparison) and predicate.is_equality
+    if batch:
+        _gather_tid_runs(relation, out, tids, counters, equality)
+        return out
+    for tid in tids:
+        if not equality:
             counters.compare()
-            counters.move_tuple()  # TID dereference
-            out.insert_unchecked(relation.fetch(tid))
-        return out
-    if predicate.is_equality:
-        if columnar:
-
-            def equality_tids() -> Iterable[Tuple[int, int]]:
-                for i, tid in enumerate(index.search(predicate.value)):
-                    if token is not None and i % tpp == 0:
-                        token.check()
-                    yield tid
-
-            _gather_tid_runs(relation, out, equality_tids(), counters, True)
-            return out
-        for i, tid in enumerate(index.search(predicate.value)):
-            if token is not None and i % tpp == 0:
-                token.check()
-            counters.move_tuple()  # TID dereference
-            out.insert_unchecked(relation.fetch(tid))
-        return out
-    if not index.supports_range_scan:
-        raise PlannerError(
-            "index on %r cannot serve a %r predicate; hash indexes only "
-            "support equality" % (predicate.column, predicate.op)
-        )
-    low = high = None
-    if predicate.op in (">", ">="):
-        low = predicate.value
-    elif predicate.op in ("<", "<="):
-        high = predicate.value
-    else:
-        raise PlannerError("operator %r cannot use an index" % predicate.op)
-    if columnar:
-
-        def range_tids() -> Iterable[Tuple[int, int]]:
-            for i, (key, tid) in enumerate(index.range_scan(low, high)):
-                if token is not None and i % tpp == 0:
-                    token.check()
-                # Open endpoints: drop the boundary key itself.
-                if predicate.op == ">" and key == predicate.value:
-                    continue
-                if predicate.op == "<" and key == predicate.value:
-                    continue
-                yield tid
-
-        _gather_tid_runs(relation, out, range_tids(), counters, False)
-        return out
-    for i, (key, tid) in enumerate(index.range_scan(low, high)):
-        if token is not None and i % tpp == 0:
-            token.check()
-        # Open endpoints: drop the boundary key itself.
-        if predicate.op == ">" and key == predicate.value:
-            continue
-        if predicate.op == "<" and key == predicate.value:
-            continue
-        counters.compare()
         counters.move_tuple()  # TID dereference
         out.insert_unchecked(relation.fetch(tid))
     return out

@@ -48,14 +48,11 @@ class PlanContext:
     w: float = 1.0
     counters: OperationCounters = field(default_factory=OperationCounters)
     disk: Optional[SimulatedDisk] = None
-    #: Page-at-a-time operator execution (see docs/PERF.md); ``False``
-    #: selects the historical tuple-at-a-time loops.  Results and counted
-    #: costs are identical either way.
+    #: The production arm: page-at-a-time operators over the packed
+    #: column buffers (see docs/PERF.md); ``False`` selects the
+    #: tuple-at-a-time specification.  Results and counted costs are
+    #: identical either way (tests/test_batch_equivalence.py).
     batch: bool = True
-    #: Columnar batch kernels over the packed page buffers; ``False``
-    #: keeps the PR-2 row-view batch loops.  Results and counted costs
-    #: are identical either way (tests/test_batch_equivalence.py).
-    columnar: bool = True
     #: Worker processes for the partitioned hash joins (1 = serial).
     join_workers: int = 1
     #: Materialised-subplan cache; ``None`` disables reuse.
@@ -248,7 +245,7 @@ class IndexScanNode(PlanNode):
             self.predicate,
             ctx.counters,
             token=ctx.token,
-            columnar=ctx.batch and ctx.columnar,
+            batch=ctx.batch,
         )
 
     def estimated_cost(self, ctx: PlanContext) -> float:
@@ -290,7 +287,6 @@ class FilterNode(PlanNode):
             ctx.counters,
             batch=ctx.batch,
             token=ctx.token,
-            columnar=ctx.columnar,
         )
 
     def estimated_cost(self, ctx: PlanContext) -> float:
@@ -355,7 +351,6 @@ class JoinNode(PlanNode):
             counters=ctx.counters,
             disk=ctx.disk,
             batch=ctx.batch,
-            columnar=ctx.columnar,
             workers=ctx.join_workers,
         )
         if ctx.guard is not None:
@@ -432,7 +427,6 @@ class ProjectNode(PlanNode):
                 ctx.counters,
                 batch=ctx.batch,
                 token=ctx.token,
-                columnar=ctx.columnar,
             )
         return hash_project(
             child,
@@ -444,7 +438,6 @@ class ProjectNode(PlanNode):
             disk=ctx.disk,
             batch=ctx.batch,
             token=ctx.token,
-            columnar=ctx.columnar,
         )
 
     def estimated_cost(self, ctx: PlanContext) -> float:
@@ -510,7 +503,6 @@ class AggregateNode(PlanNode):
                 child, self.group_by, self.aggregates, ctx.counters,
                 batch=ctx.batch,
                 token=ctx.token,
-                columnar=ctx.columnar,
             )
         return hash_aggregate(
             child,
@@ -522,7 +514,6 @@ class AggregateNode(PlanNode):
             disk=ctx.disk,
             batch=ctx.batch,
             token=ctx.token,
-            columnar=ctx.columnar,
         )
 
     def estimated_cost(self, ctx: PlanContext) -> float:

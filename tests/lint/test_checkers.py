@@ -239,6 +239,37 @@ class TestCounterDiscipline:
         )
         assert "tuple twin" in f.message
 
+    def test_twin_pairing_goes_by_the_batch_suffix(self, tmp_path):
+        # SortMergeJoin's in-memory arms in miniature: the production
+        # twin drops the swap charge.  Named ``*_batch`` it is paired
+        # with the tuple spec and reported; under any other suffix (the
+        # pre-PR-15 ``*_columnar`` names) the rule cannot see it.
+        fixture = """\
+            class J:
+                def _execute_in_memory(self, rows):
+                    for _ in rows:
+                        self.charge_heap_op(1)
+                    self._merge_join(rows)
+
+                def _merge_join(self, rows):
+                    for _ in rows:
+                        self.counters.compare()
+
+                def _execute_in_memory_%(suffix)s(self, rows):
+                    self.counters.compare(len(rows))
+                    self._merge_join_%(suffix)s(rows)
+
+                def _merge_join_%(suffix)s(self, rows):
+                    self.counters.compare(len(rows))
+            """
+        f = _one(
+            self.run(tmp_path, fixture % {"suffix": "batch"}),
+            "counter-parity",
+        )
+        assert "_execute_in_memory_batch()" in f.message
+        assert "swap_tuples" in f.message
+        assert self.run(tmp_path, fixture % {"suffix": "columnar"}) == []
+
     def test_out_of_scope_module_ignored(self, tmp_path):
         write_module(
             tmp_path,

@@ -19,8 +19,13 @@ import random
 
 import pytest
 
+from repro.access.avl import AVLTree
+from repro.access.btree import BPlusTree
+from repro.access.hash_index import HashIndex
 from repro.cost.counters import OperationCounters
 from repro.cost.parameters import CostParameters
+from repro.errors import PlannerError
+from repro.governor import CancellationToken, MemoryGrant, QueryGuard
 from repro.join import (
     ALL_JOINS,
     GraceHashJoin,
@@ -41,7 +46,14 @@ from repro.operators.relational import (
     intersect,
     union_,
 )
-from repro.operators.selection import Comparison, Prefix, select
+from repro.operators.selection import (
+    And,
+    Comparison,
+    Predicate,
+    Prefix,
+    select,
+    select_via_index,
+)
 from repro.storage.disk import SimulatedDisk
 from repro.storage.relation import Relation
 from repro.storage.tuples import DataType, Field, Schema
@@ -66,19 +78,13 @@ def seeded_pairs(seed, n, key_range):
     return [(rng.randrange(key_range), i) for i in range(n)]
 
 
-#: tuple-at-a-time, row-view batch, and columnar batch execution.  The
-#: set operators only distinguish the first two (their batch loops
-#: consume the cached row views either way).
-MODES = (dict(batch=False), dict(batch=True, columnar=False), dict(batch=True))
-ROW_MODES = (dict(batch=False), dict(batch=True))
+#: The tuple-at-a-time specification and the production batch arm.
+MODES = (dict(batch=False), dict(batch=True))
 
 
-def run_modes(fn, modes=MODES):
+def run_modes(fn):
     """Run ``fn(mode_kwargs)`` per execution mode; return [(rows, counters)]."""
-    results = []
-    for kwargs in modes:
-        results.append(fn(dict(kwargs)))
-    return results
+    return [fn(dict(kwargs)) for kwargs in MODES]
 
 
 def assert_equivalent(runs, ordered=True):
@@ -169,6 +175,98 @@ class TestSelection:
 
         assert_equivalent(run_modes(run))
 
+    def test_evaluate_only_predicate(self):
+        """A user predicate that implements nothing but ``evaluate``."""
+
+        class PayloadNotMultipleOf3(Predicate):
+            def evaluate(self, schema, row):
+                return row[schema.index_of("payload")] % 3  # 0, 1 or 2: truthy, not bool
+
+            def comparisons(self):
+                return 1
+
+        for predicate in (
+            PayloadNotMultipleOf3(),
+            And(PayloadNotMultipleOf3(), Comparison("key", "<", 20)),
+        ):
+
+            def run(kwargs):
+                counters = OperationCounters()
+                rel = kv_relation("t", seeded_pairs(1, 123, 40))
+                out = select(rel, predicate, counters, **kwargs)
+                return list(out), counters.as_dict()
+
+            runs = run_modes(run)
+            assert runs[0][0], "degenerate: nothing selected"
+            assert_equivalent(runs)
+
+
+INDEX_PREDICATES = [
+    Comparison("key", "=", 7),
+    Comparison("key", "=", 1000),  # missing key
+    Comparison("key", "<", 12),
+    Comparison("key", "<=", 12),
+    Comparison("key", ">", 31),
+    Comparison("key", ">=", 31),
+    Comparison("key", ">", 1000),  # empty range
+]
+
+
+class TestSelectViaIndex:
+    """The index probe is shared; the arms differ in how TIDs are fetched."""
+
+    @staticmethod
+    def run_arms(rel, index_cls, predicate):
+        def run(kwargs):
+            probe_counters = OperationCounters()
+            index = index_cls(counters=probe_counters)
+            for tid, row in rel.scan():
+                index.insert(row[0], tid)
+            probe_counters.reset()
+            counters = OperationCounters()
+            token = CancellationToken(qid=1)
+            out = select_via_index(
+                rel, index, predicate, counters, token=token, **kwargs
+            )
+            return list(out), (
+                counters.as_dict(), probe_counters.as_dict(), token.checks
+            )
+
+        return run_modes(run)
+
+    @pytest.mark.parametrize("index_cls", [BPlusTree, AVLTree, HashIndex])
+    def test_comparisons(self, index_cls):
+        rel = kv_relation("t", seeded_pairs(16, 123, 40))
+        matched = 0
+        for predicate in INDEX_PREDICATES:
+            if index_cls is HashIndex and not predicate.is_equality:
+                for kwargs in MODES:
+                    with pytest.raises(PlannerError):
+                        select_via_index(rel, index_cls(), predicate, **kwargs)
+                continue
+            runs = self.run_arms(rel, index_cls, predicate)
+            assert_equivalent(runs)
+            assert sorted(runs[0][0]) == sorted(select(rel, predicate))
+            matched += len(runs[0][0])
+        assert matched, "degenerate: no predicate matched anything"
+
+    @pytest.mark.parametrize("index_cls", [BPlusTree, AVLTree])
+    def test_prefix(self, index_cls):
+        schema = Schema(
+            [Field("name", DataType.STRING), Field("n", DataType.INTEGER)]
+        )
+        rel = Relation("s", schema, 256)
+        rng = random.Random(17)
+        rel.extend_rows(
+            [(rng.choice(["abc", "abd", "xyz", "ab"]), i) for i in range(50)]
+        )
+        for prefix in ("ab", "abd", "q"):
+            runs = self.run_arms(rel, index_cls, Prefix("name", prefix))
+            assert_equivalent(runs)
+            assert len(runs[0][0]) == sum(
+                row[0].startswith(prefix) for row in rel
+            )
+
 
 class TestProjection:
     @pytest.mark.parametrize("distinct", [False, True])
@@ -229,16 +327,26 @@ class TestAggregation:
             )
             return list(out), counters.as_dict()
 
-        assert_equivalent(run_modes(run))
+        runs = run_modes(run)
+        assert_equivalent(runs)
+        # Only a capped group table overflows into spill partitions.
+        spill_io = runs[0][1]["sequential_ios"] + runs[0][1]["random_ios"]
+        assert (spill_io > 0) == (memory_pages is not None)
 
     def test_sort_aggregate(self):
-        def run(kwargs):
-            counters = OperationCounters()
-            rel = kv_relation("t", seeded_pairs(6, 180, 23))
-            out = sort_aggregate(rel, ["key"], AGGS, counters=counters, **kwargs)
-            return list(out), counters.as_dict()
+        for group_by in (["key"], []):
 
-        assert_equivalent(run_modes(run))
+            def run(kwargs):
+                counters = OperationCounters()
+                rel = kv_relation("t", seeded_pairs(6, 180, 23))
+                out = sort_aggregate(
+                    rel, group_by, AGGS, counters=counters, **kwargs
+                )
+                return list(out), counters.as_dict()
+
+            runs = run_modes(run)
+            assert len(runs[0][0]) == (23 if group_by else 1)
+            assert_equivalent(runs)
 
 
 class TestRelationalOperators:
@@ -261,7 +369,7 @@ class TestRelationalOperators:
             out = union_(a, b, distinct=distinct, counters=counters, **kwargs)
             return list(out), counters.as_dict()
 
-        assert_equivalent(run_modes(run, modes=ROW_MODES))
+        assert_equivalent(run_modes(run))
 
     def test_intersect(self):
         def run(kwargs):
@@ -271,7 +379,7 @@ class TestRelationalOperators:
             out = intersect(a, b, counters, **kwargs)
             return list(out), counters.as_dict()
 
-        assert_equivalent(run_modes(run, modes=ROW_MODES))
+        assert_equivalent(run_modes(run))
 
     def test_difference(self):
         def run(kwargs):
@@ -281,7 +389,7 @@ class TestRelationalOperators:
             out = difference(a, b, counters, **kwargs)
             return list(out), counters.as_dict()
 
-        assert_equivalent(run_modes(run, modes=ROW_MODES))
+        assert_equivalent(run_modes(run))
 
     def test_divide(self):
         schema = Schema(
@@ -356,6 +464,62 @@ class TestJoinEquivalence:
         except ValueError:
             pytest.skip("algorithm assumptions do not hold at this grant")
         assert_equivalent(runs, ordered=False)
+
+
+class TestObservedBranches:
+    """Production branches picked by what the code observes, not by a knob."""
+
+    def test_multipass_simple_hash(self):
+        r_pairs, s_pairs = DATASETS["uniform"]
+
+        def run(kwargs):
+            algo = ALL_JOINS["simple-hash"](**kwargs)
+            r = kv_relation("r", r_pairs)
+            s = kv_relation("s", s_pairs, columns=("skey", "spay"))
+            result = algo.join(join_spec(r, s, memory_pages=8))
+            return list(result.relation), result.counters.as_dict()
+
+        runs = run_modes(run)
+        # Passed-over tuples were written out and reread: several passes.
+        assert runs[0][1]["sequential_ios"] > 0
+        assert_equivalent(runs)
+
+    @pytest.mark.parametrize("phase", ["1a", "1b"])
+    def test_hybrid_mid_phase_demotion(self, phase):
+        """A grant revoked mid-phase demotes R0 at the same page boundary,
+        with the same resident table, in both arms."""
+        r_pairs, s_pairs = DATASETS["uniform"]
+
+        def run(kwargs):
+            r = kv_relation("r", r_pairs)
+            s = kv_relation("s", s_pairs, columns=("skey", "spay"))
+            revoke_at = r.page_count // 2
+            if phase == "1b":
+                revoke_at = r.page_count + s.page_count // 2
+            grant = MemoryGrant(16)
+            token = CancellationToken(qid=1)
+            token.on_check = (
+                lambda tok: grant.revoke(2) if tok.checks == revoke_at else None
+            )
+            demotions = []
+
+            class Recording(HybridHashJoin):
+                def _demote_resident(self, resident, *args, **kw):
+                    demotions.append((token.checks, len(resident)))
+                    return super()._demote_resident(resident, *args, **kw)
+
+            algo = Recording(**kwargs).set_guard(
+                QueryGuard(token=token, grant=grant)
+            )
+            result = algo.join(join_spec(r, s, memory_pages=16))
+            assert demotions == [(revoke_at, demotions[0][1])]
+            assert demotions[0][1] > 0, "nothing was resident to demote"
+            assert not algo.disk._files, "leaked scratch files"
+            return list(result.relation), (
+                result.counters.as_dict(), demotions
+            )
+
+        assert_equivalent(run_modes(run))
 
 
 class TestParallelDeterminism:

@@ -60,3 +60,39 @@ def test_every_public_symbol_has_a_docstring():
                 if not doc or not doc.strip():
                     missing.append("%s.%s" % (package, name))
     assert not missing, "undocumented public symbols: %s" % missing
+
+
+def test_batch_is_the_only_execution_arm_option():
+    """No public executor entry point takes a ``columnar`` knob (PR 15):
+    the specification/production choice is ``batch`` and nothing else."""
+    import inspect
+
+    from repro.core.database import MainMemoryDatabase
+    from repro.planner.plan import PlanContext
+
+    targets = [MainMemoryDatabase, PlanContext]
+    for package in ("repro.operators", "repro.join"):
+        module = importlib.import_module(package)
+        targets.extend(
+            obj
+            for obj in (getattr(module, name) for name in module.__all__)
+            if callable(obj)
+        )
+    offenders = []
+    for obj in targets:
+        candidates = [obj]
+        if inspect.isclass(obj):
+            candidates.extend(
+                member
+                for name, member in inspect.getmembers(obj, callable)
+                if not name.startswith("_")
+            )
+        for fn in candidates:
+            try:
+                params = inspect.signature(fn).parameters
+            except (TypeError, ValueError):
+                continue
+            if "columnar" in params:
+                offenders.append(getattr(fn, "__qualname__", repr(fn)))
+    assert not offenders, "columnar knob is back on: %s" % offenders
+    assert "batch" in inspect.signature(PlanContext).parameters
