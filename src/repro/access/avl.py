@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, List, Optional, Tuple
 
-from repro.access.interface import Index
+from repro.access.interface import Index, remove_value
 from repro.cost.counters import OperationCounters
 
 
@@ -184,7 +184,7 @@ class AVLTree(Index):
         # Found the key's node.
         if value is not None:
             try:
-                node.values.remove(value)
+                remove_value(node.values, value)
                 removed[0] += 1
             except ValueError:
                 return node

@@ -18,7 +18,7 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from typing import Any, Iterator, List, Optional, Tuple
 
-from repro.access.interface import Index
+from repro.access.interface import Index, remove_value
 from repro.cost.counters import OperationCounters
 from repro.errors import ConfigurationError
 
@@ -254,7 +254,7 @@ class BPlusTree(Index):
                 return 0
             if value is not None:
                 try:
-                    node.values[i].remove(value)
+                    remove_value(node.values[i], value)
                 except ValueError:
                     return 0
                 removed = 1

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
-from repro.access.interface import Index
+from repro.access.interface import Index, remove_value
 from repro.cost.counters import OperationCounters
 from repro.errors import ConfigurationError
 
@@ -175,7 +175,7 @@ class HashIndex(Index):
                 self._distinct -= 1
             else:
                 try:
-                    values.remove(value)
+                    remove_value(values, value)
                 except ValueError:
                     return 0
                 removed = 1

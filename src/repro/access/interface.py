@@ -10,7 +10,28 @@ key maps to the list of values inserted under it, in insertion order.
 from __future__ import annotations
 
 import abc
+from bisect import bisect_left
 from typing import Any, Iterator, List, Optional, Tuple
+
+
+def remove_value(values: List[Any], value: Any) -> None:
+    """Take one ``value`` out of a key's value list (``ValueError`` when
+    it is not there, as ``list.remove`` says it).
+
+    The lists are in insertion order, and TIDs arrive in ascending order
+    as a table grows, so a binary search usually lands on the entry and
+    deleting one of a key's thousands of duplicates costs a ``memmove``,
+    not a scan; where it does not land (rows moved by an in-place delete
+    re-enter at the end, values that do not order) the scan runs.
+    """
+    try:
+        at = bisect_left(values, value)
+    except TypeError:
+        at = len(values)
+    if at < len(values) and values[at] == value:
+        del values[at]
+    else:
+        values.remove(value)
 
 
 class Index(abc.ABC):
@@ -61,4 +82,4 @@ class Index(abc.ABC):
         return type(self).range_scan is not Index.range_scan
 
 
-__all__ = ["Index"]
+__all__ = ["Index", "remove_value"]

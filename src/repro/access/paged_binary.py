@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, List, Optional, Tuple
 
-from repro.access.interface import Index
+from repro.access.interface import Index, remove_value
 from repro.cost.counters import OperationCounters
 from repro.errors import ConfigurationError
 
@@ -148,7 +148,7 @@ class PagedBinaryTree(Index):
             return 0
         if value is not None:
             try:
-                node.values.remove(value)
+                remove_value(node.values, value)
             except ValueError:
                 return 0
             removed = 1

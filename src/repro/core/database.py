@@ -35,7 +35,7 @@ from repro.cost.counters import (
 from repro.cost.parameters import CostParameters
 from repro.governor import Governor, GovernorConfig
 from repro.join.parallel import validate_workers
-from repro.operators.selection import Comparison, Predicate, select
+from repro.operators.selection import Comparison, Predicate, select, select_tids
 from repro.planner.plan import PlanContext, PlanNode
 from repro.planner.planner import Planner, PlannerConfig
 from repro.planner.query import Query
@@ -195,10 +195,9 @@ class MainMemoryDatabase:
             ) from None
         with self._catalog_rw.write_locked():
             relation = self.catalog.relation(table)
-            index = factory(counters=self.counters)
-            col = relation.schema.index_of(column)
-            for tid, row in relation.scan():
-                index.insert(row[col], tid)
+            index = self._load_index(
+                factory(counters=self.counters), relation, column
+            )
             self.catalog.register_index(table, column, index)
             # A new access path changes how future plans address this
             # table; cached subplans from the old shape must not be
@@ -229,37 +228,86 @@ class MainMemoryDatabase:
             return tid
 
     def insert_many(self, table: str, rows: Iterable[Sequence[Any]]) -> int:
-        count = 0
-        for values in rows:
-            self.insert(table, values)
-            count += 1
-        return count
+        """Insert ``rows`` as one statement; returns how many.
+
+        The batch is validated before anything is written, so a bad row
+        inserts nothing; the rows land page-at-a-time and every index is
+        maintained under one write-lock acquisition and one reuse-cache
+        invalidation.
+        """
+        self._chaos_point("db insert %s" % table)
+        with self._catalog_rw.write_locked():
+            relation = self.catalog.relation(table)
+            batch = relation.schema.validate_batch(rows)
+            first = relation.cardinality
+            tids = relation.tid_range(first, first + len(batch))
+            relation.extend_rows(batch)
+            for column, index in self.catalog.indexes_on(table).items():
+                col = relation.schema.index_of(column)
+                for row, tid in zip(batch, tids):
+                    index.insert(row[col], tid)
+            self._invalidate_reuse(table)
+            return len(batch)
 
     def delete_where(self, table: str, column: str, value: Any) -> int:
-        """Delete rows with ``column == value`` (index-assisted when
-        possible).  Returns the number of rows removed.
+        """Delete rows with ``column == value`` in place.  Returns the
+        number of rows removed.
 
-        Heap pages keep their slots stable by replacing deleted rows with
-        the page's last row, so indexes are rebuilt for the moved TIDs --
-        simple, and sufficient for the workloads here.
+        The victims come from the index on ``column`` when there is one
+        and from the selection mask kernel otherwise, charged as that
+        selection.  The heap closes its holes with rows from its tail
+        (:meth:`Relation.delete_at`), and each index either forgets the
+        victims and re-points the moved rows or, when that would take more
+        index operations than there are survivors, is rebuilt from them.
+        Data changes; the table's access paths do not.
         """
         self._chaos_point("db delete %s" % table)
         with self._catalog_rw.write_locked():
             relation = self.catalog.relation(table)
-            col = relation.schema.index_of(column)
-            victims = [tid for tid, row in relation.scan() if row[col] == value]
+            indexes = self.catalog.indexes_on(table)
+            if column in indexes:
+                # Charged as the index-served selection of these rows: the
+                # probe, then one TID dereference per row it names.
+                victims = sorted(indexes[column].search(value))
+                self.counters.move_tuple(len(victims))
+            else:
+                victims = select_tids(
+                    relation, Comparison(column, "=", value), self.counters
+                )
             if not victims:
                 return 0
-            # Simplest correct strategy: rebuild without the victims.
-            survivors = [row for _, row in relation.scan() if row[col] != value]
-            relation.truncate()
-            for row in survivors:
-                relation.insert_unchecked(row)
-            for idx_col in list(self.catalog.indexes_on(table)):
-                self.catalog.drop_index(table, idx_col)
-                self.create_index(table, idx_col)
+            moved_from, moved_to = relation.compaction(victims)
+            survivors = relation.cardinality - len(victims)
+            rebuild = len(victims) + 2 * len(moved_from) >= survivors
+            if not rebuild:
+                for idx_col, index in indexes.items():
+                    col = relation.schema.index_of(idx_col)
+                    moved_keys = relation.values_at(col, moved_from)
+                    for key, tid in zip(relation.values_at(col, victims), victims):
+                        index.delete(key, tid)
+                    for key, tid in zip(moved_keys, moved_from):
+                        index.delete(key, tid)
+                    for key, tid in zip(moved_keys, moved_to):
+                        index.insert(key, tid)
+            relation.delete_at(victims, moved_from, moved_to)
+            if rebuild:
+                for idx_col, index in indexes.items():
+                    fresh = type(index)(counters=self.counters)
+                    self.catalog.replace_index(
+                        table, idx_col, self._load_index(fresh, relation, idx_col)
+                    )
             self._invalidate_reuse(table)
             return len(victims)
+
+    @staticmethod
+    def _load_index(index: Any, relation: Relation, column: str) -> Any:
+        """Insert every row's ``(key, TID)`` into ``index`` in physical
+        order, keys read from the column buffers; returns ``index``."""
+        col = relation.schema.index_of(column)
+        for page_no, page in enumerate(relation.pages):
+            for slot, key in enumerate(page.column(col)):
+                index.insert(key, (page_no, slot))
+        return index
 
     # -- introspection ------------------------------------------------------------------
 
@@ -576,7 +624,19 @@ class MainMemoryDatabase:
         None)."""
         names = [table] if table else self.catalog.relations()
         for name in names:
-            self.catalog.analyze(name)
+            # The scan shares the lock with readers; only publishing
+            # excludes them.  A write that slipped between the two makes
+            # the snapshot stale, so it is retaken under the write side:
+            # what is published always describes the table as it stands.
+            with self._catalog_rw.read_locked():
+                relation = self.catalog.relation(name)
+                version = relation.version
+                stats = self.catalog.measure(name)
+            with self._catalog_rw.write_locked():
+                current = self.catalog.relation(name)
+                if current is not relation or current.version != version:
+                    stats = self.catalog.measure(name)
+                self.catalog.publish_stats(name, stats)
 
     def __repr__(self) -> str:
         return "MainMemoryDatabase(%d tables, |M|=%d pages)" % (

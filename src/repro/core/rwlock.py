@@ -13,10 +13,9 @@ encodes exactly that contract:
 * **writers exclude**: the write side waits for every reader to drain
   and blocks new readers while it waits (writer preference -- a steady
   stream of cheap reads must not starve a schema change);
-* **the writer is reentrant**: DML entry points call each other
-  (``delete_where`` rebuilds indexes through ``create_index``,
-  ``insert_many`` loops over ``insert``), so the owning thread may
-  re-enter the write side -- and may take the read side -- freely.
+* **the writer is reentrant**: the owning thread may re-enter the write
+  side -- and may take the read side -- freely, so a facade entry point
+  may call another, or run a query, while it holds the lock.
 
 The internal mutex is registered with the lock-order recorder via
 :func:`~repro.lint.runtime.tracked_lock`; it is never held while user

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import abc
 import operator
+from itertools import compress, repeat
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -34,7 +35,7 @@ from repro.operators.columnar import (
 )
 from repro.storage import codecs
 from repro.storage.page import Page
-from repro.storage.relation import Relation, Row
+from repro.storage.relation import Relation, Row, Tid
 from repro.storage.tuples import Schema
 from repro.errors import PlannerError
 
@@ -373,6 +374,34 @@ def select(
     return out
 
 
+def select_tids(
+    relation: Relation,
+    predicate: Predicate,
+    counters: Optional[OperationCounters] = None,
+) -> List[Tid]:
+    """TIDs of the rows a full scan selects, in physical order -- what a
+    statement that goes on to modify those rows needs instead of a copy.
+
+    The mask kernel and the charges of :func:`select`'s batch arm; only
+    the copy-out is left undone.
+    """
+    counters = counters if counters is not None else OperationCounters()
+    per_tuple = predicate.comparisons()
+    masker = predicate.compile_mask(relation.schema)
+    tids: List[Tid] = []
+    for page_no, page in enumerate(relation.pages):
+        charge_page_compares(counters, per_tuple * len(page))
+        if len(page):
+            mask = masker(page)
+            slots = (
+                mask.nonzero()[0].tolist()
+                if hasattr(mask, "nonzero")
+                else compress(range(len(mask)), mask)
+            )
+            tids.extend(zip(repeat(page_no), slots))
+    return tids
+
+
 def _gather_tid_runs(
     relation: Relation,
     out: Relation,
@@ -516,5 +545,6 @@ __all__ = [
     "Predicate",
     "Prefix",
     "select",
+    "select_tids",
     "select_via_index",
 ]

@@ -134,6 +134,14 @@ class Catalog:
             if rel == relation_name
         }
 
+    def replace_index(self, relation_name: str, column: str, index: Any) -> None:
+        """Swap in a rebuilt index over the same column.  The access
+        paths on the relation are what they were, so its epoch stays."""
+        key = (relation_name, column)
+        if key not in self._indexes:
+            raise KeyError("no index on %s.%s" % key)
+        self._indexes[key] = index
+
     def drop_index(self, relation_name: str, column: str) -> None:
         key = (relation_name, column)
         if key not in self._indexes:
@@ -156,8 +164,9 @@ class Catalog:
 
     # -- statistics ---------------------------------------------------------------
 
-    def analyze(self, name: str, histogram_buckets: int = 0) -> RelationStats:
-        """Scan ``name`` and record fresh optimizer statistics.
+    def measure(self, name: str, histogram_buckets: int = 0) -> RelationStats:
+        """Scan ``name``'s column buffers into a statistics snapshot
+        without recording it (:meth:`publish_stats` does that).
 
         ``histogram_buckets > 0`` additionally builds equi-depth
         histograms for numeric columns, sharpening range selectivity on
@@ -166,7 +175,9 @@ class Catalog:
         rel = self.relation(name)
         columns: Dict[str, ColumnStats] = {}
         for i, f in enumerate(rel.schema.fields):
-            values = [row[i] for row in rel]
+            values: List[Any] = []
+            for page in rel.pages:
+                values.extend(page.column(i))
             if values:
                 numeric = isinstance(values[0], (int, float))
                 histogram = None
@@ -174,22 +185,31 @@ class Catalog:
                     histogram = EquiDepthHistogram.build(
                         values, histogram_buckets
                     )
+                # The extremes of a column are those of its distinct values.
+                distinct = set(values)
                 columns[f.name] = ColumnStats(
-                    distinct=len(set(values)),
-                    minimum=min(values) if numeric else None,
-                    maximum=max(values) if numeric else None,
+                    distinct=len(distinct),
+                    minimum=min(distinct) if numeric else None,
+                    maximum=max(distinct) if numeric else None,
                     histogram=histogram,
                 )
             else:
                 columns[f.name] = ColumnStats()
-        stats = RelationStats(
+        return RelationStats(
             cardinality=rel.cardinality,
             page_count=rel.page_count,
             columns=columns,
         )
+
+    def publish_stats(self, name: str, stats: RelationStats) -> RelationStats:
+        """Make ``stats`` the optimizer's view of ``name``."""
         self._stats[name] = stats
         self._stats_epochs[name] = self._stats_epochs.get(name, 0) + 1
         return stats
+
+    def analyze(self, name: str, histogram_buckets: int = 0) -> RelationStats:
+        """Scan ``name`` and record fresh optimizer statistics."""
+        return self.publish_stats(name, self.measure(name, histogram_buckets))
 
     def stats(self, name: str) -> RelationStats:
         """Statistics for ``name``, analyzing on first request."""

@@ -257,24 +257,53 @@ class Page:
         self.dirty = True
         return n
 
+    def row(self, slot: int) -> Tuple[Any, ...]:
+        """The tuple at ``slot``, read from the column buffers -- one row
+        costs one row, whether or not the page's row view is cached."""
+        if not 0 <= slot < self._count:
+            raise IndexError("page %d has no slot %d" % (self.page_id, slot))
+        return tuple([col[slot] for col in self._columns])  # type: ignore[union-attr]
+
     def replace(self, slot: int, row: Tuple[Any, ...]) -> Tuple[Any, ...]:
         """Overwrite ``slot``; return the previous tuple."""
-        old = self.tuples[slot]
+        old = self.row(slot)
         for i, value in enumerate(row):
             self._set_value(i, slot, value)
         self._rows = None
         self.dirty = True
         return old
 
-    def remove_slot(self, slot: int) -> Tuple[Any, ...]:
-        """Delete the tuple at ``slot`` (later slots shift down)."""
-        old = self.tuples[slot]
-        for col in self._columns:  # type: ignore[union-attr]
-            del col[slot]
-        self._count -= 1
+    def set_cells(
+        self, index: int, slots: Sequence[int], values: Sequence[Any]
+    ) -> None:
+        """Overwrite column ``index`` at ``slots`` with ``values``: the
+        column-wise analogue of :meth:`replace` (in-place deletion fills
+        its holes through it), demoting the column on type mismatch."""
         self._rows = None
         self.dirty = True
-        return old
+        col = self._columns[index]  # type: ignore[index]
+        if type(col) is array:
+            exact = int if col.typecode == "q" else float
+            if set(map(type, values)) <= {exact}:
+                try:
+                    for slot, value in zip(slots, values):
+                        col[slot] = value
+                    return
+                except OverflowError:
+                    pass  # an int beyond int64: demote, rewrite every cell
+            col = self._columns[index] = list(col)  # type: ignore[index]
+        for slot, value in zip(slots, values):
+            col[slot] = value
+
+    def truncate(self, count: int) -> None:
+        """Drop every slot from ``count`` on (the tail of the page)."""
+        if count < self._count:
+            for col in self._columns:  # type: ignore[union-attr]
+                del col[count:]
+            if self._rows is not None:
+                del self._rows[count:]
+            self._count = count
+            self.dirty = True
 
     def clear(self) -> None:
         self._columns = (

@@ -9,6 +9,7 @@ to / loading from a :class:`~repro.storage.disk.SimulatedDisk`.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.storage.codecs import Column, column_bytes, column_kinds, is_packed
@@ -20,6 +21,23 @@ from repro.errors import ConfigurationError
 DEFAULT_PAGE_BYTES = 4096
 
 Row = Tuple[Any, ...]
+#: A tuple identifier: ``(page number, slot)``.
+Tid = Tuple[int, int]
+
+
+def _page_runs(tids: Sequence[Tid]) -> List[Tuple[int, List[int]]]:
+    """``tids`` as ``(page number, slots)`` runs of consecutive same-page
+    entries, so column-wise work touches each page buffer once per run."""
+    runs: List[Tuple[int, List[int]]] = []
+    run_page = -1
+    slots: List[int] = []
+    for page_no, slot in tids:
+        if page_no != run_page:
+            run_page = page_no
+            slots = []
+            runs.append((page_no, slots))
+        slots.append(slot)
+    return runs
 
 
 class Relation:
@@ -182,12 +200,72 @@ class Relation:
         self._count = 0
         self._version += 1
 
+    def compaction(self, victims: Sequence[Tid]) -> Tuple[List[Tid], List[Tid]]:
+        """The moves that close the holes deleting ``victims`` (sorted,
+        distinct TIDs) leaves, as parallel ``(sources, holes)`` lists: the
+        relation shrinks by ``len(victims)`` rows, victims inside that
+        tail are simply cut off, and the tail's survivors fill the holes
+        before it -- so deleting everything, or only tail rows, moves
+        nothing.  Changes nothing; :meth:`delete_at` applies the moves."""
+        keep = self._count - len(victims)
+        cut = bisect_left(victims, divmod(keep, self._tuples_per_page))
+        if not cut:
+            return [], []
+        doomed = set(victims[cut:])
+        tail = self.tid_range(keep, self._count)
+        return [tid for tid in tail if tid not in doomed], list(victims[:cut])
+
+    def delete_at(
+        self, victims: Sequence[Tid], sources: Sequence[Tid], holes: Sequence[Tid]
+    ) -> None:
+        """Delete the rows at ``victims`` in place, given their
+        :meth:`compaction`.  Values travel column buffer to column
+        buffer, one gather and one :meth:`Page.set_cells` per touched
+        page and column; every page but the last stays full, and pages
+        outside the holes and the tail keep their cached row views."""
+        pages = self._pages
+        if sources:
+            source_runs = _page_runs(sources)
+            hole_runs = _page_runs(holes)
+            for column in range(len(self._kinds)):
+                values = self._gather(column, source_runs)
+                done = 0
+                for page_no, slots in hole_runs:
+                    pages[page_no].set_cells(
+                        column, slots, values[done:done + len(slots)]
+                    )
+                    done += len(slots)
+        self._count -= len(victims)
+        full, rest = divmod(self._count, self._tuples_per_page)
+        if rest:
+            pages[full].truncate(rest)
+            full += 1
+        del pages[full:]
+        self._version += 1
+
     # -- access -------------------------------------------------------------------
 
     def fetch(self, tid: Tuple[int, int]) -> Row:
         """Return the tuple at TID ``(page, slot)``."""
         page_no, slot = tid
         return self._pages[page_no][slot]
+
+    def tid_range(self, start: int, stop: int) -> List[Tid]:
+        """TIDs of the rows at physical positions ``start .. stop - 1``
+        (every page but the last is full, so position is arithmetic)."""
+        cap = self._tuples_per_page
+        return [divmod(position, cap) for position in range(start, stop)]
+
+    def values_at(self, column: int, tids: Sequence[Tid]) -> List[Any]:
+        """Column ``column`` of the rows at ``tids``, in ``tids`` order,
+        gathered straight from the page buffers."""
+        return self._gather(column, _page_runs(tids))
+
+    def _gather(self, column: int, runs: Sequence[Tuple[int, List[int]]]) -> List[Any]:
+        values: List[Any] = []
+        for page_no, slots in runs:
+            values.extend(map(self._pages[page_no].column(column).__getitem__, slots))
+        return values
 
     def update(self, tid: Tuple[int, int], values: Sequence[Any]) -> Row:
         """Overwrite the tuple at ``tid``; return the old value."""
@@ -284,4 +362,4 @@ class Relation:
         )
 
 
-__all__ = ["DEFAULT_PAGE_BYTES", "Relation", "Row"]
+__all__ = ["DEFAULT_PAGE_BYTES", "Relation", "Row", "Tid"]

@@ -26,6 +26,14 @@ def pytest_addoption(parser):
         help="number of seeded random fault schedules the chaos sweep "
         "verifies (default 100; nightly CI runs more)",
     )
+    parser.addoption(
+        "--stateful-examples",
+        type=int,
+        default=30,
+        metavar="N",
+        help="example budget of the generated write-path state machine "
+        "(tests/test_write_path_model.py; default 30; nightly CI runs more)",
+    )
 
 
 @pytest.fixture

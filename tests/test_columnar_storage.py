@@ -141,10 +141,11 @@ class TestPagePacking:
         page = Page.for_schema(0, MIXED_SCHEMA, 4096)
         for i in range(4):
             page.add((i, float(i), str(i)))
-        page.replace(1, (10, 10.0, "ten"))
+        assert page.replace(1, (10, 10.0, "ten")) == (1, 1.0, "1")
         assert page[1] == (10, 10.0, "ten")
-        removed = page.remove_slot(0)
-        assert removed == (0, 0.0, "0")
+        page.set_cells(0, [0, 3], [30, 0])
+        page.truncate(3)
+        assert page.tuples == [(30, 0.0, "0"), (10, 10.0, "ten"), (2, 2.0, "2")]
         assert len(page) == 3 and is_packed(page.column(0))
 
     def test_copy_is_independent(self):

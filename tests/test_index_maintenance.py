@@ -190,3 +190,220 @@ class TestIndexDDLInvalidation:
         # Dropping the table retires its epoch entirely.
         db.drop_table("t")
         assert db.catalog.access_epoch("t") == 0
+
+
+# ---------------------------------------------------------------------------
+# Statements are atomic, and hold the catalog lock the way they say
+# ---------------------------------------------------------------------------
+
+
+QUERY_K = Query(tables=["t"], predicates=[("t", Comparison("k", "<", 40))])
+
+
+def four_index_db(n):
+    """``n`` rows under one index of each Section 2 kind."""
+    db = MainMemoryDatabase(page_bytes=160)
+    columns = ("k", "seven", "three", "five")
+    db.create_table("t", [(c, DataType.INTEGER) for c in columns])
+    db.insert_many("t", [(i, i % 7, i % 3, i % 5) for i in range(n)])
+    for column, kind in zip(columns, ("btree", "avl", "hash", "paged-binary")):
+        db.create_index("t", column, kind=kind)
+    return db
+
+
+def index_entries(db):
+    return {
+        column: sorted(index.items())
+        for column, index in db.catalog.indexes_on("t").items()
+    }
+
+
+class TestWriteStatements:
+    def test_insert_many_with_a_bad_row_inserts_nothing(self):
+        db = four_index_db(40)
+        db.analyze()
+        db.execute(QUERY_K)  # something in the reuse cache to lose
+        before = (
+            list(db.table("t")),
+            db.table("t").version,
+            index_entries(db),
+            db.reuse_stats()["invalidations"],
+        )
+        batch = [(100 + i, 0, 0, 0) for i in range(8)]
+        batch[4] = (104, "zero", 0, 0)
+        with pytest.raises(TypeError):
+            db.insert_many("t", batch)
+        assert before == (
+            list(db.table("t")),
+            db.table("t").version,
+            index_entries(db),
+            db.reuse_stats()["invalidations"],
+        )
+        assert db.table("t").cardinality == 40
+
+    def test_insert_many_is_one_lock_hold_and_one_invalidation(self, monkeypatch):
+        db = four_index_db(40)
+        calls = {"acquire_write": 0, "invalidate": 0}
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(db._catalog_rw, "acquire_write")
+        counting(db.reuse, "invalidate")
+        assert db.insert_many("t", [(100 + i, 1, 1, 1) for i in range(8)]) == 8
+        assert calls == {"acquire_write": 1, "invalidate": 1}
+        assert_indexes_consistent(db)
+
+    @pytest.mark.parametrize("doomed", [1, 20, 39])
+    def test_dml_changes_data_not_access_paths(self, doomed):
+        db = four_index_db(40)
+        epoch = db.catalog.access_epoch("t")
+        db.insert("t", (40, 0, 0, 0))
+        db.insert_many("t", [(41, 1, 1, 1)])
+        # ``k < doomed`` rows go: few (maintained in place) or most (rebuilt).
+        for k in range(doomed):
+            db.delete_where("t", "k", k)
+        db.delete_where("t", "three", 0)
+        assert db.catalog.access_epoch("t") == epoch
+        assert_indexes_consistent(db)
+
+    def test_analyze_rescans_when_a_write_slips_before_it_publishes(self, monkeypatch):
+        db = four_index_db(40)
+        take_write_side = db._catalog_rw.acquire_write
+        slipped = []
+
+        def a_writer_gets_there_first(*args, **kwargs):
+            # analyze has scanned under the read side and now wants the
+            # write side; another statement wins the race for it.
+            if not slipped:
+                slipped.append(True)
+                db.insert("t", (40, 5, 1, 0))
+            return take_write_side(*args, **kwargs)
+
+        monkeypatch.setattr(db._catalog_rw, "acquire_write", a_writer_gets_there_first)
+        db.analyze("t")
+        stats = db.catalog.stats("t")
+        assert slipped and stats.cardinality == 41
+        assert stats.columns["k"].maximum == 40
+
+    def test_analyze_publishes_only_states_a_serial_schedule_reaches(
+        self, lock_order_recorder
+    ):
+        import sys
+        import threading
+
+        from repro.lint.engine import collect_modules
+        from repro.lint.ipa import analyze_project
+        from repro.lint.runtime import runtime_edges_missing_statically
+
+        db = four_index_db(600)
+        db.analyze()
+        batches = [
+            [(600 + 3 * b + i, 0, 0, 0) for i in range(3)] for b in range(150)
+        ]
+        published = []
+        failures = []
+        stop = threading.Event()
+
+        def insert():
+            try:
+                for batch in batches:
+                    db.insert_many("t", batch)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+            finally:
+                stop.set()
+
+        def analyze():
+            try:
+                while not stop.is_set():
+                    db.analyze("t")
+                    published.append(db.catalog.stats("t"))
+                db.analyze("t")
+                published.append(db.catalog.stats("t"))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        def read():
+            try:
+                while not stop.is_set():
+                    db.execute(QUERY_K)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=insert)] + [
+            threading.Thread(target=target)
+            for target in (analyze, analyze, read)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        # ``k`` is 0..n-1 with no gaps, and rows arrive three at a time: a
+        # snapshot taken inside a batch, or whose columns were scanned at
+        # different moments, cannot satisfy all three.
+        assert len(published) > 2
+        for stats in published:
+            assert (stats.cardinality - 600) % 3 == 0
+            assert stats.columns["k"].distinct == stats.cardinality
+            assert stats.columns["k"].maximum == stats.cardinality - 1
+        assert published[-1].cardinality == 600 + 3 * len(batches)
+        modules, parse_failures = collect_modules([])
+        assert parse_failures == []
+        static = analyze_project(modules).lock_edges()
+        observed = {
+            (held, acquired)
+            for held, taken in lock_order_recorder.edges().items()
+            for acquired in taken
+        }
+        assert runtime_edges_missing_statically(static, observed) == []
+
+
+class TestRemoveValue:
+    """``remove_value`` is ``list.remove`` with a binary-search shortcut."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3)), max_size=30),
+        doomed=st.tuples(st.integers(0, 6), st.integers(0, 3)),
+        ordered=st.booleans(),
+    )
+    def test_leaves_what_list_remove_leaves(self, values, doomed, ordered):
+        from repro.access.interface import remove_value
+
+        if ordered:
+            values.sort()
+        theirs = list(values)
+        if doomed not in values:
+            with pytest.raises(ValueError):
+                remove_value(values, doomed)
+            assert values == theirs
+            return
+        theirs.remove(doomed)
+        remove_value(values, doomed)
+        # Which of several equal entries goes is not observable; the rest
+        # keep their order when the list was in order to begin with.
+        assert sorted(values) == sorted(theirs)
+        if ordered:
+            assert values == theirs
+
+    def test_values_that_do_not_order_fall_back_to_the_scan(self):
+        from repro.access.interface import remove_value
+
+        values = [{"a": 1}, 3, "x", (1, 2)]
+        remove_value(values, "x")
+        assert values == [{"a": 1}, 3, (1, 2)]

@@ -52,15 +52,6 @@ def test_replace_returns_old():
     assert page[0] == (9,)
 
 
-def test_remove_slot_shifts():
-    page = Page(0, 4)
-    for v in range(3):
-        page.add((v,))
-    removed = page.remove_slot(0)
-    assert removed == (0,)
-    assert list(page) == [(1,), (2,)]
-
-
 def test_clear():
     page = Page(0, 4)
     page.add((1,))
