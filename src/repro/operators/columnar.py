@@ -17,12 +17,13 @@ totals stay byte-identical between the specification arm
 from __future__ import annotations
 
 from array import array
-from typing import Any, List, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.cost.counters import OperationCounters
 from repro.storage.codecs import Column, compress_column, np, packed_view
 from repro.storage.page import Page
 from repro.storage.relation import Relation
+from repro.storage.tuples import tuple_projector
 
 
 # -- charge helpers (registered in LintConfig.charge_helpers) ------------------
@@ -69,22 +70,49 @@ def page_keys(page: Page, indexes: Sequence[int]) -> List[Tuple[Any, ...]]:
     return list(zip(*cols))
 
 
-def append_selected(out: Relation, page: Page, mask: Sequence[bool]) -> int:
+def kept_columns(page: Page, indexes: Optional[Sequence[int]]) -> List[Column]:
+    """``page``'s column buffers at ``indexes`` (``None`` = all of them)."""
+    columns = page.columns
+    return columns if indexes is None else [columns[i] for i in indexes]
+
+
+def narrowed(
+    relation: Relation, name: str, columns: Optional[Sequence[str]]
+) -> Tuple[Relation, Optional[List[int]]]:
+    """An empty relation ``name`` on ``relation``'s page size that keeps
+    ``columns`` of its schema, and those columns' indexes (``None`` = all,
+    for both)."""
+    schema, indexes = relation.schema, None
+    if columns is not None:
+        indexes = [schema.index_of(c) for c in columns]
+        schema = schema.project(list(columns))
+    return Relation(name, schema, relation.page_bytes), indexes
+
+
+def append_selected(
+    out: Relation,
+    page: Page,
+    mask: Sequence[bool],
+    indexes: Optional[Sequence[int]] = None,
+) -> int:
     """Append the rows of ``page`` selected by ``mask``; return how many.
 
     Survivor columns flow buffer-to-buffer (``itertools.compress`` into a
     fresh packed array, or a vectorised take when the mask is a numpy
-    boolean array) without building a single row tuple.
+    boolean array) without building a single row tuple.  ``indexes``
+    names the columns ``out`` keeps (``None`` = all); the others are
+    never read.
     """
     # numpy masks count at C speed; plain lists via the builtin.
     selected = int(mask.sum()) if hasattr(mask, "sum") else sum(mask)
     if not selected:
         return 0
+    columns = kept_columns(page, indexes)
     if selected == len(page):
-        out.extend_columns(page.columns, selected)
+        out.extend_columns(columns, selected)
     else:
         out.extend_columns(
-            [compress_column(col, mask) for col in page.columns], selected
+            [compress_column(col, mask) for col in columns], selected
         )
     return selected
 
@@ -117,6 +145,41 @@ def gather_columns(
     return out
 
 
+def copy_columns(
+    relation: Relation,
+    columns: Sequence[str],
+    output_name: str,
+    batch: bool = True,
+    token: Optional[Any] = None,
+) -> Relation:
+    """``relation`` repacked onto ``columns``, charging nothing.
+
+    Kept columns flow buffer-to-buffer into pages of the projected
+    schema (more rows per page); dropped ones are never touched and no
+    row tuple exists on the batch path.  ``batch=False`` is the
+    tuple-at-a-time specification; both check ``token`` once per input
+    page.  What the copy costs on the paper's clock is the caller's to
+    say: a projection charges a move per row, a pruned scan stages
+    whole column buffers as ``ColumnStore.add_page`` would one step
+    later and charges nothing.
+    """
+    out, indexes = narrowed(relation, output_name, columns)
+    if batch:
+        for page in relation.pages:
+            if token is not None:
+                token.check()
+            if len(page):
+                out.extend_columns(kept_columns(page, indexes), len(page))
+        return out
+    project = tuple_projector(indexes)
+    tpp = max(1, relation.tuples_per_page)
+    for n, row in enumerate(relation):
+        if token is not None and n % tpp == 0:
+            token.check()
+        out.insert_unchecked(project(row))
+    return out
+
+
 __all__ = [
     "append_selected",
     "charge_page_compares",
@@ -124,6 +187,9 @@ __all__ = [
     "charge_page_group",
     "charge_page_hashes",
     "charge_page_moves",
+    "copy_columns",
     "gather_columns",
+    "kept_columns",
+    "narrowed",
     "page_keys",
 ]

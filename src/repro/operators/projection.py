@@ -13,7 +13,7 @@ from typing import Any, List, Optional, Sequence
 
 from repro.cost.counters import OperationCounters
 from repro.operators.aggregate import hash_aggregate, sort_aggregate
-from repro.operators.columnar import charge_page_moves
+from repro.operators.columnar import copy_columns
 from repro.storage.disk import SimulatedDisk
 from repro.storage.relation import Relation
 
@@ -26,30 +26,15 @@ def _plain_project(
     batch: bool = True,
     token: Optional[Any] = None,
 ) -> Relation:
-    out = Relation(
+    """One tuple move per row, then the uncharged column copy."""
+    counters.move_tuple(relation.cardinality)
+    return copy_columns(
+        relation,
+        columns,
         output_name or ("project(%s)" % relation.name),
-        relation.schema.project(list(columns)),
-        relation.page_bytes,
+        batch,
+        token,
     )
-    indexes = [relation.schema.index_of(c) for c in columns]
-    if batch:
-        # Kept columns flow buffer-to-buffer; dropped ones are never
-        # touched -- no row tuple exists anywhere on this path.
-        for page in relation.pages:
-            if token is not None:
-                token.check()
-            n = len(page)
-            charge_page_moves(counters, n)
-            if n:
-                out.extend_columns([page.column(i) for i in indexes], n)
-        return out
-    tpp = max(1, relation.tuples_per_page)
-    for n, row in enumerate(relation):
-        if token is not None and n % tpp == 0:
-            token.check()
-        counters.move_tuple()
-        out.insert_unchecked(tuple(row[i] for i in indexes))
-    return out
 
 
 def hash_project(

@@ -32,11 +32,13 @@ from repro.operators.columnar import (
     charge_page_fetch,
     charge_page_moves,
     gather_columns,
+    kept_columns,
+    narrowed,
 )
 from repro.storage import codecs
 from repro.storage.page import Page
 from repro.storage.relation import Relation, Row, Tid
-from repro.storage.tuples import Schema
+from repro.storage.tuples import Schema, tuple_projector
 from repro.errors import PlannerError
 
 _OPS: dict = {
@@ -105,9 +107,11 @@ class Predicate(abc.ABC):
         test = self.compile(schema)
         return lambda page: [bool(test(row)) for row in page.tuples]
 
-    def columns(self) -> List[str]:
-        """Column names the predicate references."""
-        return []
+    def columns(self) -> Optional[List[str]]:
+        """Column names the predicate reads, or ``None`` when it does not
+        say -- the planner drops the columns no one names, so below a
+        predicate that keeps this default it must carry them all."""
+        return None
 
     def fingerprint(self) -> Tuple[Any, ...]:
         """A canonical hashable form (for plan fingerprints)."""
@@ -224,6 +228,13 @@ class Prefix(Predicate):
         return self.prefix, self.prefix + chr(0x10FFFF)
 
 
+def _both(
+    left: Optional[List[str]], right: Optional[List[str]]
+) -> Optional[List[str]]:
+    """Columns of a two-sided combinator: unknown if either side is."""
+    return None if left is None or right is None else left + right
+
+
 @dataclass(frozen=True)
 class And(Predicate):
     left: Predicate
@@ -253,8 +264,8 @@ class And(Predicate):
     def comparisons(self) -> int:
         return self.left.comparisons() + self.right.comparisons()
 
-    def columns(self) -> List[str]:
-        return self.left.columns() + self.right.columns()
+    def columns(self) -> Optional[List[str]]:
+        return _both(self.left.columns(), self.right.columns())
 
     def fingerprint(self) -> Tuple[Any, ...]:
         return ("and", self.left.fingerprint(), self.right.fingerprint())
@@ -289,8 +300,8 @@ class Or(Predicate):
     def comparisons(self) -> int:
         return self.left.comparisons() + self.right.comparisons()
 
-    def columns(self) -> List[str]:
-        return self.left.columns() + self.right.columns()
+    def columns(self) -> Optional[List[str]]:
+        return _both(self.left.columns(), self.right.columns())
 
     def fingerprint(self) -> Tuple[Any, ...]:
         return ("or", self.left.fingerprint(), self.right.fingerprint())
@@ -321,7 +332,7 @@ class Not(Predicate):
     def comparisons(self) -> int:
         return self.inner.comparisons()
 
-    def columns(self) -> List[str]:
+    def columns(self) -> Optional[List[str]]:
         return self.inner.columns()
 
     def fingerprint(self) -> Tuple[Any, ...]:
@@ -335,6 +346,7 @@ def select(
     output_name: Optional[str] = None,
     batch: bool = True,
     token: Optional[Any] = None,
+    columns: Optional[Sequence[str]] = None,
 ) -> Relation:
     """Full-scan selection, charging the predicate's comparisons per tuple.
 
@@ -347,12 +359,15 @@ def select(
     ``token`` is a :class:`repro.governor.CancellationToken` checked once
     per page, so a cancelled or timed-out query stops scanning within one
     page of work.
+
+    ``columns`` names the columns the output keeps (``None`` = all): the
+    predicate still reads whatever it names, but the copy-out touches
+    only the kept buffers and the output has the projected schema.  The
+    charges do not depend on it.
     """
     counters = counters if counters is not None else OperationCounters()
-    out = Relation(
-        output_name or ("select(%s)" % relation.name),
-        relation.schema,
-        relation.page_bytes,
+    out, indexes = narrowed(
+        relation, output_name or ("select(%s)" % relation.name), columns
     )
     per_tuple = predicate.comparisons()
     if batch:
@@ -362,16 +377,22 @@ def select(
                 token.check()
             charge_page_compares(counters, per_tuple * len(page))
             if len(page):
-                append_selected(out, page, masker(page))
+                append_selected(out, page, masker(page), indexes)
         return out
+    project = _row_projector(indexes)
     tpp = max(1, relation.tuples_per_page)
     for i, row in enumerate(relation):
         if token is not None and i % tpp == 0:
             token.check()
         counters.compare(per_tuple)
         if predicate.evaluate(relation.schema, row):
-            out.insert_unchecked(row)
+            out.insert_unchecked(project(row))
     return out
+
+
+def _row_projector(indexes: Optional[Sequence[int]]) -> Callable[[Row], Row]:
+    """The specification arms' row-wise form of a kept-column list."""
+    return tuple_projector(indexes) if indexes is not None else (lambda row: row)
 
 
 def select_tids(
@@ -408,6 +429,7 @@ def _gather_tid_runs(
     tids: Iterable[Tuple[int, int]],
     counters: OperationCounters,
     equality: bool,
+    indexes: Optional[Sequence[int]] = None,
 ) -> None:
     """Materialise an index scan's TIDs buffer-to-buffer.
 
@@ -416,7 +438,8 @@ def _gather_tid_runs(
     range scans, one move for equality -- the same totals as the per-TID
     fetch loop) and gathered column-to-column through
     :meth:`~repro.storage.relation.Relation.extend_columns`, so no row
-    tuple is ever built for the qualifying slice.
+    tuple is ever built for the qualifying slice.  Only the columns at
+    ``indexes`` (``None`` = all) are gathered.
     """
     pages = relation.pages
     run_page = -1
@@ -427,9 +450,9 @@ def _gather_tid_runs(
             charge_page_moves(counters, len(run_slots))
         else:
             charge_page_fetch(counters, len(run_slots))
-        page = pages[run_page]
         out.extend_columns(
-            gather_columns(page.columns, run_slots), len(run_slots)
+            gather_columns(kept_columns(pages[run_page], indexes), run_slots),
+            len(run_slots),
         )
 
     for page_no, slot in tids:
@@ -499,6 +522,7 @@ def select_via_index(
     output_name: Optional[str] = None,
     token: Optional[Any] = None,
     batch: bool = True,
+    columns: Optional[Sequence[str]] = None,
 ) -> Relation:
     """Index-assisted selection for equality, range, and prefix predicates.
 
@@ -514,26 +538,26 @@ def select_via_index(
     ``Relation.extend_columns`` directly (see :func:`_gather_tid_runs`);
     ``batch=False`` fetches row tuples one TID at a time.  Output rows,
     counter totals, and the cadence of ``token`` checks are identical
-    either way.
+    either way.  ``columns`` is :func:`select`'s: the kept columns of the
+    output, ``None`` for all.
     """
     counters = counters if counters is not None else OperationCounters()
-    out = Relation(
-        output_name or ("select(%s)" % relation.name),
-        relation.schema,
-        relation.page_bytes,
+    out, indexes = narrowed(
+        relation, output_name or ("select(%s)" % relation.name), columns
     )
     tids = _index_tids(
         index, predicate, token, max(1, relation.tuples_per_page)
     )
     equality = isinstance(predicate, Comparison) and predicate.is_equality
     if batch:
-        _gather_tid_runs(relation, out, tids, counters, equality)
+        _gather_tid_runs(relation, out, tids, counters, equality, indexes)
         return out
+    project = _row_projector(indexes)
     for tid in tids:
         if not equality:
             counters.compare()
         counters.move_tuple()  # TID dereference
-        out.insert_unchecked(relation.fetch(tid))
+        out.insert_unchecked(project(relation.fetch(tid)))
     return out
 
 

@@ -23,6 +23,7 @@ from repro.cost.join_model import JoinWorkload
 from repro.join import ALL_JOINS, JoinSpec
 from repro.join.base import join_schema
 from repro.operators.aggregate import AggregateSpec, hash_aggregate, sort_aggregate
+from repro.operators.columnar import copy_columns
 from repro.operators.projection import hash_project, sort_project
 from repro.operators.selection import (
     Comparison,
@@ -157,19 +158,54 @@ class PlanNode(abc.ABC):
         return "\n".join(lines)
 
 
-class ScanNode(PlanNode):
-    """Full scan of a memory-resident base table."""
+def _kept_schema(schema: Schema, columns: Optional[Sequence[str]]) -> Schema:
+    """Output schema of an access-path node that keeps ``columns`` of its
+    input (``None`` = all of them)."""
+    return schema if columns is None else schema.project(list(columns))
 
-    # Returns the live base relation; caching it would alias mutations.
+
+def _kept_label(columns: Optional[Sequence[str]]) -> str:
+    return "" if columns is None else "[%s]" % ", ".join(columns)
+
+
+def _kept_key(columns: Optional[Sequence[str]]) -> Tuple[Any, ...]:
+    """Fingerprint suffix of a pruning node; an unpruned node keeps the
+    fingerprint it always had."""
+    return () if columns is None else (tuple(columns),)
+
+
+class ScanNode(PlanNode):
+    """Full scan of a memory-resident base table.
+
+    ``columns`` (here and on the other two access-path nodes) is the
+    planner's pruning decision: the columns anything above the node
+    reads, in schema order, or ``None`` for all of them.  The node's
+    output has exactly those columns, its label shows them and its
+    fingerprint carries them, so a narrow cached result never answers a
+    wider request.
+    """
+
+    # Returns the live base relation (caching it would alias mutations)
+    # or an uncharged repack of it (caching that would spend an entry of
+    # a small LRU to save nothing on the paper's clock).
     cacheable = False
 
-    def __init__(self, table: str, catalog: Catalog) -> None:
+    def __init__(
+        self,
+        table: str,
+        catalog: Catalog,
+        columns: Optional[Sequence[str]] = None,
+    ) -> None:
         stats = catalog.stats(table)
-        super().__init__(catalog.relation(table).schema, stats.cardinality)
+        super().__init__(
+            _kept_schema(catalog.relation(table).schema, columns),
+            stats.cardinality,
+        )
         self.table = table
+        self.columns = columns
 
     def label(self) -> str:
-        return "Scan(%s)" % self.table
+        return "Scan(%s)%s" % (self.table, _kept_label(self.columns))
 
     def fingerprint(self, ctx: PlanContext) -> Tuple[Any, ...]:
         return (
@@ -177,13 +213,24 @@ class ScanNode(PlanNode):
             self.table,
             ctx.catalog.relation(self.table).version,
             ctx.catalog.access_epoch(self.table),
-        )
+        ) + _kept_key(self.columns)
 
     def tables(self) -> List[str]:
         return [self.table]
 
     def _run(self, ctx: PlanContext) -> Relation:
-        return ctx.catalog.relation(self.table)
+        relation = ctx.catalog.relation(self.table)
+        if self.columns is None:
+            return relation
+        # Staging whole column buffers is what ColumnStore.add_page does
+        # one step later: no charge, like the live relation it replaces.
+        return copy_columns(
+            relation,
+            self.columns,
+            "scan(%s)" % self.table,
+            batch=ctx.batch,
+            token=ctx.token,
+        )
 
     def estimated_cost(self, ctx: PlanContext) -> float:
         # Memory resident: one comparison-equivalent touch per tuple, no IO.
@@ -199,25 +246,28 @@ class IndexScanNode(PlanNode):
         predicate: Comparison,
         catalog: Catalog,
         selectivity: float,
+        columns: Optional[Sequence[str]] = None,
     ) -> None:
         stats = catalog.stats(table)
         super().__init__(
-            catalog.relation(table).schema, stats.cardinality * selectivity
+            _kept_schema(catalog.relation(table).schema, columns),
+            stats.cardinality * selectivity,
         )
         self.table = table
         self.predicate = predicate
         self.input_rows = stats.cardinality
+        self.columns = columns
 
     def label(self) -> str:
         if isinstance(self.predicate, Prefix):
-            return "IndexScan(%s.%s = %r*)" % (
-                self.table, self.predicate.column, self.predicate.prefix,
-            )
-        return "IndexScan(%s.%s %s %r)" % (
+            condition = "= %r*" % self.predicate.prefix
+        else:
+            condition = "%s %r" % (self.predicate.op, self.predicate.value)
+        return "IndexScan(%s.%s %s)%s" % (
             self.table,
             self.predicate.column,
-            self.predicate.op,
-            self.predicate.value,
+            condition,
+            _kept_label(self.columns),
         )
 
     def fingerprint(self, ctx: PlanContext) -> Tuple[Any, ...]:
@@ -227,7 +277,7 @@ class IndexScanNode(PlanNode):
             ctx.catalog.relation(self.table).version,
             ctx.catalog.access_epoch(self.table),
             self.predicate.fingerprint(),
-        )
+        ) + _kept_key(self.columns)
 
     def tables(self) -> List[str]:
         return [self.table]
@@ -246,6 +296,7 @@ class IndexScanNode(PlanNode):
             ctx.counters,
             token=ctx.token,
             batch=ctx.batch,
+            columns=self.columns,
         )
 
     def estimated_cost(self, ctx: PlanContext) -> float:
@@ -261,24 +312,32 @@ class FilterNode(PlanNode):
     """Predicate applied to a child's output."""
 
     def __init__(
-        self, child: PlanNode, predicate: Predicate, selectivity: float
+        self,
+        child: PlanNode,
+        predicate: Predicate,
+        selectivity: float,
+        columns: Optional[Sequence[str]] = None,
     ) -> None:
-        super().__init__(child.schema, child.estimated_rows * selectivity)
+        super().__init__(
+            _kept_schema(child.schema, columns),
+            child.estimated_rows * selectivity,
+        )
         self.child = child
         self.predicate = predicate
+        self.columns = columns
 
     def children(self) -> List[PlanNode]:
         return [self.child]
 
     def label(self) -> str:
-        return "Filter(%s)" % (self.predicate,)
+        return "Filter(%s)%s" % (self.predicate, _kept_label(self.columns))
 
     def fingerprint(self, ctx: PlanContext) -> Tuple[Any, ...]:
         return (
             "filter",
             self.child.fingerprint(ctx),
             self.predicate.fingerprint(),
-        )
+        ) + _kept_key(self.columns)
 
     def _run(self, ctx: PlanContext) -> Relation:
         return select(
@@ -287,6 +346,7 @@ class FilterNode(PlanNode):
             ctx.counters,
             batch=ctx.batch,
             token=ctx.token,
+            columns=self.columns,
         )
 
     def estimated_cost(self, ctx: PlanContext) -> float:

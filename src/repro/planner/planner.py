@@ -5,7 +5,9 @@ Planning proceeds exactly as the paper argues a large-memory system should:
 1. **Access paths.**  Per-table predicates are pushed below the joins.  An
    indexed comparison becomes an index scan when the ``W*CPU + IO``
    estimate beats the full scan (with everything memory resident the index
-   usually wins for selective predicates, matching Section 2).
+   usually wins for selective predicates, matching Section 2).  Projections
+   are pushed down with them: each access-path node keeps only the columns
+   something above it reads, so joins run on narrow pages.
 2. **Operator ordering.**  Joins are ordered greedily by estimated output
    cardinality -- the most selective join is performed first.  Because the
    hash algorithms are insensitive to input order, no "interesting order"
@@ -71,6 +73,10 @@ class PlannerConfig:
         if unknown:
             raise PlannerError("unknown join algorithms: %r" % sorted(unknown))
         return list(self.join_algorithms)
+
+
+#: A predicate beside the column names it reads (``Predicate.columns()``).
+_Reads = Tuple[Predicate, Optional[List[str]]]
 
 
 class _SubPlan:
@@ -146,33 +152,88 @@ class Planner:
 
     # -- step 1: access paths ---------------------------------------------------------
 
+    @staticmethod
+    def _columns_read(query: Query) -> Optional[Set[str]]:
+        """Columns anything above the access paths reads -- the SELECT
+        list or the GROUP BY and aggregate inputs, plus every join key --
+        or ``None`` for ``SELECT *``.  Names are unique across a query's
+        tables, so one set serves them all."""
+        if query.group_by or query.aggregates:
+            read = set(query.group_by)
+            read.update(a.column for a in query.aggregates if a.column)
+        elif query.projection is not None:
+            read = set(query.projection)
+        else:
+            return None
+        for clause in query.joins:
+            read.update((clause.left_column, clause.right_column))
+        return read
+
     def _access_path(self, query: Query, table: str) -> _SubPlan:
         stats = self.catalog.stats(table)
-        predicates = query.predicates_on(table)
-        scan: PlanNode = ScanNode(table, self.catalog)
+        names = self.catalog.relation(table).schema.names
+        read = self._columns_read(query)
+        # Never prune to zero columns: COUNT(*) reads none, rows still count.
+        keep = None if read is None else (
+            read.intersection(names) or {names[0]}
+        )
+        # Each predicate beside the columns it names (None: it does not say).
+        predicates = [(p, p.columns()) for p in query.predicates_on(table)]
 
-        best: PlanNode = self._apply_filters(scan, predicates, stats)
+        def live(width: int, later: List[_Reads]) -> Optional[List[str]]:
+            """What a node over ``width`` columns must still emit: ``keep``
+            plus what the predicates yet to run above it name.  In schema
+            order, so one set is one fingerprint however the statement
+            spelt it; ``None`` (no pruning) when that is every column, or
+            when a predicate does not say what it reads."""
+            if keep is None:
+                return None
+            wanted = set(keep)
+            for _, named in later:
+                if named is None:
+                    return None
+                wanted.update(named)
+            kept = [name for name in names if name in wanted]
+            return kept if len(kept) < width else None
+
+        def filtered(node: PlanNode, chain: List[_Reads]) -> PlanNode:
+            for i, (pred, _) in enumerate(chain):
+                node = FilterNode(
+                    node, pred, estimate_selectivity(pred, stats),
+                    live(len(node.schema), chain[i + 1 :]),
+                )
+            return node
+
+        # Under filters the scan stays the live relation and the first
+        # filter's copy-out prunes; a bare scan repacks.
+        best = filtered(
+            ScanNode(
+                table, self.catalog,
+                None if predicates else live(len(names), []),
+            ),
+            predicates,
+        )
         ctx = self.context()
 
         # Try serving one indexed comparison with an index scan, filtering
         # the rest on top; keep whichever estimate is cheaper.
-        for i, pred in enumerate(predicates):
+        for i, (pred, _) in enumerate(predicates):
             comparison = self._indexable(pred, table)
             if comparison is None:
                 continue
             sel = estimate_selectivity(comparison, stats)
-            index_scan: PlanNode = IndexScanNode(
-                table, comparison, self.catalog, sel
-            )
             rest = predicates[:i] + predicates[i + 1 :]
-            candidate = self._apply_filters(index_scan, rest, stats)
+            candidate = filtered(
+                IndexScanNode(
+                    table, comparison, self.catalog, sel,
+                    live(len(names), rest),
+                ),
+                rest,
+            )
             if candidate.total_cost(ctx) < best.total_cost(ctx):
                 best = candidate
 
-        distinct = {
-            name: stats.column(name)
-            for name in self.catalog.relation(table).schema.names
-        }
+        distinct = {name: stats.column(name) for name in names}
         return _SubPlan(best, {table}, distinct)
 
     def _indexable(self, pred: Predicate, table: str):
@@ -189,13 +250,6 @@ class Planner:
         if not pred.is_equality and not index.supports_range_scan:
             return None
         return pred
-
-    def _apply_filters(
-        self, node: PlanNode, predicates: List[Predicate], stats
-    ) -> PlanNode:
-        for pred in predicates:
-            node = FilterNode(node, pred, estimate_selectivity(pred, stats))
-        return node
 
     # -- step 2+3: join ordering and algorithm choice -----------------------------------
 

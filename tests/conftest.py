@@ -31,8 +31,10 @@ def pytest_addoption(parser):
         type=int,
         default=30,
         metavar="N",
-        help="example budget of the generated write-path state machine "
-        "(tests/test_write_path_model.py; default 30; nightly CI runs more)",
+        help="example budget of each generated test: the write-path state "
+        "machine (tests/test_write_path_model.py) and the SQL differential "
+        "against sqlite3 (tests/test_generated_sql.py); default 30, nightly "
+        "CI runs more",
     )
 
 
@@ -159,3 +161,44 @@ def s_relation() -> Relation:
     return build_relation(
         "s", [rng.randrange(100) for _ in range(900)], schema=schema
     )
+
+
+WISC_COLUMNS = (
+    "unique1", "unique2", "two", "four", "ten", "twenty", "hundred",
+    "thousand", "filler",
+)
+
+
+def wisc_db(n: int, nb: int, **kwargs):
+    """The performance ledger's three Wisconsin tables (``tenk1`` and
+    ``tenk2`` of ``n`` rows, ``bprime`` of ``nb``), ``unique2`` indexed,
+    analyzed; ``kwargs`` go to ``MainMemoryDatabase``."""
+    from repro import DataType, MainMemoryDatabase
+
+    db = MainMemoryDatabase(**kwargs)
+    rng = random.Random(17)
+    for name, prefix, rows in (
+        ("tenk1", "", n), ("tenk2", "t2_", n), ("bprime", "bp_", nb)
+    ):
+        rel = db.create_table(
+            name, [(prefix + c, DataType.INTEGER) for c in WISC_COLUMNS]
+        )
+        unique1 = list(range(rows))
+        rng.shuffle(unique1)
+        rel.extend_rows([
+            (u, i, u % 2, u % 4, u % 10, u % 20, u % 100, u % 1000, 0)
+            for i, u in enumerate(unique1)
+        ])
+        if name != "bprime":
+            db.create_index(name, prefix + "unique2", kind="btree")
+    db.analyze()
+    return db
+
+
+def access_paths(node) -> dict:
+    """Table name -> the top node of its access path in the plan ``node``."""
+    from repro.planner.plan import FilterNode, IndexScanNode, ScanNode
+
+    if isinstance(node, (ScanNode, IndexScanNode, FilterNode)):
+        return {node.tables()[0]: node}
+    return {t: p for child in node.children() for t, p in access_paths(child).items()}

@@ -299,6 +299,28 @@ class TestPlanOrderInvariance:
             assert explained == baseline
 
 
+    def test_select_list_order_changes_only_the_top_project(self):
+        """Access paths keep their columns in schema order, so every
+        spelling of one SELECT list is one plan under the Project."""
+        cat = star_catalog()
+        planner = Planner(cat, PlannerConfig(memory_pages=200))
+        tables = ["fact", "dim_a", "dim_b", "dim_c"]
+        names = ["c_id_v", "fa", "a_id_v", "b_id"]
+        baseline = None
+        for perm in itertools.permutations(names):
+            for listing in (tables, tables[::-1]):
+                query = Query(
+                    tables=list(listing), joins=list(STAR_JOINS),
+                    projection=list(perm),
+                )
+                top, below = planner.explain(query).split("\n", 1)
+                assert top.startswith("Project[hash](%s)" % ", ".join(perm))
+                baseline = baseline or below
+                assert below == baseline, "order %r changed the plan" % (perm,)
+        assert "Scan(dim_c)" in baseline and "Scan(dim_b)[b_id]" in baseline
+        assert "Scan(fact)" in baseline and "Scan(fact)[" not in baseline
+
+
 class TestMeasuredSelectivity:
     def test_ints_keep_historical_convention(self):
         assert join_selectivity(4, 10) == pytest.approx(0.1)

@@ -10,6 +10,7 @@ from repro.operators.selection import Comparison
 from repro.planner.plan import (
     AggregateNode,
     FilterNode,
+    IndexScanNode,
     JoinNode,
     PlanContext,
     ProjectNode,
@@ -61,6 +62,35 @@ class TestScanNode:
         assert node.label() == "Scan(t)"
         text = node.explain(ctx)
         assert "rows~200" in text and "cost=" in text
+        # A node that prunes says which columns it carries, at every level.
+        scan = ScanNode("t", catalog, columns=["v"])
+        assert scan.label() == "Scan(t)[v]"
+        assert scan.schema.names == ["v"]
+        chain = FilterNode(
+            IndexScanNode(
+                "u", Comparison("uk", "<", 9), catalog, 0.2, columns=["uk"]
+            ),
+            Comparison("uk", "!=", 3), 0.9,
+        )
+        assert chain.schema.names == ["uk"]
+        assert chain.explain().splitlines() == [
+            "Filter(Comparison(column='uk', op='!=', value=3))  rows~9",
+            "  IndexScan(u.uk < 9)[uk]  rows~10",
+        ]
+
+    def test_pruned_scan_is_an_uncharged_uncached_repack(self, catalog):
+        from repro.planner.reuse import PlanReuseCache
+
+        for batch in (False, True):
+            ctx = PlanContext(
+                catalog=catalog, memory_pages=100, batch=batch,
+                reuse_cache=PlanReuseCache(),
+            )
+            out = ScanNode("t", catalog, columns=["v"]).execute(ctx)
+            assert list(out) == [(i % 10,) for i in range(200)]
+            assert out.tuples_per_page == 2 * catalog.relation("t").tuples_per_page
+            assert ctx.counters.as_dict() == PlanContext(catalog).counters.as_dict()
+            assert len(ctx.reuse_cache) == 0
 
     def test_explain_without_context_omits_cost(self, catalog):
         assert "cost=" not in ScanNode("t", catalog).explain()

@@ -10,6 +10,7 @@ from repro.planner.query import JoinClause, Query
 from repro.planner.reuse import PlanReuseCache
 from repro.storage.relation import Relation
 from repro.storage.tuples import DataType, Field, Schema
+from tests.conftest import wisc_db
 
 
 def make_db(**kwargs):
@@ -169,3 +170,90 @@ class TestDatabaseIntegration:
         assert sorted(db.execute(FILTER_QUERY)) == ctx_rows
         stats = db.reuse_stats()
         assert stats["misses"] >= 2
+
+
+# -- column pruning (PR 17): fingerprints carry the kept columns -------------
+
+#: The performance ledger's seven ``wisc_*`` statement classes: where the
+#: range starts, how wide it is (shares of the table), the statement.
+WISC_CLASSES = (
+    (0.10, 0.01, "SELECT * FROM tenk1 WHERE unique2 >= {lo} AND unique2 < {hi}"),
+    (0.05, 0.10,
+     "SELECT * FROM tenk2 WHERE t2_unique2 >= {lo} AND t2_unique2 < {hi}"),
+    (0.02, 0.20,
+     "SELECT DISTINCT hundred FROM tenk1 "
+     "WHERE unique2 >= {lo} AND unique2 < {hi}"),
+    (0.05, 0.50,
+     "SELECT t2_hundred, MIN(t2_unique1) AS lo FROM tenk2 "
+     "WHERE t2_unique2 >= {lo} AND t2_unique2 < {hi} GROUP BY t2_hundred"),
+    (0.05, 0.50,
+     "SELECT unique1, bp_unique2 FROM tenk1 "
+     "JOIN bprime ON tenk1.unique1 = bprime.bp_unique1 "
+     "WHERE unique2 >= {lo} AND unique2 < {hi}"),
+    (0.09, 0.10,
+     "SELECT unique2, t2_unique1 FROM tenk1 "
+     "JOIN tenk2 ON tenk1.unique1 = tenk2.t2_unique1 "
+     "WHERE t2_unique2 >= {lo} AND t2_unique2 < {hi}"),
+    (0.07, 0.50,
+     "SELECT bp_ten, COUNT(*) AS n FROM tenk2 "
+     "JOIN bprime ON tenk2.t2_unique1 = bprime.bp_unique1 "
+     "WHERE t2_unique2 >= {lo} AND t2_unique2 < {hi} GROUP BY bp_ten"),
+)
+
+
+class TestPrunedSubplans:
+    def test_a_narrow_entry_never_answers_a_wider_request(self):
+        db = make_db()
+        narrow = db.sql("SELECT emp_id FROM emp WHERE salary > 1050")
+        assert narrow.schema.names == ["emp_id"]
+        before = db.reuse_stats()
+        wider = db.sql("SELECT emp_id, dept FROM emp WHERE salary > 1050")
+        after = db.reuse_stats()
+        assert after["hits"] == before["hits"]  # every node missed
+        assert after["misses"] > before["misses"]
+        assert sorted(wider) == [(i, i % 10) for i in range(51, 120)]
+
+    def test_select_list_order_shares_the_access_path_entry(self):
+        db = make_db()
+        ab = db.sql("SELECT emp_id, dept FROM emp WHERE salary > 1050")
+        before = db.reuse_stats()
+        ba = db.sql("SELECT dept, emp_id FROM emp WHERE salary > 1050")
+        after = db.reuse_stats()
+        # The Project on top is a different subplan; the filter under it
+        # keeps one column set in schema order and is the same one.
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"] + 1
+        assert sorted(ba) == sorted((d, e) for e, d in ab)
+
+    def test_ledger_cycles_store_and_evict_what_they_did_before_pruning(self):
+        """The ledger's hot/cold arithmetic (a cycle of its seven classes
+        stores about 20 subplans against a 64-entry LRU) needs a statement
+        to store as many entries pruned as it did whole.  The expected
+        values were recorded on the parent commit (796eced)."""
+        n = 1000  # a tenth of the ledger's scale
+        db = wisc_db(n, n // 10, memory_pages=2000)
+        recorded = (
+            {"entries": 44, "hits": 0, "misses": 44, "evictions": 0},
+            {"entries": 64, "hits": 7, "misses": 66, "evictions": 2},
+        )
+        for cycle, expected in enumerate(recorded):
+            for start, share, template in WISC_CLASSES:
+                first, width = max(2, int(n * start)), max(1, int(n * share))
+                for lo in (first - 1, first + cycle):  # hot, then cold
+                    db.sql(template.format(lo=lo, hi=lo + width))
+            assert db.reuse_stats() == dict(expected, invalidations=0)
+
+    def test_dml_invalidates_pruned_entries(self):
+        db = make_db()
+        statement = "SELECT name FROM emp JOIN dept ON emp.dept = dept.dept_id " \
+            "WHERE salary > 1100"
+        plan = db.sql_explain(statement)
+        assert "[dept]" in plan and "Scan(dept)" in plan
+        first = sorted(db.sql(statement))
+        held = db.reuse_stats()["entries"]
+        assert held >= 3  # filter, join, project -- never the bare scan
+        db.insert("dept", (42, "d42"))
+        assert db.reuse_stats()["invalidations"] == 2  # join and project
+        db.insert("emp", (998, 42, 99999))
+        assert db.reuse_stats()["entries"] == 0
+        assert sorted(db.sql(statement)) == sorted(first + [("d42",)])
