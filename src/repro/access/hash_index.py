@@ -14,11 +14,39 @@ table to hold R will require |R| * F pages".
 from __future__ import annotations
 
 import math
+import sys
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.access.interface import Index, remove_value
 from repro.cost.counters import OperationCounters
 from repro.errors import ConfigurationError
+
+
+#: Buckets of a fresh table.  A power of two, and every growth doubles it:
+#: the packed kernel (:class:`repro.join.vectorized.PackedHashTable`)
+#: reduces hashes with a bit mask on that account.
+INITIAL_BUCKETS = 64
+
+
+def growth_threshold(buckets: int, max_load: float) -> int:
+    """The smallest distinct-key count ``d`` with ``d / buckets > max_load``.
+
+    The one definition of when a chained table of ``buckets`` buckets
+    doubles: after the insert that brings its distinct keys to this
+    count.  :class:`HashIndex` keeps it as an integer beside the bucket
+    array, and the packed kernel derives its growth epochs from it, so
+    the two cannot drift.  The comparison is the float one the load
+    factor was always tested with; true division is monotone in ``d``,
+    so the threshold is exact for it.
+    """
+    if math.isinf(max_load):
+        return sys.maxsize
+    d = int(max_load * buckets) + 1
+    while d > 1 and (d - 1) / buckets > max_load:
+        d -= 1
+    while d / buckets <= max_load:
+        d += 1
+    return d
 
 
 class HashIndex(Index):
@@ -27,12 +55,12 @@ class HashIndex(Index):
     def __init__(
         self,
         counters: Optional[OperationCounters] = None,
-        initial_buckets: int = 64,
+        initial_buckets: int = INITIAL_BUCKETS,
         max_load: float = 1.2,
     ) -> None:
         if initial_buckets < 1:
             raise ConfigurationError("need at least one bucket")
-        if max_load <= 0:
+        if not max_load > 0:
             raise ConfigurationError("max load factor must be positive")
         self.counters = counters if counters is not None else OperationCounters()
         self.max_load = max_load
@@ -41,6 +69,8 @@ class HashIndex(Index):
         ]
         self._size = 0
         self._distinct = 0
+        #: Distinct keys at which the table next doubles.
+        self._grow_at = growth_threshold(initial_buckets, max_load)
 
     # -- size -------------------------------------------------------------------
 
@@ -69,9 +99,8 @@ class HashIndex(Index):
         self.counters.hash_key()
         return self._buckets[hash(key) % len(self._buckets)]
 
-    def _maybe_grow(self) -> None:
-        if self.load_factor <= self.max_load:
-            return
+    def _grow(self) -> None:
+        """Double the bucket array (``_distinct`` reached ``_grow_at``)."""
         old = self._buckets
         self._buckets = [[] for _ in range(2 * len(old))]
         for chain in old:
@@ -79,6 +108,7 @@ class HashIndex(Index):
                 # Rehash without charging: the paper's model charges one
                 # hash per logical insert; growth is the table's F headroom.
                 self._buckets[hash(key) % len(self._buckets)].append((key, values))
+        self._grow_at = growth_threshold(len(self._buckets), self.max_load)
 
     # -- Index protocol ---------------------------------------------------------------
 
@@ -94,7 +124,8 @@ class HashIndex(Index):
         chain.append((key, [value]))
         self._size += 1
         self._distinct += 1
-        self._maybe_grow()
+        if self._distinct >= self._grow_at:
+            self._grow()
 
     def insert_batch(self, pairs: Sequence[Tuple[Any, Any]]) -> None:
         """Insert many (key, value) pairs with one bulk counter charge.
@@ -108,7 +139,7 @@ class HashIndex(Index):
         for key, value in pairs:
             hashes += 1
             moves += 1
-            buckets = self._buckets  # re-read: _maybe_grow may swap it
+            buckets = self._buckets  # re-read: _grow swaps it
             chain = buckets[hash(key) % len(buckets)]
             for entry in chain:
                 compares += 1
@@ -120,7 +151,8 @@ class HashIndex(Index):
                 chain.append((key, [value]))
                 self._size += 1
                 self._distinct += 1
-                self._maybe_grow()
+                if self._distinct >= self._grow_at:
+                    self._grow()
         self.counters.hash_key(hashes)
         self.counters.move_tuple(moves)
         self.counters.compare(compares)
@@ -213,4 +245,4 @@ class HashIndex(Index):
         )
 
 
-__all__ = ["HashIndex"]
+__all__ = ["HashIndex", "INITIAL_BUCKETS", "growth_threshold"]

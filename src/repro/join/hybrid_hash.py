@@ -50,9 +50,10 @@ of docs/ROBUSTNESS.md.
 
 Execution comes in two arms with identical results and counters: the
 tuple-at-a-time specification (``batch=False``) and the production batch
-arm (default; the resident table stores row indices into a
-:class:`~repro.join.vectorized.ColumnStore` and matches are group-gathered
-buffer-to-buffer).  With a worker pool (``workers > 1``) the batch arm's
+arm (default; the resident side is a
+:class:`~repro.join.vectorized.JoinTable`: rows staged column-wise, the
+table mapping keys to their indices, probes answered once per phase and
+matches group-gathered buffer-to-buffer).  With a worker pool (``workers > 1``) the batch arm's
 coordinator keeps all disk IO in serial order and workers handle
 classification and bucket build/probe (see :mod:`repro.join.parallel`).
 Recursive overflow buckets are always joined serially in the coordinator,
@@ -64,7 +65,7 @@ identical rows and counters).
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Sized, Tuple
 
 from repro.access.hash_index import HashIndex
 from repro.join.base import JoinAlgorithm, JoinSpec
@@ -80,13 +81,7 @@ from repro.join.partition import (
     read_bucket,
     resplit_class,
 )
-from repro.join.vectorized import (
-    ColumnStore,
-    insert_page,
-    join_bucket_columnar,
-    probe_page,
-)
-from repro.operators.columnar import gather_columns
+from repro.join.vectorized import JoinTable, join_bucket_columnar
 from repro.storage.relation import Relation, Row
 
 
@@ -152,7 +147,7 @@ class HybridHashJoin(JoinAlgorithm):
         return max(1, int(pages * spec.r.tuples_per_page / spec.params.fudge))
 
     def _degrade_now(
-        self, memory: int, buckets: int, resident: HashIndex, spec: JoinSpec
+        self, memory: int, buckets: int, resident: Sized, spec: JoinSpec
     ) -> bool:
         """Whether a revoked grant can no longer hold R0's live table.
 
@@ -174,11 +169,7 @@ class HybridHashJoin(JoinAlgorithm):
         return grant.over_budget(used)
 
     def _demote_resident(
-        self,
-        resident: HashIndex,
-        spec: JoinSpec,
-        depth: int,
-        store: Optional[ColumnStore] = None,
+        self, resident: Any, spec: JoinSpec, depth: int
     ) -> Tuple[SpillWriter, SpillWriter]:
         """Dump the live R0 table to a fresh overflow spill pair.
 
@@ -186,9 +177,8 @@ class HybridHashJoin(JoinAlgorithm):
         price of giving the memory back.  The caller replaces ``resident``
         with an empty table and routes all later class-0 tuples to the
         returned writers; phase 2 then joins the pair like any spilled
-        bucket.  The batch arm's table stores row indices, so it passes
-        the ``store`` the dumped rows are fetched from (same order, same
-        charges).
+        bucket.  ``resident.items()`` yields ``(key, row)`` in the chained
+        table's order in both arms (same order, same charges).
         """
         base = self.scratch_name(spec, "ovf")
         ovf_r = SpillWriter(
@@ -203,8 +193,8 @@ class HybridHashJoin(JoinAlgorithm):
             spec.s.tuples_per_page,
             self.counters,
         )
-        for _, value in resident.items():
-            ovf_r.write(0, store.row(value) if store is not None else value)
+        for _, row in resident.items():
+            ovf_r.write(0, row)
         return ovf_r, ovf_s
 
     # -- adaptive re-split --------------------------------------------------------
@@ -561,12 +551,11 @@ class HybridHashJoin(JoinAlgorithm):
         r_key = spec.r_key
         r_ki, s_ki = spec.r_key_index, spec.s_key_index
 
-        resident = HashIndex(self.counters, max_load=params.fudge)
+        # R0 staged column-wise under a table from keys to row indices.
+        resident = JoinTable(spec, self.counters)
         demoted = False
         ovf_r: Optional[SpillWriter] = None
         ovf_s: Optional[SpillWriter] = None
-        # R0 is staged column-wise; ``resident`` maps keys to store indices.
-        store = ColumnStore(spec.r)
 
         track = self.adaptive and buckets > 0 and depth < self.MAX_RECURSION
         counts = [0] * buckets
@@ -613,10 +602,8 @@ class HybridHashJoin(JoinAlgorithm):
         for page in spec.r.pages:
             self.checkpoint()
             if not demoted and self._degrade_now(memory, buckets, resident, spec):
-                ovf_r, ovf_s = self._demote_resident(
-                    resident, spec, depth, store
-                )
-                resident = HashIndex(self.counters, max_load=params.fudge)
+                ovf_r, ovf_s = self._demote_resident(resident, spec, depth)
+                resident = JoinTable(spec, self.counters)
                 demoted = True
             n = len(page)
             if not n:
@@ -630,7 +617,7 @@ class HybridHashJoin(JoinAlgorithm):
                     self.counters.hash_key(n)
                     ovf_r.write_many(0, page.tuples)
                 else:
-                    insert_page(resident, store, keys, page)
+                    resident.insert(page)
                 continue
             classes = (
                 classify_r(keys)
@@ -640,11 +627,9 @@ class HybridHashJoin(JoinAlgorithm):
             pending: List[List[Row]] = [[] for _ in range(buckets)]
             spilled = 0
             rows: Optional[List[Row]] = None
-            res_keys: List[Any] = []
             res_pos: List[int] = []
             for i, (k, cls) in enumerate(zip(keys, classes)):
                 if cls == 0:
-                    res_keys.append(k)
                     res_pos.append(i)
                 else:
                     if rows is None:
@@ -662,13 +647,7 @@ class HybridHashJoin(JoinAlgorithm):
                     rows = page.tuples
                     ovf_r.write_many(0, [rows[i] for i in res_pos])
                 else:
-                    base = len(store)
-                    resident.insert_batch(
-                        zip(res_keys, range(base, base + len(res_pos)))
-                    )
-                    store.add_columns(
-                        gather_columns(page.columns, res_pos), len(res_pos)
-                    )
+                    resident.insert(page, res_pos)
             if spilled:
                 self.counters.hash_key(spilled)
                 for b, bucket_rows in enumerate(pending):
@@ -694,10 +673,10 @@ class HybridHashJoin(JoinAlgorithm):
         for page in spec.s.pages:
             self.checkpoint()
             if not demoted and self._degrade_now(memory, buckets, resident, spec):
-                ovf_r, ovf_s = self._demote_resident(
-                    resident, spec, depth, store
-                )
-                resident = HashIndex(self.counters, max_load=params.fudge)
+                # Matches found so far precede what phase 2 re-reads.
+                resident.flush(output)
+                ovf_r, ovf_s = self._demote_resident(resident, spec, depth)
+                resident = JoinTable(spec, self.counters)
                 demoted = True
             n = len(page)
             if not n:
@@ -708,7 +687,7 @@ class HybridHashJoin(JoinAlgorithm):
                     self.counters.hash_key(n)
                     ovf_s.write_many(0, page.tuples)
                 else:
-                    probe_page(resident, store, output, keys, page)
+                    resident.probe(page, output)
                 continue
             classes = (
                 classify_s(keys)
@@ -727,11 +706,9 @@ class HybridHashJoin(JoinAlgorithm):
                 else None
             )
             rows = None
-            probe_keys: List[Any] = []
             probe_pos: List[int] = []
             for i, (k, cls) in enumerate(zip(keys, classes)):
                 if cls == 0:
-                    probe_keys.append(k)
                     probe_pos.append(i)
                 else:
                     if rows is None:
@@ -752,9 +729,7 @@ class HybridHashJoin(JoinAlgorithm):
                     rows = page.tuples
                     ovf_s.write_many(0, [rows[i] for i in probe_pos])
                 else:
-                    probe_page(
-                        resident, store, output, probe_keys, page, probe_pos
-                    )
+                    resident.probe(page, output, probe_pos)
             if spilled or routed:
                 # One class hash per spilled tuple; routed (re-split)
                 # tuples pay one extra sub-bucket hash each.
@@ -767,6 +742,8 @@ class HybridHashJoin(JoinAlgorithm):
                         for sub, sub_rows in enumerate(sub_pending[b]):
                             plan.s_writer.write_many(sub, sub_rows)
 
+        # The resident class is probed once per phase, not per page.
+        resident.flush(output)
         s_files = s_writer.close() if s_writer is not None else []
         pairs = self._assemble_pairs(
             r_files, s_files, resplit, demoted, ovf_r, ovf_s

@@ -48,7 +48,12 @@ class NestedLoopsJoin(JoinAlgorithm):
                     if r_key(r_row) == sk:
                         self.emit(output, r_row, s_row)
 
-        for r_row in spec.r:
+        # Both arms check the token once per page of R and once per page
+        # of S in every scan of it.
+        r_tpp = max(1, spec.r.tuples_per_page)
+        for i, r_row in enumerate(spec.r):
+            if i % r_tpp == 0:
+                self.checkpoint()
             self.counters.move_tuple()
             block.append(r_row)
             if len(block) >= block_tuples:

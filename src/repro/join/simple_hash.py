@@ -16,8 +16,7 @@ from typing import Any, List, Optional, Tuple
 from repro.access.hash_index import HashIndex
 from repro.join.base import JoinAlgorithm, JoinSpec
 from repro.join.partition import partition_hash
-from repro.join.vectorized import ColumnStore, insert_page, probe_page
-from repro.storage.page import Page
+from repro.join.vectorized import JoinTable
 from repro.storage.relation import Relation, Row
 from repro.errors import StateError
 
@@ -105,20 +104,18 @@ class SimpleHashJoin(JoinAlgorithm):
         the hash table's own insert/probe charges -- the table stores
         store indices instead of row tuples, which no charge observes.
         """
-        params = spec.params
-        r_ki, s_ki = spec.r_key_index, spec.s_key_index
-        table = HashIndex(self.counters, max_load=params.fudge)
-        store = ColumnStore(spec.r)
+        table = JoinTable(spec, self.counters)
         self.counters.hash_key(spec.r.cardinality)
         for page in spec.r.pages:
             self.checkpoint()
             if len(page):
-                insert_page(table, store, page.column(r_ki), page)
+                table.insert(page)
         self.counters.hash_key(spec.s.cardinality)
         for page in spec.s.pages:
             self.checkpoint()
             if len(page):
-                probe_page(table, store, output, page.column(s_ki), page)
+                table.probe(page, output)
+        table.flush(output)
 
     def _execute_tuple(self, spec: JoinSpec, output: Relation) -> None:
         params = spec.params

@@ -5,40 +5,59 @@ page's row view is built for the build/probe loops, and once more when
 each match concatenates ``r_row + s_row``.  The kernels here never touch
 a row tuple on the happy path.  The build side stages its pages into a
 :class:`ColumnStore` (one oversized columnar page) and the hash table
-stores **row indices** instead of row tuples; probing hashes a whole key
-column per page, flattens the match chains into parallel build/probe
-index lists, and group-gathers both sides' survivor columns straight
-into ``Relation.extend_columns``.
+stores **row indices** instead of row tuples; a probe yields parallel
+build/probe index sequences, and both sides' survivor columns are
+group-gathered straight into ``Relation.extend_columns``.
+
+:class:`JoinTable` is that build side.  It forks by what it observes:
+when every page holds both join-key columns as packed int64 buffers and
+numpy imports, the table is a :class:`PackedHashTable` -- build keys are
+only appended, one stable sort builds it, and a whole phase's probe keys
+are looked up at once.  Any other input (strings, floats,
+a page that demoted its key column, no numpy) keeps the chained
+:class:`~repro.access.hash_index.HashIndex`, which is also the
+specification arm's table and what the packed one is tested against.
 
 Counter identity with the tuple-at-a-time specification arm is by
 construction:
 
-* :meth:`~repro.access.hash_index.HashIndex.insert_batch` and
-  :meth:`~repro.access.hash_index.HashIndex.probe_batch` charge from the
-  *keys* and their order alone -- one hash + one move + one comparison per
-  chain entry scanned per insert, one hash + one comparison per chain
-  entry per probe.  Storing an index where the specification stores a
-  tuple changes no charge.
+* A chained table's charges are a function of the *keys and their order
+  alone* -- one hash + one move + one comparison per chain entry scanned
+  per insert, one hash + one comparison per chain entry per probe.
+  :meth:`~repro.access.hash_index.HashIndex.insert_batch` /
+  :meth:`~repro.access.hash_index.HashIndex.probe_batch` earn them key by
+  key; :class:`PackedHashTable` computes the same totals in closed form
+  (see its docstring).  Storing an index where the specification stores
+  a tuple changes no charge.
 * Gathers and ``extend_columns`` are uncharged, exactly like the
   specification's uncharged ``emit`` output path.
 
-The differential suite (tests/test_batch_equivalence.py and
-tests/test_join_pipeline.py) asserts byte-identical rows *and*
-``OperationCounters`` between the specification arm (``batch=False``) and
-the production arm for every algorithm.
+The differential suite (tests/test_batch_equivalence.py,
+tests/test_join_pipeline.py, tests/test_hash_kernel.py) asserts
+byte-identical rows *and* ``OperationCounters`` between the specification
+arm (``batch=False``) and the production arm for every algorithm.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from itertools import repeat
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
-from repro.access.hash_index import HashIndex
+from repro.access.hash_index import INITIAL_BUCKETS, HashIndex, growth_threshold
 from repro.cost.counters import OperationCounters
-from repro.operators.columnar import gather_columns
-from repro.storage.codecs import Column, column_kinds
+from repro.join.base import JoinSpec
+from repro.operators.columnar import gather_columns, group_rows, stable_argsort
+from repro.storage import codecs
+from repro.storage.codecs import Column, column_kinds, np, packed_view
 from repro.storage.page import Page
 from repro.storage.relation import Relation, Row
+
+#: Probe rows a :class:`JoinTable` stages before it probes them: large
+#: enough that numpy's fixed cost per call is paid per phase and not per
+#: page, small enough that the staged copies do not grow with ``|S|``.
+PROBE_FLUSH_ROWS = 1 << 16
 
 
 class ColumnStore:
@@ -78,17 +97,208 @@ class ColumnStore:
         return self._page.tuples[index]
 
 
-def insert_page(
-    table: HashIndex, store: ColumnStore, keys: Sequence[Any], page: Page
-) -> None:
-    """Build step for one full page: index the keys, stage the columns.
+def _kernel_usable() -> bool:
+    """Whether numpy imports and ``hash(int)`` is the 64-bit function
+    :func:`int_hashes` computes."""
+    return codecs.np is not None and sys.hash_info.width == 64
 
-    Charges are identical to inserting ``(key, row)`` pairs -- the table
-    stores the rows' global store indices instead.
+
+def int_hashes(keys: Any) -> Any:
+    """``hash(k)`` of every ``k`` in an int64 array, exactly as CPython
+    computes it: ``sign(k) * (|k| mod sys.hash_info.modulus)``, with -1
+    (the C error value) mapped to -2."""
+    modulus = sys.hash_info.modulus
+    hashes = keys.copy()
+    if len(keys) and (keys.min() <= -modulus or keys.max() >= modulus):
+        negative = keys < 0
+        # -(-2**63) wraps to itself, and its unsigned view is 2**63.
+        reduced = (
+            np.where(negative, -keys, keys).view(np.uint64) % np.uint64(modulus)
+        ).astype(np.int64)
+        hashes = np.where(negative, -reduced, reduced)
+    hashes[hashes == -1] = -2
+    return hashes
+
+
+def _chain_places(buckets: Any) -> Tuple[Any, Any]:
+    """Where each distinct key sits in a chained table.
+
+    ``buckets[i]`` is the bucket of the ``i``-th distinct key in
+    first-seen order.  Returns ``(ranks, order)``: ``ranks[i]`` counts
+    the earlier keys sharing its bucket -- its position in the chain --
+    and ``order`` lists the keys bucket by bucket, each chain in order:
+    the sequence ``HashIndex.keys`` walks.
     """
-    base = len(store)
-    table.insert_batch(zip(keys, range(base, base + len(page))))
-    store.add_page(page)
+    count = len(buckets)
+    order = stable_argsort(buckets)
+    ordered = buckets[order]
+    head = np.zeros(count, dtype=bool)
+    head[:1] = True
+    head[1:] = ordered[1:] != ordered[:-1]
+    place = np.arange(count)
+    ranks = np.empty(count, dtype=np.intp)
+    ranks[order] = place - np.maximum.accumulate(np.where(head, place, 0))
+    return ranks, order
+
+
+def _locate(uniq: Any, keys: Any) -> Tuple[Any, Any]:
+    """Look ``keys`` up in the sorted distinct keys ``uniq``.
+
+    Returns ``(runs, hit)``: ``hit`` marks the keys present and
+    ``runs[hit]`` are their indices in ``uniq``.  Dense keys (a range no
+    wider than a few slots per key involved) are addressed directly, in
+    time linear in the keys; sparse ones by binary search.
+    """
+    low, high = int(uniq[0]), int(uniq[-1])
+    if high - low <= 4 * (len(uniq) + len(keys)):
+        slots = np.full(high - low + 1, -1, dtype=np.intp)
+        slots[uniq - low] = np.arange(len(uniq))
+        inside = (keys >= low) & (keys <= high)
+        runs = slots[np.where(inside, keys, low) - low]
+        return runs, inside & (runs >= 0)
+    runs = np.minimum(np.searchsorted(uniq, keys), len(uniq) - 1)
+    return runs, uniq[runs] == keys
+
+
+def _run_rows(starts: Any, counts: Any) -> Any:
+    """Offsets ``starts[i] .. starts[i] + counts[i] - 1`` for every ``i``,
+    concatenated in order."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - (ends - counts), counts) + np.arange(
+        ends[-1] if len(ends) else 0
+    )
+
+
+class PackedHashTable:
+    """The chained table's matches and charges from packed int64 keys.
+
+    Build keys are only appended (a build row's value is its append
+    index); the table is built on first use by one stable sort and
+    probed with whole key columns.  What :class:`HashIndex` would have
+    charged for the same keys in the same order is computed in closed
+    form, from one invariant: **a chain is always in first-insertion
+    order of its distinct keys** -- a new key is appended to its chain,
+    and doubling ``n -> 2n`` sends old bucket ``b``'s entries, in order,
+    to ``b`` or ``b + n``.  Hence
+
+    * an insert compares against *the earlier-first-seen distinct keys
+      congruent to it modulo the bucket count then in force, plus one if
+      the key is already present*;
+    * the bucket count is a step function of the distinct keys so far
+      (:func:`~repro.access.hash_index.growth_threshold`), which cuts the
+      inserts into growth epochs; the chain positions of the keys present
+      at the end of an epoch hold for every insert within it, so one
+      grouped rank per epoch prices them all -- the epochs are
+      geometric, about twice the distinct keys in total;
+    * a probe compares position + 1 times on a hit and its bucket's
+      whole chain on a miss, under the final bucket count.
+
+    Charges are settled when the table is built, each insert once: keys
+    appended after a build are priced by the next one.
+    """
+
+    def __init__(self, counters: OperationCounters, max_load: float) -> None:
+        self.counters = counters
+        self.max_load = max_load
+        self._keys = array("q")
+        #: Leading inserts whose charges are settled.
+        self._charged = 0
+        self._built: Optional[Tuple[Any, ...]] = None
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def append(self, keys: array) -> None:
+        """Insert ``keys``; key ``i`` of the table maps to value ``i``."""
+        self._keys.extend(keys)
+        self._built = None
+
+    def settle(self) -> None:
+        """Charge every insert not yet charged: a table nothing probes or
+        dumps has still paid for its build."""
+        self._build()
+
+    def _build(self) -> Tuple[Any, ...]:
+        """Sort the keys, settle the inserts' charges, lay out the chains."""
+        if self._built is not None:
+            return self._built
+        keys = packed_view(self._keys)
+        total = len(keys)
+        order, starts, first_seen, gid, fresh = group_rows([keys])
+        distinct = len(starts)
+        uniq = keys[order[starts]]
+        hashes = int_hashes(uniq[first_seen])
+
+        # Growth epochs: epoch ``e`` has ``INITIAL_BUCKETS << e`` buckets
+        # and lasts until the insert that brings the distinct keys to
+        # ``ends[e]``; the last one holds every key.
+        ends: List[int] = []
+        grown = 0
+        while True:
+            grown = max(
+                grown + 1,
+                growth_threshold(INITIAL_BUCKETS << len(ends), self.max_load),
+            )
+            if grown > distinct:
+                break
+            ends.append(grown)
+        # An epoch ends before the first insert that finds ``ends[e]``
+        # distinct keys already in the table.
+        bounds = (fresh.cumsum() - fresh).searchsorted(ends).tolist()
+        ends.append(distinct)
+        bounds.append(total)
+        low = self._charged
+        compares = (total - low) - int(fresh[low:].sum())  # repeats: + 1
+        for epoch, high in enumerate(bounds):
+            if low < high or high == total:
+                mask = (INITIAL_BUCKETS << epoch) - 1
+                chains = hashes[: ends[epoch]] & mask
+                ranks, chain_order = _chain_places(chains)
+                compares += int(ranks[gid[low:high]].sum())
+                low = max(low, high)
+        self.counters.hash_key(total - self._charged)
+        self.counters.move_tuple(total - self._charged)
+        self.counters.compare(compares)
+        self._charged = total
+
+        # Per run (sorted-key order): its rows, its key's chain position.
+        counts = np.append(starts[1:], total) - starts
+        run_ranks = np.empty(distinct, dtype=np.intp)
+        run_ranks[first_seen] = ranks
+        lengths = np.bincount(chains, minlength=mask + 1)
+        self._built = (
+            order, starts, counts, uniq, run_ranks, lengths, mask,
+            first_seen[chain_order],
+        )
+        return self._built
+
+    def probe(self, keys: Any) -> Tuple[Any, Any]:
+        """Probe with the int64 array ``keys``; return parallel (build,
+        probe) index arrays in the specification's match order: probe
+        rows in input order, each row's matches in insertion order."""
+        order, starts, counts, uniq, run_ranks, lengths, mask, _ = self._build()
+        self.counters.hash_key(len(keys))
+        if not len(uniq):
+            return order, order
+        runs, hit = _locate(uniq, keys)
+        probe_idx = np.flatnonzero(hit)
+        runs = runs[probe_idx]
+        compares = int(run_ranks[runs].sum()) + len(runs)
+        if len(runs) < len(keys):
+            compares += int(lengths[int_hashes(keys[~hit]) & mask].sum())
+        self.counters.compare(compares)
+        if len(uniq) == len(order):  # unique build keys: a run is a row
+            return order[runs], probe_idx
+        matches = counts[runs]
+        build_idx = order[_run_rows(starts[runs], matches)]
+        return build_idx, np.repeat(probe_idx, matches)
+
+    def values(self) -> Any:
+        """Every value in the order :meth:`HashIndex.items` yields them:
+        bucket by bucket, each chain in order, a key's values in
+        insertion order."""
+        order, starts, counts, _, _, _, _, chain_runs = self._build()
+        return order[_run_rows(starts[chain_runs], counts[chain_runs])]
 
 
 def flatten_chains(
@@ -108,30 +318,155 @@ def flatten_chains(
     return build_idx, probe_idx
 
 
-def probe_page(
-    table: HashIndex,
-    store: ColumnStore,
-    output: Relation,
-    keys: Sequence[Any],
-    page: Page,
-    positions: Optional[List[int]] = None,
-) -> int:
-    """Probe one page's key column and emit matches columnar-ly.
+def _packed_keys(relation: Relation, index: int) -> bool:
+    """Whether every page of ``relation`` holds column ``index`` as a
+    packed int64 buffer (a page that demoted it says no)."""
+    for page in relation.pages:
+        if len(page):
+            column = page.column(index)
+            if type(column) is not array or column.typecode != "q":
+                return False
+    return True
 
-    ``positions`` maps probe-key ordinals back to page slots when only a
-    subset of the page was probed (hybrid's resident class); ``None``
-    means the whole page in slot order.  Returns the match count.
+
+class JoinTable:
+    """A hash join's memory-resident build side, and the probes against it.
+
+    Holds R's resident rows column-wise (:class:`ColumnStore`) under a
+    hash table from join key to store index.  With packed int64 keys on
+    every page of both inputs the table is a :class:`PackedHashTable`
+    and probe pages are only *staged* -- :meth:`flush` looks a whole
+    phase's keys up at once and emits the matches, so numpy's fixed cost
+    is paid per phase, not per page; otherwise it is a chained
+    :class:`HashIndex`, probed page by page.  Rows out, their order and
+    every charge are the same either way.
     """
-    chains = table.probe_batch(keys)
-    build_idx, probe_idx = flatten_chains(chains)
-    if not build_idx:
-        return 0
-    if positions is not None:
-        probe_idx = [positions[i] for i in probe_idx]
-    out_cols = gather_columns(store.columns, build_idx)
-    out_cols.extend(gather_columns(page.columns, probe_idx))
-    output.extend_columns(out_cols, len(build_idx))
-    return len(build_idx)
+
+    def __init__(self, spec: JoinSpec, counters: OperationCounters) -> None:
+        self._s = spec.s
+        self._r_ki, self._s_ki = spec.r_key_index, spec.s_key_index
+        self._store = ColumnStore(spec.r)
+        self._packed = (
+            _kernel_usable()
+            and _packed_keys(spec.r, self._r_ki)
+            and _packed_keys(spec.s, self._s_ki)
+        )
+        self._table: Any = (
+            PackedHashTable(counters, spec.params.fudge)
+            if self._packed
+            else HashIndex(counters, max_load=spec.params.fudge)
+        )
+        #: Staged probe pages, and the staged rows that probe (None: all).
+        self._probes = ColumnStore(spec.s)
+        self._probe_rows: Optional[array] = None
+
+    def __len__(self) -> int:
+        return len(self._store)
+
+    def insert(self, page: Page, slots: Optional[List[int]] = None) -> None:
+        """Build step for one page of R (``slots``: only those rows).
+
+        Charges what inserting ``(key, row)`` pairs charges -- the table
+        stores the rows' store indices instead.
+        """
+        columns, count = page.columns, len(page)
+        if slots is not None:
+            columns, count = gather_columns(columns, slots), len(slots)
+        keys = columns[self._r_ki]
+        if self._packed:
+            self._table.append(keys)
+        else:
+            base = len(self._store)
+            self._table.insert_batch(zip(keys, range(base, base + count)))
+        self._store.add_columns(columns, count)
+
+    def probe(
+        self, page: Page, output: Relation, slots: Optional[List[int]] = None
+    ) -> None:
+        """Probe step for one page of S (``slots``: only those rows)."""
+        if not self._packed:
+            keys = page.column(self._s_ki)
+            if slots is not None:
+                keys = list(map(keys.__getitem__, slots))
+            build_idx, probe_idx = flatten_chains(self._table.probe_batch(keys))
+            if slots is not None:
+                probe_idx = [slots[i] for i in probe_idx]
+            self._emit(output, build_idx, page.columns, probe_idx)
+            return
+        base = len(self._probes)
+        if slots is not None and self._probe_rows is None:
+            self._probe_rows = array("q", range(base))
+        if self._probe_rows is not None:
+            self._probe_rows.extend(
+                range(base, base + len(page))
+                if slots is None
+                else map(base.__add__, slots)
+            )
+        self._probes.add_page(page)
+        if len(self._probes) >= PROBE_FLUSH_ROWS:
+            self.flush(output)
+
+    def flush(self, output: Relation) -> None:
+        """Probe every staged key at once and emit the matches.
+
+        Call at the end of a probe phase, and before :meth:`items` --
+        matches found against the table precede whatever re-reads it.
+        With nothing staged it still settles the build's charges.
+        """
+        if not len(self._probes):
+            if self._packed:
+                self._table.settle()
+            return
+        columns = self._probes.columns
+        keys = packed_view(columns[self._s_ki])
+        rows = None
+        if self._probe_rows is not None:
+            rows = packed_view(self._probe_rows)
+            keys = keys[rows]
+        build_idx, probe_idx = self._table.probe(keys)
+        if rows is not None:
+            probe_idx = rows[probe_idx]
+        self._emit(output, build_idx, columns, probe_idx)
+        self._probes = ColumnStore(self._s)
+        self._probe_rows = None
+
+    def _emit(
+        self,
+        output: Relation,
+        build_idx: Sequence[int],
+        s_columns: Sequence[Column],
+        probe_idx: Sequence[int],
+    ) -> None:
+        if len(build_idx):
+            out_cols = gather_columns(self._store.columns, build_idx)
+            out_cols.extend(gather_columns(s_columns, probe_idx))
+            output.extend_columns(out_cols, len(build_idx))
+
+    def items(self) -> Iterator[Tuple[Any, Row]]:
+        """``(key, row)`` pairs in the chained table's dump order (bucket,
+        chain, insertion) -- what a demotion writes out and phase 2
+        re-reads, so the output row order depends on it."""
+        if not self._packed:
+            for key, index in self._table.items():
+                yield key, self._store.row(index)
+            return
+        key = self._r_ki
+        for index in self._table.values().tolist():
+            row = self._store.row(index)
+            yield row[key], row
+
+
+def _packed_pair(
+    r_keys: List[Any], s_keys: List[Any]
+) -> Optional[Tuple[array, array]]:
+    """Both key lists as packed int64 buffers, or ``None`` when a key is
+    no such integer (or the kernel is unusable)."""
+    if not _kernel_usable():
+        return None
+    try:
+        return array("q", r_keys), array("q", s_keys)
+    except (TypeError, OverflowError):
+        return None
 
 
 def join_bucket_columnar(
@@ -145,18 +480,24 @@ def join_bucket_columnar(
 ) -> int:
     """Columnar twin of :func:`repro.join.parallel.join_bucket`.
 
-    Same hash-table build and probe (hence identical charges), but the
+    Same hash-table build and probe (hence identical charges) -- through
+    the packed kernel when both buckets' keys pack as int64 -- but the
     matched pairs are emitted by transposing the bucket rows once and
     group-gathering survivor columns instead of concatenating one tuple
     per match.  Returns the match count.
     """
-    table = HashIndex(counters, max_load=fudge)
-    table.insert_batch(
-        (row[r_key_index], i) for i, row in enumerate(r_rows)
-    )
-    chains = table.probe_batch([row[s_key_index] for row in s_rows])
-    build_idx, probe_idx = flatten_chains(chains)
-    if not build_idx:
+    r_keys = [row[r_key_index] for row in r_rows]
+    s_keys = [row[s_key_index] for row in s_rows]
+    packed = _packed_pair(r_keys, s_keys)
+    if packed is not None:
+        packed_table = PackedHashTable(counters, fudge)
+        packed_table.append(packed[0])
+        build_idx, probe_idx = packed_table.probe(packed_view(packed[1]))
+    else:
+        table = HashIndex(counters, max_load=fudge)
+        table.insert_batch(zip(r_keys, range(len(r_keys))))
+        build_idx, probe_idx = flatten_chains(table.probe_batch(s_keys))
+    if not len(build_idx):
         return 0
     out_cols = gather_columns(list(zip(*r_rows)), build_idx)
     out_cols.extend(gather_columns(list(zip(*s_rows)), probe_idx))
@@ -166,8 +507,10 @@ def join_bucket_columnar(
 
 __all__ = [
     "ColumnStore",
+    "JoinTable",
+    "PROBE_FLUSH_ROWS",
+    "PackedHashTable",
     "flatten_chains",
-    "insert_page",
+    "int_hashes",
     "join_bucket_columnar",
-    "probe_page",
 ]

@@ -18,12 +18,20 @@ import enum
 import heapq
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cost.counters import OperationCounters, heap_push_charges
 from repro.join.partition import SpillWriter, partition_hash, read_bucket
-from repro.operators.columnar import charge_page_group, page_keys
+from repro.operators.columnar import (
+    charge_page_group,
+    column_of,
+    group_rows,
+    int_key_views,
+    page_keys,
+)
+from repro.storage.codecs import Column, np, packed_column, packed_view
 from repro.storage.disk import SimulatedDisk
 from repro.storage.relation import Relation, Row
 from repro.storage.tuples import DataType, Field, Schema, tuple_projector
@@ -136,6 +144,96 @@ def _emit_groups(
 _MISSING = object()
 
 
+def _count_of_nothing(
+    out: Relation,
+    relation: Relation,
+    group_by: Sequence[str],
+    aggregates: Sequence[AggregateSpec],
+) -> None:
+    """SQL's one row for an ungrouped aggregate over no rows, where that
+    row needs no NULL: every aggregate is a COUNT, and counts zero."""
+    if (
+        not group_by
+        and not relation.cardinality
+        and all(s.function is AggregateFunction.COUNT for s in aggregates)
+    ):
+        out.extend_rows([(0,) * len(aggregates)])
+
+
+def _fold_packed(
+    function: AggregateFunction,
+    values: Optional[Any],
+    gid: Any,
+    groups: int,
+    runs: Tuple[Any, Any, Any],
+) -> Optional[Column]:
+    """One aggregate over a whole packed column (``values``: its numpy
+    view), one result per group in first-seen order -- or ``None`` where
+    numpy would not answer as the accumulators do, and the caller loops.
+
+    COUNT is a ``bincount``; SUM and AVG are a weighted one, which adds
+    each group's values in row order from ``0.0`` in double precision --
+    the accumulator's arithmetic and rounding; MIN and MAX reduce the
+    runs of equal keys.  A float MIN/MAX column is left to the loop:
+    numpy and Python disagree on NaN and on which of two equal extremes
+    (``0.0``, ``-0.0``) is kept.
+    """
+    if function is AggregateFunction.COUNT:
+        return packed_column("q", np.bincount(gid, minlength=groups))
+    if values is None:
+        return None
+    if function is AggregateFunction.SUM:
+        return packed_column(
+            "d", np.bincount(gid, weights=values, minlength=groups)
+        )
+    if function is AggregateFunction.AVG:
+        totals = np.bincount(gid, weights=values, minlength=groups)
+        return packed_column("d", totals / np.bincount(gid, minlength=groups))
+    if values.dtype.kind != "i":
+        return None
+    order, starts, first_seen = runs
+    reduce = np.minimum if function is AggregateFunction.MIN else np.maximum
+    return packed_column(
+        "q", reduce.reduceat(values[order], starts)[first_seen]
+    )
+
+
+def _fold_loop(
+    function: AggregateFunction,
+    values: Optional[Sequence[Any]],
+    gid: Sequence[int],
+    groups: int,
+) -> List[Any]:
+    """:func:`_fold_packed` for any column, one Python step per row:
+    what each group's accumulator computes, in one list per aggregate."""
+    if function is AggregateFunction.COUNT:
+        counts = [0] * groups
+        for g in gid:
+            counts[g] += 1
+        return counts
+    assert values is not None, "only COUNT takes no column"
+    if function in (AggregateFunction.SUM, AggregateFunction.AVG):
+        totals = [0.0] * groups
+        for g, v in zip(gid, values):
+            totals[g] += v
+        if function is AggregateFunction.SUM:
+            return totals
+        counts = _fold_loop(AggregateFunction.COUNT, None, gid, groups)
+        return [total / count for total, count in zip(totals, counts)]
+    extremes: List[Any] = [_MISSING] * groups
+    if function is AggregateFunction.MIN:
+        for g, v in zip(gid, values):
+            cur = extremes[g]
+            if cur is _MISSING or v < cur:
+                extremes[g] = v
+    else:
+        for g, v in zip(gid, values):
+            cur = extremes[g]
+            if cur is _MISSING or v > cur:
+                extremes[g] = v
+    return extremes
+
+
 def _hash_aggregate_columnar(
     relation: Relation,
     group_indexes: List[int],
@@ -143,116 +241,78 @@ def _hash_aggregate_columnar(
     aggregates: Sequence[AggregateSpec],
     counters: OperationCounters,
     token: Optional[Any],
-) -> List[Row]:
-    """One-pass aggregation over packed column buffers; returns result rows.
+    capacity: Optional[int],
+) -> Optional[Tuple[int, List[Column]]]:
+    """One-pass aggregation, column by column: the number of groups and
+    the result's columns -- or ``None``, having charged and checked
+    nothing, when the groups outnumber ``capacity`` and tuples must
+    spill as rows.
 
-    Only valid when the group table cannot overflow (no memory grant, so
-    no spilling): group keys are scanned straight off the grouping
-    column (scalar dict keys for a single column -- no per-row tuple),
-    and each aggregate folds its value column in a dedicated tight loop
-    over plain dicts instead of per-row ``_Accumulator`` method calls.
+    The distinct groups are counted first.  Packed int64 grouping
+    columns are grouped by the hash kernel's stable sort
+    (:func:`~repro.operators.columnar.group_rows`) and each aggregate
+    folds its whole packed value column in a few array operations
+    (:func:`_fold_packed`); any other input -- string or float keys, a
+    float column to MIN/MAX, a demoted page, no numpy -- numbers its
+    keys through a dict and folds in a tight loop (:func:`_fold_loop`).
+    An ungrouped aggregate groups by a constant.
 
     Observational identity with the row paths is preserved carefully:
-    group emit order is first-seen order, SUM/AVG totals start at ``0.0``
-    and add in row order (same float rounding), and MIN/MAX keep the
-    first extreme seen among equals.
+    groups are emitted in first-seen order, SUM/AVG totals start at
+    ``0.0`` and add in row order (same float rounding), and MIN/MAX keep
+    the first extreme seen among equals.
     """
-    single = len(group_indexes) == 1
-    #: First-seen group order (dict used as an ordered set).
-    order: Dict[Any, None] = {}
-    states: List[Any] = []
-    for spec in aggregates:
-        if spec.function is AggregateFunction.AVG:
-            states.append(({}, {}))  # totals, counts
-        else:
-            states.append({})
+    rows = relation.cardinality
+    # Only the grouping columns are read before the groups are known to fit.
+    keys = [column_of(relation, i) for i in group_indexes] or [
+        array("q", bytes(8 * rows))
+    ]
+    columns = dict(zip(group_indexes, keys))
+    limit = rows if capacity is None else capacity
+    views = int_key_views(keys) if rows else None
+    loop_gid: Optional[List[int]] = None
+    if views is not None:
+        order, starts, first_seen, gid, fresh = group_rows(views)
+        groups = len(starts)
+        if groups > limit:
+            return None
+        first_rows = np.flatnonzero(fresh)
+        out: List[Column] = [
+            packed_column("q", view[first_rows]) for view in views
+        ]
+    else:
+        numbers: Dict[Any, int] = {}
+        loop_gid = []
+        for key in keys[0] if len(keys) == 1 else zip(*keys):
+            loop_gid.append(numbers.setdefault(key, len(numbers)))
+            if len(numbers) > limit:  # never holds more groups than fit
+                return None
+        groups = len(numbers)
+        out = [list(numbers)] if len(keys) == 1 else list(zip(*numbers))
 
     for page in relation.pages:
         if token is not None:
             token.check()
-        n = len(page)
-        charge_page_group(counters, n)
-        if not n:
-            continue
-        keys: Optional[Sequence[Any]]
-        if not group_indexes:
-            keys = None
-            if () not in order:
-                order[()] = None
-        elif single:
-            keys = page.column(group_indexes[0])
-            for k in keys:
-                if k not in order:
-                    order[k] = None
-        else:
-            keys = page_keys(page, group_indexes)
-            for k in keys:
-                if k not in order:
-                    order[k] = None
-        for spec, idx, state in zip(aggregates, agg_indexes, states):
-            func = spec.function
-            col = page.column(idx) if idx is not None else None
-            if keys is None:
-                # Ungrouped: fold the whole column in one C-level call.
-                if func is AggregateFunction.COUNT:
-                    state[()] = state.get((), 0) + n
-                elif func is AggregateFunction.SUM:
-                    state[()] = sum(col, state.get((), 0.0))
-                elif func is AggregateFunction.AVG:
-                    totals, cnts = state
-                    totals[()] = sum(col, totals.get((), 0.0))
-                    cnts[()] = cnts.get((), 0) + n
-                elif func is AggregateFunction.MIN:
-                    m = min(col)
-                    cur = state.get((), _MISSING)
-                    if cur is _MISSING or m < cur:
-                        state[()] = m
-                else:
-                    m = max(col)
-                    cur = state.get((), _MISSING)
-                    if cur is _MISSING or m > cur:
-                        state[()] = m
-            elif func is AggregateFunction.COUNT:
-                get = state.get
-                for k in keys:
-                    state[k] = get(k, 0) + 1
-            elif func is AggregateFunction.SUM:
-                get = state.get
-                for k, v in zip(keys, col):
-                    state[k] = get(k, 0.0) + v
-            elif func is AggregateFunction.AVG:
-                totals, cnts = state
-                tget = totals.get
-                cget = cnts.get
-                for k, v in zip(keys, col):
-                    totals[k] = tget(k, 0.0) + v
-                    cnts[k] = cget(k, 0) + 1
-            elif func is AggregateFunction.MIN:
-                get = state.get
-                for k, v in zip(keys, col):
-                    cur = get(k, _MISSING)
-                    if cur is _MISSING or v < cur:
-                        state[k] = v
-            else:
-                get = state.get
-                for k, v in zip(keys, col):
-                    cur = get(k, _MISSING)
-                    if cur is _MISSING or v > cur:
-                        state[k] = v
+        charge_page_group(counters, len(page))
 
-    rows: List[Row] = []
-    for k in order:
-        key = (k,) if single else k
-        values: List[Any] = []
-        for spec, state in zip(aggregates, states):
-            if spec.function is AggregateFunction.AVG:
-                totals, cnts = state
-                c = cnts[k]
-                values.append(totals[k] / c if c else 0.0)
-            else:
-                values.append(state[k])
-        rows.append(key + tuple(values))
-    return rows
+    del out[len(group_indexes):]  # the constant an ungrouped fold grouped by
+    for spec, idx in zip(aggregates, agg_indexes):
+        if idx is not None and idx not in columns:
+            columns[idx] = column_of(relation, idx)
+        values = columns[idx] if idx is not None else None
+        folded = None
+        if views is not None:
+            folded = _fold_packed(
+                spec.function,
+                packed_view(values) if idx is not None else None,
+                gid, groups, (order, starts, first_seen),
+            )
+        if folded is None:
+            if loop_gid is None:
+                loop_gid = gid.tolist()
+            folded = _fold_loop(spec.function, values, loop_gid, groups)
+        out.append(folded)
+    return groups, out
 
 
 def hash_aggregate(
@@ -280,12 +340,12 @@ def hash_aggregate(
 
     The default ``batch`` path charges the hash/compare counters in
     page-sized bulk; spill order, results, and counter totals are
-    identical to ``batch=False``.  When no memory grant caps the group
-    table (``memory_pages is None``, so no tuple can ever spill) it folds
-    packed column buffers with per-aggregate tight loops
-    (:func:`_hash_aggregate_columnar`); under a grant it walks each page's
-    row view with a hoisted key extractor, because an overflowing tuple
-    spills as a row.
+    identical to ``batch=False``.  It counts the distinct groups before
+    charging anything: when they fit the grant (or there is none) no
+    tuple can spill, and it folds whole columns
+    (:func:`_hash_aggregate_columnar`); only when they overflow does it
+    walk each page's row view with a hoisted key extractor, because an
+    overflowing tuple spills as a row.
 
     ``token`` is a :class:`repro.governor.CancellationToken` checked once
     per page of input (and through every overflow recursion level).
@@ -325,35 +385,35 @@ def hash_aggregate(
         return writer
 
     if batch:
-        if capacity is None:
-            out.extend_rows(
-                _hash_aggregate_columnar(
-                    relation, group_indexes, agg_indexes, aggregates,
-                    counters, token,
-                )
-            )
-            return out
-        keyfn = tuple_projector(group_indexes)
-        get = groups.get
-        for page in relation.pages:
-            if token is not None:
-                token.check()
-            rows = page.tuples
-            counters.hash_key(len(rows))
-            counters.compare(len(rows))
-            for row in rows:
-                key = keyfn(row)
-                accs = get(key)
-                if accs is None:
-                    if capacity is not None and len(groups) >= capacity:
-                        ensure_writer().write(
-                            partition_hash((_depth, key)) % buckets, row
-                        )
-                        continue
-                    accs = [_Accumulator(spec.function) for spec in aggregates]
-                    groups[key] = accs
-                for acc, idx in zip(accs, agg_indexes):
-                    acc.update(row[idx] if idx is not None else 1)
+        folded = _hash_aggregate_columnar(
+            relation, group_indexes, agg_indexes, aggregates,
+            counters, token, capacity,
+        )
+        if folded is not None:
+            out.extend_columns(folded[1], folded[0])
+        else:
+            # The groups overflow the grant: some tuple spills, as a row.
+            keyfn = tuple_projector(group_indexes)
+            get = groups.get
+            for page in relation.pages:
+                if token is not None:
+                    token.check()
+                rows = page.tuples
+                counters.hash_key(len(rows))
+                counters.compare(len(rows))
+                for row in rows:
+                    key = keyfn(row)
+                    accs = get(key)
+                    if accs is None:
+                        if len(groups) >= capacity:
+                            ensure_writer().write(
+                                partition_hash((_depth, key)) % buckets, row
+                            )
+                            continue
+                        accs = [_Accumulator(s.function) for s in aggregates]
+                        groups[key] = accs
+                    for acc, idx in zip(accs, agg_indexes):
+                        acc.update(row[idx] if idx is not None else 1)
     else:
         tpp = max(1, relation.tuples_per_page)
         for n, row in enumerate(relation):
@@ -373,6 +433,7 @@ def hash_aggregate(
             ensure_writer().write(partition_hash((_depth, key)) % buckets, row)
 
     _emit_groups(out, groups)
+    _count_of_nothing(out, relation, group_by, aggregates)
 
     if writer is not None:
         writer.close()
@@ -531,6 +592,7 @@ def sort_aggregate(
                 counters, token,
             )
         )
+        _count_of_nothing(out, relation, group_by, aggregates)
         return out
 
     heap: List[Tuple[Tuple[Any, ...], int, Row]] = []
@@ -562,6 +624,7 @@ def sort_aggregate(
     if current is not None:
         emitted.append(current + tuple(a.result() for a in accs))
     out.extend_rows(emitted)
+    _count_of_nothing(out, relation, group_by, aggregates)
     return out
 
 

@@ -20,7 +20,14 @@ from array import array
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.cost.counters import OperationCounters
-from repro.storage.codecs import Column, compress_column, np, packed_view
+from repro.storage.codecs import (
+    INT_KIND,
+    Column,
+    compress_column,
+    np,
+    packed_column,
+    packed_view,
+)
 from repro.storage.page import Page
 from repro.storage.relation import Relation
 from repro.storage.tuples import tuple_projector
@@ -134,14 +141,94 @@ def gather_columns(
         view = packed_view(col)
         if view is not None:
             if idx is None:
-                idx = np.fromiter(indices, dtype=np.intp, count=len(indices))
-            taken = array(col.typecode)
-            taken.frombytes(view[idx].tobytes())
-            out.append(taken)
-        elif type(col) is array:
+                # The hash kernel's index arrays are taken as they are.
+                idx = (
+                    indices
+                    if isinstance(indices, np.ndarray)
+                    else np.fromiter(indices, dtype=np.intp, count=len(indices))
+                )
+            out.append(packed_column(col.typecode, view[idx]))
+            continue
+        if hasattr(indices, "tolist"):
+            indices = indices.tolist()
+        if type(col) is array:
             out.append(array(col.typecode, map(col.__getitem__, indices)))
         else:
             out.append(list(map(col.__getitem__, indices)))
+    return out
+
+
+def int_key_views(columns: Sequence[Column]) -> Optional[List[Any]]:
+    """Numpy views of ``columns`` when every one is a packed int64 buffer
+    (and numpy imports) -- what selects the hash kernels; else ``None``.
+
+    Integers only: int64 equality and order are Python's, where floats
+    bring ``0.0 == -0.0``, NaN and ``hash(1.0) == hash(1)`` with them.
+    """
+    views = []
+    for col in columns:
+        view = packed_view(col)
+        if view is None or col.typecode != INT_KIND:
+            return None
+        views.append(view)
+    return views
+
+
+def stable_argsort(values: Any) -> Any:
+    """``values.argsort(kind="stable")`` for an integer array.  Values
+    within a 16-bit range are sorted as their offsets from the smallest:
+    numpy radix-sorts 16-bit integers, in linear time."""
+    if len(values):
+        low = int(values.min())
+        if int(values.max()) - low < 1 << 16:
+            values = (values - low).astype(np.uint16)
+    return values.argsort(kind="stable")
+
+
+def group_rows(keys: Sequence[Any]) -> Tuple[Any, Any, Any, Any, Any]:
+    """Group the rows of parallel int64 key arrays ``keys`` by equal key.
+
+    One stable sort, shared by the hash join table, GROUP BY and
+    DISTINCT.  Returns ``(order, starts, first_seen, gid, fresh)``:
+    ``order`` lists the rows sorted by key, equal keys in row order;
+    ``starts`` holds the offset in ``order`` where each run of equal keys
+    begins; ``first_seen`` lists the runs in the order their keys first
+    appear -- the order a chained table meets them and a hash aggregate
+    emits them; ``gid`` numbers every row's key in that order; ``fresh``
+    marks the rows that show a key for the first time.
+    """
+    n = len(keys[0])
+    if len(keys) == 1:
+        order = stable_argsort(keys[0])
+    else:
+        order = np.lexsort(keys[::-1])  # stable; the last key is primary
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    for column in keys:
+        ordered = column[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(new)
+    first_rows = order[starts]  # stable: a run's first row shows its key first
+    fresh = np.zeros(n, dtype=bool)
+    fresh[first_rows] = True
+    numbering = fresh.cumsum()[first_rows] - 1
+    first_seen = np.empty(len(starts), dtype=np.intp)
+    first_seen[numbering] = np.arange(len(starts))
+    gid = np.empty(n, dtype=np.intp)
+    gid[order] = numbering[new.cumsum() - 1]
+    return order, starts, first_seen, gid, fresh
+
+
+def column_of(relation: Relation, index: int) -> Column:
+    """Column ``index`` of every page of ``relation`` as one buffer --
+    packed when every page holds it packed, an object list otherwise."""
+    parts = [page.column(index) for page in relation.pages if len(page)]
+    if parts and all(type(part) is array for part in parts):
+        out: Column = array(parts[0].typecode)
+    else:
+        out = []
+    for part in parts:
+        out.extend(part)
     return out
 
 
@@ -187,9 +274,13 @@ __all__ = [
     "charge_page_group",
     "charge_page_hashes",
     "charge_page_moves",
+    "column_of",
     "copy_columns",
     "gather_columns",
+    "group_rows",
+    "int_key_views",
     "kept_columns",
     "narrowed",
     "page_keys",
+    "stable_argsort",
 ]

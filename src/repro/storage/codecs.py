@@ -116,6 +116,13 @@ def packed_view(column: Column) -> Optional[Any]:
     return np.frombuffer(column, dtype=_NP_DTYPES[column.typecode])
 
 
+def packed_column(typecode: str, values: Any) -> array:
+    """A packed buffer holding the 8-byte numpy array ``values``."""
+    out = array(typecode)
+    out.frombytes(values.tobytes())
+    return out
+
+
 def compress_column(column: Column, mask: Sequence[bool]) -> Column:
     """``column`` filtered by ``mask``, preserving packedness.
 
@@ -124,9 +131,7 @@ def compress_column(column: Column, mask: Sequence[bool]) -> Column:
     """
     if isinstance(column, array):
         if np is not None and isinstance(mask, np.ndarray):
-            out = array(column.typecode)
-            out.frombytes(packed_view(column)[mask].tobytes())
-            return out
+            return packed_column(column.typecode, packed_view(column)[mask])
         return array(column.typecode, compress(column, mask))
     return list(compress(column, mask))
 
@@ -144,5 +149,6 @@ __all__ = [
     "kind_for_dtype",
     "make_column",
     "np",
+    "packed_column",
     "packed_view",
 ]

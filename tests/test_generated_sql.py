@@ -8,8 +8,9 @@ join (2- and 3-way) / group-by statements over it.  Every statement must
 * return the multiset of rows stdlib ``sqlite3`` returns for the same
   text over the same rows (the performance ledger's oracle idea,
   re-implemented here in a few lines);
-* return the same rows and charge byte-identical counters in the
-  tuple-at-a-time specification arm and the production arm;
+* return the same rows, charge byte-identical counters and check its
+  cancellation token as many times in the tuple-at-a-time specification
+  arm and the production arm;
 * carry up from each table exactly the columns the statement reads above
   that table's access path -- SELECT list, GROUP BY, aggregate inputs and
   join keys, never a column only a predicate names -- or one column when
@@ -32,6 +33,7 @@ from hypothesis import strategies as st
 
 from repro import DataType, MainMemoryDatabase
 from repro.cost.counters import OperationCounters
+from repro.governor import CancellationToken, QueryGuard
 from repro.planner.plan import PlanContext
 from repro.planner.sql import parse_sql
 from tests.conftest import access_paths
@@ -255,31 +257,26 @@ def sqlite_rows(theirs, statement: Statement, names: List[str]) -> Counter:
     """sqlite's answer as a multiset, columns in the order ``names``."""
     cursor = theirs.execute(statement.sql())
     order = [[d[0] for d in cursor.description].index(n) for n in names]
-    rows = Counter(tuple(row[i] for i in order) for row in cursor)
-    if statement.aggregates and not statement.group_by and rows == Counter(
-        {(0,): 1}
-    ):
-        # A known divergence, recorded in ROADMAP.md: an ungrouped
-        # aggregate over no rows yields no row here, one row in SQL.
-        return Counter()
-    return rows
+    return Counter(tuple(row[i] for i in order) for row in cursor)
 
 
 def execute(ours, plan, batch: bool):
+    """Rows, charges and cancellation checks of one execution of ``plan``."""
+    token = CancellationToken(qid=1)
     ctx = PlanContext(
         catalog=ours.catalog, memory_pages=ours.memory_pages, params=ours.params,
-        counters=OperationCounters(), batch=batch,
+        counters=OperationCounters(), batch=batch, guard=QueryGuard(token=token),
     )
     out = plan.execute(ctx)
-    return out.schema.names, Counter(out), ctx.counters.as_dict()
+    return out.schema.names, Counter(out), ctx.counters.as_dict(), token.checks
 
 
 def check(ours, theirs, statement: Statement):
     """Assert the four properties of the module docstring; return the
     statement's rows and its plan."""
     plan = ours.plan(parse_sql(statement.sql(), ours.catalog))
-    names, rows, charged = execute(ours, plan, batch=True)
-    assert (names, rows, charged) == execute(ours, plan, batch=False)
+    names, rows, charged, checks = execute(ours, plan, batch=True)
+    assert (names, rows, charged, checks) == execute(ours, plan, batch=False)
     assert rows == sqlite_rows(theirs, statement, names), statement.sql()
 
     read = statement.read_above()
