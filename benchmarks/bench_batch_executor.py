@@ -20,9 +20,6 @@ Knobs:
 * ``REPRO_BENCH_SCALE`` scales the tuple counts (CI smoke runs 0.25).
   The >= 3x headline assertion only applies at full scale; any scale
   asserts batch is not slower than tuple-at-a-time.
-* The parallel column (``workers=2``) is reported for the partitioned
-  hash joins and asserted *bit-identical*, never faster -- single-core
-  containers make it slower, which is fine: determinism is the claim.
 """
 
 from __future__ import annotations
@@ -56,7 +53,6 @@ REPS = 3
 MIN_SPEEDUP = 3.0 if SCALE >= 1.0 else 1.0
 
 JOINS = ["nested-loops", "simple-hash", "grace-hash", "hybrid-hash", "sort-merge"]
-PARALLEL_JOINS = {"grace-hash", "hybrid-hash"}
 
 
 def build_instance(tuples: int):
@@ -153,7 +149,7 @@ def test_batch_executor_speedup():
         t_batch, out_batch = timed(join_runner(name, tuples, batch=True))
         assert out_batch[0] == out_tuple[0], "%s: rows diverge" % name
         assert out_batch[1] == out_tuple[1], "%s: counters diverge" % name
-        entry: Dict[str, Any] = {
+        components.append({
             "component": "join:%s" % name,
             "rows": tuples,
             "tuple_s": round(t_tuple, 6),
@@ -161,16 +157,7 @@ def test_batch_executor_speedup():
             "speedup": round(t_tuple / t_batch, 3),
             "identical_results": True,
             "identical_counters": True,
-        }
-        if name in PARALLEL_JOINS:
-            t_par, out_par = timed(join_runner(name, tuples, batch=True, workers=2))
-            assert out_par[0] == out_tuple[0], "%s: parallel rows diverge" % name
-            assert out_par[1] == out_tuple[1], (
-                "%s: parallel counters diverge" % name
-            )
-            entry["parallel_s"] = round(t_par, 6)
-            entry["parallel_identical"] = True
-        components.append(entry)
+        })
         total_tuple += t_tuple
         total_batch += t_batch
 

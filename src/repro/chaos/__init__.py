@@ -30,8 +30,6 @@ from repro.chaos.executor import (
     run_executor_seed,
 )
 from repro.chaos.injector import (
-    RESPLIT_FAULT_KINDS,
-    WORKER_FAULT_KINDS,
     CrashSignal,
     FaultInjector,
     FaultPlan,
@@ -70,12 +68,10 @@ __all__ = [
     "InvariantChecker",
     "InvariantReport",
     "InvariantViolation",
-    "RESPLIT_FAULT_KINDS",
     "ScenarioConfig",
     "ScenarioRun",
     "ShadowDatabase",
     "SweepReport",
-    "WORKER_FAULT_KINDS",
     "build_scenario",
     "capture",
     "capture_baseline",

@@ -1,24 +1,20 @@
 """Seeded chaos sweeps over the governed query executor.
 
 The recovery sweeps (:mod:`repro.chaos.harness`) attack the durability
-stack; this module attacks the *query* stack with the governor's three
+stack; this module attacks the *query* stack with the governor's two
 fault seams (docs/ROBUSTNESS.md):
 
 * **cancel** -- the running query's token is cancelled at an exact page
   boundary (``FaultPlan.cancel_at_page``);
 * **revoke** -- the running query's memory grant is revoked down to a few
   pages at an exact page boundary, forcing hybrid hash to demote its
-  resident partition toward pure GRACE;
-* **worker faults** -- exact parallel bucket jobs are killed, hung, or
-  garbled (``FaultPlan.worker_faults``), forcing the coordinator's
-  timeout/sentinel detection and serial retry.
+  resident partition toward pure GRACE.
 
 The contract checked after each seeded run is the
 :class:`~repro.chaos.invariants.DegradedRunOracle`: every query either
 returns rows identical to the undisturbed run or raises a typed governor
 error, and when no cancellation or revocation actually fired the
-operation counters must match the undisturbed run exactly (worker faults
-are absorbed by counter-identical serial retries).
+operation counters must match the undisturbed run exactly.
 
 Everything derives deterministically from ``(scenario, seed)`` -- a
 failing seed replays with ``pytest tests/chaos --chaos-seed N``.
@@ -32,7 +28,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.chaos.injector import FaultInjector
 from repro.chaos.invariants import DegradedRunOracle, InvariantViolation
 from repro.core.database import MainMemoryDatabase
-from repro.governor import GovernorConfig
 from repro.operators.aggregate import AggregateFunction, AggregateSpec
 from repro.operators.selection import Comparison
 from repro.planner.query import JoinClause, Query
@@ -48,11 +43,6 @@ class ExecutorScenario:
     #: Small enough that the join spills into buckets (hybrid phase 2).
     memory_pages: int = 4
     page_bytes: int = 256
-    #: >1 exercises the parallel phase-2 path and its fault handling.
-    join_workers: int = 1
-    #: Seconds before a killed/hung worker counts as failed.  Worker-kill
-    #: seeds pay this once per lost job, so tests keep it small.
-    worker_timeout: float = 2.0
     batch: bool = True
 
 
@@ -62,8 +52,6 @@ def build_database(scenario: ExecutorScenario) -> MainMemoryDatabase:
         memory_pages=scenario.memory_pages,
         page_bytes=scenario.page_bytes,
         batch=scenario.batch,
-        join_workers=scenario.join_workers,
-        governor=GovernorConfig(worker_timeout=scenario.worker_timeout),
     )
     db.create_table(
         "emp",
@@ -77,8 +65,7 @@ def build_database(scenario: ExecutorScenario) -> MainMemoryDatabase:
         "dept", [("dept_id", DataType.INTEGER), ("floor", DataType.INTEGER)]
     )
     # proj is as large as emp, so emp |><| proj has an over-memory build
-    # side: hybrid hash spills into buckets and phase 2 actually runs
-    # (in parallel when join_workers > 1 -- the worker-fault seam).
+    # side: hybrid hash spills into buckets and phase 2 actually runs.
     db.create_table(
         "proj", [("proj_id", DataType.INTEGER), ("owner", DataType.INTEGER)]
     )
@@ -135,8 +122,6 @@ class ExecutorBaseline:
     counter_snapshot: Any
     #: Token checkpoints the whole run passed -- the cancel/revoke domain.
     exec_pages: int
-    #: Parallel bucket jobs the whole run dispatched -- the fault domain.
-    worker_jobs: int
 
 
 def capture_baseline(scenario: ExecutorScenario) -> ExecutorBaseline:
@@ -150,7 +135,6 @@ def capture_baseline(scenario: ExecutorScenario) -> ExecutorBaseline:
         rows=rows,
         counter_snapshot=db.counters.snapshot(),
         exec_pages=injector.exec_pages,
-        worker_jobs=injector.worker_jobs,
     )
 
 
@@ -179,7 +163,6 @@ class ExecutorSweepReport:
     runs: int = 0
     queries_cancelled: int = 0
     grants_revoked: int = 0
-    worker_faults_injected: int = 0
     failures: List[ExecutorChaosFailure] = field(default_factory=list)
 
     @property
@@ -188,13 +171,11 @@ class ExecutorSweepReport:
 
     def summary(self) -> str:
         return (
-            "%d runs: %d cancels, %d revocations, %d worker faults, "
-            "%d failures%s"
+            "%d runs: %d cancels, %d revocations, %d failures%s"
             % (
                 self.runs,
                 self.queries_cancelled,
                 self.grants_revoked,
-                self.worker_faults_injected,
                 len(self.failures),
                 "".join("\n  " + str(f) for f in self.failures[:10]),
             )
@@ -208,9 +189,7 @@ def run_executor_seed(
 ) -> Tuple[FaultInjector, List[ExecutorChaosFailure]]:
     """One seeded disturbed run, checked against the baseline."""
     injector = FaultInjector.seeded_executor(
-        seed,
-        max_pages=baseline.exec_pages,
-        max_jobs=max(1, baseline.worker_jobs),
+        seed, max_pages=baseline.exec_pages
     )
     db = build_database(scenario).attach_chaos(injector)
     oracle = DegradedRunOracle()
@@ -253,7 +232,6 @@ def executor_sweep(
         report.runs += 1
         report.queries_cancelled += injector.queries_cancelled
         report.grants_revoked += injector.grants_revoked
-        report.worker_faults_injected += injector.worker_faults_injected
         report.failures.extend(failures)
     return report
 

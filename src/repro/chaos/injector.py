@@ -31,23 +31,8 @@ way a real sector-checksummed log loses the partially-written tail.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-#: Worker-fault kinds the executor seam can inject into a pool job:
-#: ``kill`` makes the forked worker exit hard (simulating a crash),
-#: ``hang`` makes it sleep past any reasonable timeout (a wedged worker),
-#: ``garble`` makes it return a non-sentinel payload (a corrupted result
-#: the coordinator must detect and discard).
-WORKER_FAULT_KINDS = ("kill", "hang", "garble")
-
-#: Re-split fault kinds for hybrid hash's adaptive skew handling:
-#: ``abort`` fails the re-split decision before any IO happens, ``midway``
-#: kills it after the R sub-files are partially written (recovery restores
-#: the single bucket file).  Either way the join must fall back to the
-#: static recursion path and produce identical output rows.
-RESPLIT_FAULT_KINDS = ("abort", "midway")
-
+from dataclasses import dataclass
+from typing import List, Optional
 
 # Deliberately NOT a ReproError: a crash signal must never be swallowed by
 # an `except ReproError` recovery path -- only the harness may catch it.
@@ -93,12 +78,6 @@ class FaultPlan:
     revoke_at_page: Optional[int] = None
     #: ... down to this many pages.
     revoke_to_pages: int = 2
-    #: Worker faults by dispatched-bucket-job sequence index; values are
-    #: drawn from :data:`WORKER_FAULT_KINDS`.
-    worker_faults: Dict[int, str] = field(default_factory=dict)
-    #: Re-split faults by adaptive-re-split sequence index; values are
-    #: drawn from :data:`RESPLIT_FAULT_KINDS`.
-    resplit_faults: Dict[int, str] = field(default_factory=dict)
 
     def describe(self) -> str:
         parts = ["crash@%s" % self.crash_at_point]
@@ -107,20 +86,6 @@ class FaultPlan:
         if self.revoke_at_page is not None:
             parts.append(
                 "revoke@page%d->%dp" % (self.revoke_at_page, self.revoke_to_pages)
-            )
-        if self.worker_faults:
-            parts.append(
-                "workers(%s)"
-                % ",".join(
-                    "%d:%s" % (i, k) for i, k in sorted(self.worker_faults.items())
-                )
-            )
-        if self.resplit_faults:
-            parts.append(
-                "resplits(%s)"
-                % ",".join(
-                    "%d:%s" % (i, k) for i, k in sorted(self.resplit_faults.items())
-                )
             )
         if self.write_delay_prob:
             parts.append(
@@ -154,14 +119,10 @@ class FaultInjector:
         self.checkpoint_writes_dropped = 0
         self.pages_torn = 0
         self.trace: List[str] = []
-        # Executor-seam tallies (see executor_page / worker_fault).
+        # Executor-seam tallies (see executor_page).
         self.exec_pages = 0
-        self.worker_jobs = 0
-        self.resplit_points = 0
         self.queries_cancelled = 0
         self.grants_revoked = 0
-        self.worker_faults_injected = 0
-        self.resplit_faults_injected = 0
 
     # -- constructors ------------------------------------------------------------
 
@@ -198,14 +159,12 @@ class FaultInjector:
         return cls(plan)
 
     @classmethod
-    def seeded_executor(
-        cls, seed: int, max_pages: int, max_jobs: int = 8
-    ) -> "FaultInjector":
+    def seeded_executor(cls, seed: int, max_pages: int) -> "FaultInjector":
         """A seeded executor fault schedule (query side of the house).
 
         Mirrors :meth:`seeded` for the governor's seams: the seed fully
-        determines whether/where the schedule cancels the query, revokes
-        its memory grant, and which parallel bucket jobs fail (and how).
+        determines whether/where the schedule cancels the query and
+        revokes its memory grant, and how deep the revocation cuts.
         The 1.25 slack means some schedules fire after the query finished
         -- a no-op run, worth covering like the recovery sweep's
         crash-on-idle case.
@@ -214,26 +173,10 @@ class FaultInjector:
         slack = int(max_pages * 1.25) + 1
         cancel = rng.randrange(0, slack) if rng.random() < 0.35 else None
         revoke = rng.randrange(0, slack) if rng.random() < 0.6 else None
-        faults: Dict[int, str] = {}
-        for job in range(max_jobs):
-            if rng.random() < 0.25:
-                faults[job] = WORKER_FAULT_KINDS[
-                    rng.randrange(len(WORKER_FAULT_KINDS))
-                ]
-        # Sampled after every pre-existing draw so adding the re-split
-        # seam did not reshuffle any established seed's schedule.
-        resplits: Dict[int, str] = {}
-        for event in range(max_jobs):
-            if rng.random() < 0.25:
-                resplits[event] = RESPLIT_FAULT_KINDS[
-                    rng.randrange(len(RESPLIT_FAULT_KINDS))
-                ]
         plan = FaultPlan(
             cancel_at_page=cancel,
             revoke_at_page=revoke,
             revoke_to_pages=rng.randrange(2, 8),
-            worker_faults=faults,
-            resplit_faults=resplits,
             seed=seed,
         )
         return cls(plan)
@@ -310,7 +253,7 @@ class FaultInjector:
         self.checkpoint_writes_dropped += 1
         return True
 
-    # -- executor seams (governor / worker pool) ---------------------------------
+    # -- executor seam (governor) ------------------------------------------------
 
     def executor_page(self, token=None, grant=None) -> None:
         """Tick one executor checkpoint; fire cancel/revoke if scheduled.
@@ -328,33 +271,6 @@ class FaultInjector:
         if grant is not None and self.plan.revoke_at_page == idx:
             grant.revoke(self.plan.revoke_to_pages)
             self.grants_revoked += 1
-
-    def worker_fault(self) -> Optional[str]:
-        """The fault (if any) to inject into the next dispatched bucket job.
-
-        Returns a :data:`WORKER_FAULT_KINDS` member or None.  Job indexes
-        count dispatches in submission order, which is deterministic.
-        """
-        idx = self.worker_jobs
-        self.worker_jobs += 1
-        kind = self.plan.worker_faults.get(idx)
-        if kind is not None:
-            self.worker_faults_injected += 1
-        return kind
-
-    def resplit_fault(self) -> Optional[str]:
-        """The fault (if any) for the next adaptive re-split attempt.
-
-        Returns a :data:`RESPLIT_FAULT_KINDS` member or None.  Attempts
-        are numbered in bucket order within each partition level, which is
-        deterministic per run.
-        """
-        idx = self.resplit_points
-        self.resplit_points += 1
-        kind = self.plan.resplit_faults.get(idx)
-        if kind is not None:
-            self.resplit_faults_injected += 1
-        return kind
 
     # -- torn pages --------------------------------------------------------------
 
@@ -393,6 +309,4 @@ __all__ = [
     "CrashSignal",
     "FaultInjector",
     "FaultPlan",
-    "RESPLIT_FAULT_KINDS",
-    "WORKER_FAULT_KINDS",
 ]

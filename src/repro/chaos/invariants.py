@@ -275,8 +275,8 @@ class InvariantChecker:
 class DegradedRunOracle:
     """The degraded-execution contract for governed queries.
 
-    A query that runs under the governor while chaos cancels tokens,
-    revokes grants, or fails pool workers must satisfy:
+    A query that runs under the governor while chaos cancels tokens or
+    revokes grants must satisfy:
 
     1. **All-or-typed-error** -- the query either returns its rows or
        raises a typed governor error (:class:`~repro.errors.GovernorError`
@@ -286,9 +286,8 @@ class DegradedRunOracle:
        exact multiset the undisturbed run produced.  Degradation may cost
        more, it may never change the answer.
     3. **Counter fidelity** -- when no degradation actually fired (no
-       cancellation and no grant revocation -- worker faults alone are
-       absorbed by counter-identical serial retries), the operation
-       counters must match the undisturbed run exactly.
+       cancellation and no grant revocation), the operation counters
+       must match the undisturbed run exactly.
     """
 
     def check_query(
@@ -345,9 +344,8 @@ class DegradedRunOracle:
         if snapshot != baseline_snapshot:
             raise InvariantViolation(
                 "counter-fidelity",
-                "no cancellation or revocation fired (worker faults: %d) "
-                "but the counters diverged from the undisturbed run"
-                % getattr(injector, "worker_faults_injected", 0),
+                "no cancellation or revocation fired but the counters "
+                "diverged from the undisturbed run",
             )
 
 

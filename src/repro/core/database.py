@@ -34,12 +34,12 @@ from repro.cost.counters import (
 )
 from repro.cost.parameters import CostParameters
 from repro.governor import Governor, GovernorConfig
-from repro.join.parallel import validate_workers
 from repro.operators.selection import Comparison, Predicate, select, select_tids
 from repro.planner.plan import PlanContext, PlanNode
 from repro.planner.planner import Planner, PlannerConfig
 from repro.planner.query import Query
 from repro.planner.reuse import PlanReuseCache
+from repro.recovery.parallel_restart import validate_workers
 from repro.storage.catalog import Catalog
 from repro.storage.relation import Relation
 from repro.storage.tuples import DataType, Field, Schema
@@ -64,7 +64,6 @@ class MainMemoryDatabase:
         params: Optional[CostParameters] = None,
         page_bytes: int = 4096,
         batch: bool = True,
-        join_workers: int = 1,
         reuse_cache: bool = True,
         governor: Optional[GovernorConfig] = None,
         commit_policy: str = "group",
@@ -95,15 +94,13 @@ class MainMemoryDatabase:
         #: buffers (docs/PERF.md); counted costs are identical to the
         #: tuple-at-a-time specification (``batch=False``) either way.
         self.batch = batch
-        #: Worker processes for partitioned hash joins (1 = serial).
-        self.join_workers = validate_workers(join_workers)
         #: Materialised-subplan reuse cache (None when disabled).  DML on
         #: a table eagerly drops every cached subplan that reads it.
         self.reuse = PlanReuseCache() if reuse_cache else None
         #: Optional :class:`repro.chaos.FaultInjector` (see attach_chaos).
         self.fault_injector = None
         #: The resource governor (docs/ROBUSTNESS.md): admission control,
-        #: per-query memory grants, cancellation, worker fault tolerance.
+        #: per-query memory grants, cancellation.
         #: The default total-memory budget -- one full grant per allowed
         #: concurrent query -- never throttles the single-query happy path.
         config = governor or GovernorConfig()
@@ -141,8 +138,8 @@ class MainMemoryDatabase:
         DML statement and query execution becomes a schedulable crash
         point, so fault sweeps can interrupt bulk loads and query batches
         mid-stream.  Also routes the injector into the governor so seeded
-        plans can cancel queries, revoke grants, and fail pool workers at
-        deterministic points.  Returns ``self`` for chaining."""
+        plans can cancel queries and revoke grants at deterministic
+        points.  Returns ``self`` for chaining."""
         self.fault_injector = injector
         self.governor.attach_chaos(injector)
         if self._recovery is not None:
@@ -399,7 +396,6 @@ class MainMemoryDatabase:
                     params=self.params,
                     counters=self.counters,
                     batch=self.batch,
-                    join_workers=self.join_workers,
                     reuse_cache=self.reuse,
                     guard=handle.guard,
                 )
@@ -610,7 +606,7 @@ class MainMemoryDatabase:
         return self.reuse.stats()
 
     def governor_stats(self) -> Dict[str, Any]:
-        """Admission/cancellation/breaker counts from the governor."""
+        """Admission/cancellation counts from the governor."""
         return self.governor.stats()
 
     def concurrency_stats(self) -> Dict[str, Any]:

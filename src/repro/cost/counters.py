@@ -124,12 +124,8 @@ class OperationCounters:
         )
 
     def absorb(self, other: "OperationCounters") -> None:
-        """Add another tally into this one in place.
-
-        Counter increments commute, so parallel workers can tally into
-        fresh local counters and the coordinator folds them back with
-        ``absorb`` -- totals match the serial execution exactly.
-        """
+        """Add another tally into this one in place (increments commute,
+        so folding per-thread shards gives the exact totals)."""
         self.comparisons += other.comparisons
         self.hashes += other.hashes
         self.moves += other.moves
@@ -278,12 +274,6 @@ class ShardedOperationCounters(OperationCounters):
 
     def io_random(self, pages: int = 1) -> None:
         self._shard().io_random(pages)
-
-    def absorb(self, other: OperationCounters) -> None:
-        """Fold ``other`` into the calling thread's shard (parallel join
-        coordinators absorb their workers' tallies on their own thread,
-        so the statement-level thread diff still captures them)."""
-        self._shard().absorb(other)
 
     def reset(self) -> None:
         """Zero every shard in place (quiescent use only, like the base

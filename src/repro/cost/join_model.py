@@ -243,23 +243,20 @@ def hybrid_hash_cost(workload: JoinWorkload) -> float:
 def hash_pipeline_forecast(
     workload: JoinWorkload,
     hot_fraction: float = 0.0,
-    adaptive: bool = True,
 ) -> Dict[str, float]:
-    """Term-by-term forecast of the vectorized hybrid-hash pipeline.
+    """Term-by-term forecast of the hybrid-hash pipeline.
 
     Decomposes :func:`hybrid_hash_cost` into named build / probe / spill
     terms and adds a skew term: ``hot_fraction`` of the *spilled* tuples
     land in buckets whose phase-2 hash table would overflow the grant.
+    Section 3.3's recursion repartitions that hot slice in phase 2, so on
+    both R and S every hot tuple pays a re-hash and a move, and every hot
+    page an extra write/read round trip::
 
-    * **Static** recursion repartitions the hot slice in phase 2: both R
-      and S pay an extra write/read round trip plus a re-hash and a move
-      per hot tuple.
-    * **Adaptive** re-split (``adaptive=True``) pays the same R-side work
-      between phases 1a and 1b, but S's hot tuples are *routed* straight
-      to the sub-buckets -- one extra hash each, no extra IO and no extra
-      move.  The saved S round trip is the measured E24 gap.
+        recursion = hot_fraction * (1 - q) * (
+            (||R|| + ||S||) * (hash + move) + (|R| + |S|) * 2 * IOseq)
 
-    Returns ``{"partition", "spill", "build", "probe", "resplit",
+    Returns ``{"partition", "spill", "build", "probe", "recursion",
     "total"}`` in seconds.  With ``hot_fraction == 0`` the total equals
     :func:`hybrid_hash_cost` exactly, so the forecast degrades to the
     paper's closed form on uniform data.
@@ -282,24 +279,20 @@ def hash_pipeline_forecast(
     build = p.r_tuples * p.move
     probe = p.s_tuples * p.fudge * p.comp
 
-    r_hot_tuples = p.r_tuples * spill_frac * hot_fraction
-    s_hot_tuples = p.s_tuples * spill_frac * hot_fraction
-    r_hot_pages = p.r_pages * spill_frac * hot_fraction
-    s_hot_pages = p.s_pages * spill_frac * hot_fraction
+    hot = spill_frac * hot_fraction
     round_trip = 2.0 * p.io_seq  # rewrite the slice, read it back
-    resplit = r_hot_tuples * (p.hash + p.move) + r_hot_pages * round_trip
-    if adaptive:
-        resplit += s_hot_tuples * p.hash
-    else:
-        resplit += s_hot_tuples * (p.hash + p.move) + s_hot_pages * round_trip
+    recursion = hot * (
+        (p.r_tuples + p.s_tuples) * (p.hash + p.move)
+        + (p.r_pages + p.s_pages) * round_trip
+    )
 
-    total = partition + spill + build + probe + resplit
+    total = partition + spill + build + probe + recursion
     return {
         "partition": partition,
         "spill": spill,
         "build": build,
         "probe": probe,
-        "resplit": resplit,
+        "recursion": recursion,
         "total": total,
     }
 

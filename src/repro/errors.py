@@ -10,8 +10,8 @@ single except clause while still distinguishing the families:
   query as posed (disconnected join graph, no feasible algorithm at the
   current memory grant, ambiguous column names).
 * :class:`GovernorError` -- the resource governor's query-lifecycle
-  errors: :class:`AdmissionRejected`, :class:`QueryTimeout`,
-  :class:`QueryCancelled`, and :class:`WorkerPoolError`.
+  errors: :class:`AdmissionRejected`, :class:`QueryTimeout`, and
+  :class:`QueryCancelled`.
 * :class:`StateError` -- an internal invariant broke at run time (an
   operation was applied to an object in the wrong state, or a bound the
   algorithm relies on was exceeded).
@@ -130,15 +130,6 @@ class QueryCancelled(GovernorError):
     """The query was cancelled via ``db.cancel(qid)`` / token.cancel()."""
 
 
-class WorkerPoolError(GovernorError):
-    """A worker-pool failure that could not be recovered serially.
-
-    The executor retries failed buckets serially, so this surfaces only
-    when even the serial retry raised; it exists to keep worker failures
-    inside the typed taxonomy instead of leaking pool internals.
-    """
-
-
 __all__ = [
     "AdmissionRejected",
     "ConfigurationError",
@@ -153,6 +144,5 @@ __all__ = [
     "StateError",
     "TransactionAborted",
     "UnplannableQueryError",
-    "WorkerPoolError",
     "WouldBlock",
 ]

@@ -14,11 +14,6 @@ runs passes through this layer (docs/ROBUSTNESS.md):
 * **Cooperative cancellation** (:class:`CancellationToken`) -- checked in
   every batch hot loop, so ``db.cancel(qid)`` and per-query deadlines
   abort within one page of work, never leaving a partial result.
-* **Worker fault tolerance** (:class:`CircuitBreaker`) -- crashed or hung
-  pool workers in the parallel partitioned joins are detected by
-  timeout+sentinel, the affected buckets are retried serially with
-  identical results and counters, and repeated failures trip the breaker
-  back to ``workers=1``.
 
 The pieces are bundled per query into a :class:`QueryGuard`, which the
 planner's :class:`~repro.planner.plan.PlanContext` carries into the
@@ -31,9 +26,7 @@ from repro.errors import (
     QueryCancelled,
     QueryTimeout,
     ReproError,
-    WorkerPoolError,
 )
-from repro.governor.breaker import CircuitBreaker
 from repro.governor.cancellation import CancellationToken
 from repro.governor.governor import Governor, GovernorConfig, QueryHandle
 from repro.governor.grant import MemoryGrant
@@ -42,7 +35,6 @@ from repro.governor.guard import QueryGuard
 __all__ = [
     "AdmissionRejected",
     "CancellationToken",
-    "CircuitBreaker",
     "Governor",
     "GovernorConfig",
     "GovernorError",
@@ -52,5 +44,4 @@ __all__ = [
     "QueryHandle",
     "QueryTimeout",
     "ReproError",
-    "WorkerPoolError",
 ]

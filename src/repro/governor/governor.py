@@ -43,7 +43,6 @@ from repro.errors import (
     QueryTimeout,
     StateError,
 )
-from repro.governor.breaker import CircuitBreaker
 from repro.governor.cancellation import CancellationToken
 from repro.governor.grant import MemoryGrant
 from repro.governor.guard import QueryGuard
@@ -74,10 +73,6 @@ class GovernorConfig:
     shed_threshold: Optional[int] = None
     #: Default per-query execution deadline (None = no deadline).
     default_timeout: Optional[float] = None
-    #: Seconds before a parallel bucket job's worker counts as failed.
-    worker_timeout: float = 60.0
-    #: Worker failures before the circuit breaker trips to workers=1.
-    breaker_threshold: int = 3
     #: Fraction of a shrinkable consumer's entries kept under pressure.
     pressure_keep: float = 0.5
 
@@ -120,11 +115,10 @@ class QueryHandle:
 
 
 class Governor:
-    """Admission control, the query registry, and session-wide breakers."""
+    """Admission control and the query registry."""
 
     def __init__(self, config: Optional[GovernorConfig] = None) -> None:
         self.config = config or GovernorConfig()
-        self.breaker = CircuitBreaker(self.config.breaker_threshold)
         # tracked_lock is the lock-order seam: a plain threading.Lock in
         # production, a recorded TrackedLock under the test suite.
         self._lock = tracked_lock("repro.governor.Governor._lock")
@@ -258,13 +252,7 @@ class Governor:
             timeout=timeout if timeout is not None else self.config.default_timeout,
         )
         grant = MemoryGrant(max(2, pages), qid=qid)
-        guard = QueryGuard(
-            token=token,
-            grant=grant,
-            breaker=self.breaker,
-            injector=self._injector,
-            worker_timeout=self.config.worker_timeout,
-        )
+        guard = QueryGuard(token=token, grant=grant)
         if self._injector is not None:
             seam = getattr(self._injector, "executor_page", None)
             if seam is not None:
@@ -431,7 +419,6 @@ class Governor:
                 "cancelled": self.cancelled,
                 "peak_concurrent": self.peak_concurrent,
                 "pressure_evictions": self.pressure_evictions,
-                "breaker": self.breaker.stats(),
             }
 
     def __repr__(self) -> str:

@@ -3,34 +3,25 @@
 A :class:`QueryGuard` is what actually travels through the executor: the
 :class:`~repro.planner.plan.PlanContext` carries one, plan nodes hand its
 token to the operators, and the join algorithms use the full guard for
-grant-aware degradation and worker fault handling.  Everything is
-optional -- a guard with only a token costs a single attribute test per
-page on the happy path.
+grant-aware degradation.  Everything is optional -- a guard with only a
+token costs a single attribute test per page on the happy path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
-from repro.governor.breaker import CircuitBreaker
 from repro.governor.cancellation import CancellationToken
 from repro.governor.grant import MemoryGrant
 
 
 @dataclass
 class QueryGuard:
-    """Cancellation + grant + breaker (+ chaos seam) for one query."""
+    """Cancellation + grant for one query (the chaos seam rides the token)."""
 
     token: CancellationToken
     grant: Optional[MemoryGrant] = None
-    breaker: Optional[CircuitBreaker] = None
-    #: A :class:`repro.chaos.FaultInjector` (kept untyped to avoid a
-    #: dependency from the governor onto the chaos package).
-    injector: Optional[Any] = None
-    #: Seconds a parallel bucket job may run before the coordinator
-    #: declares the worker crashed/hung and retries serially.
-    worker_timeout: float = 60.0
 
     @property
     def qid(self) -> Optional[int]:
@@ -45,27 +36,6 @@ class QueryGuard:
         if self.grant is None:
             return requested
         return self.grant.effective(requested)
-
-    def allows_parallel(self) -> bool:
-        return self.breaker is None or self.breaker.allows_parallel()
-
-    def record_worker_failure(self) -> None:
-        if self.breaker is not None:
-            self.breaker.record_failure()
-
-    def worker_fault(self) -> Optional[str]:
-        """Chaos directive for the next dispatched bucket job, if any."""
-        if self.injector is None:
-            return None
-        fault = getattr(self.injector, "worker_fault", None)
-        return fault() if fault is not None else None
-
-    def resplit_fault(self) -> Optional[str]:
-        """Chaos directive for the next adaptive re-split attempt, if any."""
-        if self.injector is None:
-            return None
-        fault = getattr(self.injector, "resplit_fault", None)
-        return fault() if fault is not None else None
 
 
 __all__ = ["QueryGuard"]

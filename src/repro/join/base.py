@@ -22,17 +22,11 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Optional
 
 from repro.cost.counters import CostReport, OperationCounters
 from repro.cost.parameters import CostParameters
-from repro.errors import ConfigurationError, WorkerPoolError
-from repro.join.parallel import (
-    OK_SENTINEL,
-    guarded_bucket_join_task,
-    join_bucket,
-    validate_workers,
-)
+from repro.errors import ConfigurationError
 from repro.storage.disk import SimulatedDisk
 from repro.storage.relation import Relation, Row
 from repro.storage.tuples import Schema
@@ -132,7 +126,6 @@ class JoinAlgorithm(abc.ABC):
         counters: Optional[OperationCounters] = None,
         disk: Optional[SimulatedDisk] = None,
         batch: bool = True,
-        workers: int = 1,
     ) -> None:
         self.counters = counters if counters is not None else OperationCounters()
         # Spills share the counters so IO lands in the same report.
@@ -145,26 +138,13 @@ class JoinAlgorithm(abc.ABC):
         #: results and counters are identical either way (see
         #: tests/test_batch_equivalence.py).
         self.batch = batch
-        #: Worker processes for the partitioned hash joins (GRACE/hybrid).
-        #: 1 means serial; >1 offloads pure-CPU bucket work to a fork pool
-        #: with deterministic bucket-order assembly, so results and
-        #: counters are independent of the worker count.  Invalid counts
-        #: (negatives, non-integral floats) raise ConfigurationError.
-        self.workers = validate_workers(workers)
         #: Optional :class:`repro.governor.QueryGuard` -- cancellation
-        #: checkpoints, the revocable memory grant, and worker fault
-        #: policy.  ``None`` (the default) costs one attribute test per
-        #: page boundary.
+        #: checkpoints and the revocable memory grant.  ``None`` (the
+        #: default) costs one attribute test per page boundary.
         self.guard = None
         # Bound token.check, cached by set_guard so a checkpoint is one
         # attribute test + one call instead of a three-deep method chain.
         self._token_check = None
-        #: True once a worker was killed or hung during this execution;
-        #: a dirty pool must be terminate()d -- close()/join() would block
-        #: forever behind a wedged worker.
-        self.pool_dirty = False
-        #: Bucket jobs that failed on the pool and were retried serially.
-        self.pool_failures = 0
 
     def set_guard(self, guard) -> "JoinAlgorithm":
         """Attach a governor guard for this execution; returns self."""
@@ -185,13 +165,11 @@ class JoinAlgorithm(abc.ABC):
 
     def join(self, spec: JoinSpec) -> JoinResult:
         """Execute the join and return the materialised result."""
+        schema = join_schema(spec.r, spec.s)
         output = Relation(
             "%s(%s,%s)" % (self.name, spec.r.name, spec.s.name),
-            join_schema(spec.r, spec.s),
-            page_bytes=max(
-                spec.r.page_bytes,
-                join_schema(spec.r, spec.s).tuple_bytes,
-            ),
+            schema,
+            page_bytes=max(spec.r.page_bytes, schema.tuple_bytes),
         )
         self._execute(spec, output)
         return JoinResult(
@@ -206,91 +184,6 @@ class JoinAlgorithm(abc.ABC):
         """Algorithm body: emit matches into ``output``."""
 
     # -- shared helpers ----------------------------------------------------------
-
-    def pool_workers(self) -> int:
-        """The worker count to actually use: 1 once the breaker tripped."""
-        if self.guard is not None and not self.guard.allows_parallel():
-            return 1
-        return self.workers
-
-    def run_bucket_jobs(
-        self, pool: Any, payloads: List[Tuple]
-    ) -> List[Tuple[List[Row], OperationCounters]]:
-        """Dispatch bucket-join payloads to the pool, surviving worker loss.
-
-        Each payload is the :func:`repro.join.parallel.bucket_join_task`
-        tuple.  Jobs go out via ``apply_async`` wrapped in
-        :func:`~repro.join.parallel.guarded_bucket_join_task`, and results
-        are collected in input order with the guard's worker timeout.  Any
-        job that times out (killed or wedged worker -- the fork pool loses
-        the tasks of a dead process), errors, or returns a payload without
-        the OK sentinel (garbled result) is **retried serially in the
-        coordinator** with fresh counters -- identical rows and charges to
-        a healthy worker by construction, since the worker runs the very
-        same :func:`~repro.join.parallel.join_bucket`.  Each failure is
-        recorded against the session circuit breaker; a killed/hung worker
-        also marks the pool dirty so teardown uses ``terminate()``.
-        """
-        guard = self.guard
-        timeout = guard.worker_timeout if guard is not None else 60.0
-        handles: List[Optional[Any]] = []
-        for payload in payloads:
-            fault = guard.worker_fault() if guard is not None else None
-            try:
-                handles.append(
-                    pool.apply_async(guarded_bucket_join_task, ((payload, fault),))
-                )
-            except Exception:
-                # The pool itself refused the dispatch (already broken);
-                # fall through to the serial retry below.
-                handles.append(None)
-                self.pool_dirty = True
-        results: List[Tuple[List[Row], OperationCounters]] = []
-        for payload, handle in zip(payloads, handles):
-            outcome: Optional[Tuple[List[Row], OperationCounters]] = None
-            if handle is not None:
-                try:
-                    raw = handle.get(timeout)
-                except Exception:
-                    # Timeout (killed or hung worker) or a transport
-                    # error: the pool can no longer be trusted to drain.
-                    self.pool_dirty = True
-                else:
-                    if (
-                        isinstance(raw, tuple)
-                        and len(raw) == 3
-                        and raw[0] == OK_SENTINEL
-                    ):
-                        outcome = (raw[1], raw[2])
-                    # else: garbled result -- worker alive, payload junk.
-            if outcome is None:
-                self.pool_failures += 1
-                if guard is not None:
-                    guard.record_worker_failure()
-                r_rows, s_rows, r_idx, s_idx, fudge = payload
-                retry_counters = OperationCounters()
-                try:
-                    rows = join_bucket(
-                        r_rows, s_rows, r_idx, s_idx, fudge, retry_counters
-                    )
-                except Exception as exc:
-                    raise WorkerPoolError(
-                        "bucket job failed on the pool and its serial "
-                        "retry also failed: %s" % (exc,)
-                    ) from exc
-                outcome = (rows, retry_counters)
-            results.append(outcome)
-        return results
-
-    def finish_pool(self, pool: Optional[Any]) -> None:
-        """Tear a pool down; ``terminate()`` when a worker was lost."""
-        if pool is None:
-            return
-        if self.pool_dirty:
-            pool.terminate()
-        else:
-            pool.close()
-        pool.join()
 
     def emit(self, output: Relation, r_row: Row, s_row: Row) -> None:
         """Materialise one matched pair (not charged, per the paper)."""

@@ -15,18 +15,11 @@ flat while hybrid hash keeps improving.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
-
 from repro.access.hash_index import HashIndex
 from repro.join.base import JoinAlgorithm, JoinSpec
-from repro.join.parallel import (
-    make_pool,
-    precomputed_classifier,
-    residue_chunk_task,
-)
 from repro.join.partition import partition_relation, read_bucket
 from repro.join.vectorized import join_bucket_columnar
-from repro.storage.relation import Relation, Row
+from repro.storage.relation import Relation
 
 
 class GraceHashJoin(JoinAlgorithm):
@@ -85,99 +78,41 @@ class GraceHashJoin(JoinAlgorithm):
             self.disk.delete(s_file)
 
     def _execute_batch(self, spec: JoinSpec, output: Relation) -> None:
-        """Page-at-a-time variant, optionally with a worker pool.
-
-        The coordinator performs every disk access in the serial order
-        (partition writes, then per bucket: read R_i, read S_i, delete
-        both); workers only classify keys and build/probe bucket pairs.
-        """
+        """Page-at-a-time variant: same disk accesses in the same order."""
         buckets = self._bucket_count(spec)
-        pool = make_pool(self.pool_workers())
-        try:
-            classify_r: Optional[Callable[[Sequence[Any]], List[int]]] = None
-            classify_s: Optional[Callable[[Sequence[Any]], List[int]]] = None
-            r_ki, s_ki = spec.r_key_index, spec.s_key_index
-            if pool is not None:
-                # Keys for the workers come straight off the packed
-                # join-key columns -- no per-row extractor calls.
-                classify_r = precomputed_classifier(
-                    pool,
-                    [
-                        list(page.column(r_ki))
-                        for page in spec.r.pages
-                        if len(page)
-                    ],
-                    residue_chunk_task,
-                    (buckets,),
-                )
-                classify_s = precomputed_classifier(
-                    pool,
-                    [
-                        list(page.column(s_ki))
-                        for page in spec.s.pages
-                        if len(page)
-                    ],
-                    residue_chunk_task,
-                    (buckets,),
-                )
-            r_files = partition_relation(
-                spec.r,
-                spec.r_key,
-                buckets,
-                self.disk,
-                self.counters,
-                file_prefix=self.scratch_name(spec, "r"),
-                classify=classify_r,
-                checkpoint=self.checkpoint,
-                key_index=r_ki,
+        r_ki, s_ki = spec.r_key_index, spec.s_key_index
+
+        r_files = partition_relation(
+            spec.r,
+            spec.r_key,
+            buckets,
+            self.disk,
+            self.counters,
+            file_prefix=self.scratch_name(spec, "r"),
+            checkpoint=self.checkpoint,
+            key_index=r_ki,
+        )
+        s_files = partition_relation(
+            spec.s,
+            spec.s_key,
+            buckets,
+            self.disk,
+            self.counters,
+            file_prefix=self.scratch_name(spec, "s"),
+            checkpoint=self.checkpoint,
+            key_index=s_ki,
+        )
+
+        fudge = spec.params.fudge
+        for r_file, s_file in zip(r_files, s_files):
+            self.checkpoint()
+            r_rows = read_bucket(self.disk, r_file)
+            s_rows = read_bucket(self.disk, s_file)
+            self.disk.delete(r_file)
+            self.disk.delete(s_file)
+            join_bucket_columnar(
+                r_rows, s_rows, r_ki, s_ki, fudge, self.counters, output
             )
-            s_files = partition_relation(
-                spec.s,
-                spec.s_key,
-                buckets,
-                self.disk,
-                self.counters,
-                file_prefix=self.scratch_name(spec, "s"),
-                classify=classify_s,
-                checkpoint=self.checkpoint,
-                key_index=s_ki,
-            )
-
-            r_index = spec.r.schema.index_of(spec.r_field)
-            s_index = spec.s.schema.index_of(spec.s_field)
-            fudge = spec.params.fudge
-
-            if pool is None:
-                for r_file, s_file in zip(r_files, s_files):
-                    self.checkpoint()
-                    r_rows = read_bucket(self.disk, r_file)
-                    s_rows = read_bucket(self.disk, s_file)
-                    self.disk.delete(r_file)
-                    self.disk.delete(s_file)
-                    join_bucket_columnar(
-                        r_rows,
-                        s_rows,
-                        r_index,
-                        s_index,
-                        fudge,
-                        self.counters,
-                        output,
-                    )
-                return
-
-            jobs: List[Tuple[List[Row], List[Row], int, int, float]] = []
-            for r_file, s_file in zip(r_files, s_files):
-                self.checkpoint()
-                r_rows = read_bucket(self.disk, r_file)
-                s_rows = read_bucket(self.disk, s_file)
-                self.disk.delete(r_file)
-                self.disk.delete(s_file)
-                jobs.append((r_rows, s_rows, r_index, s_index, fudge))
-            for rows, worker_counters in self.run_bucket_jobs(pool, jobs):
-                self.counters.absorb(worker_counters)
-                output.extend_rows(rows)
-        finally:
-            self.finish_pool(pool)
 
 
 __all__ = ["GraceHashJoin"]

@@ -13,25 +13,12 @@ share to the resident class, the rest evenly over the B spill buckets --
 the Section 3.3 construction of a partition compatible with ``h`` (see
 :func:`repro.join.partition.hybrid_class`).
 
-Skew handling is two-tiered.  The backstop is Section 3.3's remedy: "if we
-err slightly we can always apply the hybrid hash join recursively, thereby
-adding an extra pass for the overflow tuples" -- an oversized bucket pair
-found in phase 2 is re-joined recursively with a depth-salted hash.  On
-top of that sits the **adaptive re-split** (``adaptive=True``, following
-the dynamic-hybrid-hash literature): phase 1a counts each spill bucket's
-build tuples, and a bucket whose hash table would overflow the grant is
-re-split into sub-buckets *before S is partitioned* -- R's hot bucket is
-read back and re-hashed once (the same work static recursion pays later),
-but S's hot tuples are routed straight to the sub-buckets at one extra
-hash each, instead of being written to the fat bucket, read back, re-hashed
-and re-written by the recursion.  The memory split is adjusted mid-join
-under the Governor grant machinery: the sub-bucket output buffers are
-charged against the live grant, and a constrained grant vetoes the
-re-split (the bucket falls back to static recursion).  The re-split
-decision point is a chaos seam: an injected ``abort`` fails it before any
-IO, an injected ``midway`` fault kills it after partially writing the R
-sub-files (recovery restores the single bucket file); both degrade to the
-static path with identical output rows.
+Overflow has one remedy, Section 3.3's: "if we err slightly we can always
+apply the hybrid hash join recursively, thereby adding an extra pass for the
+overflow tuples" -- a bucket pair whose build side exceeds the phase-2
+table capacity is re-joined one level deeper with a depth-salted hash.  A
+bucket dominated by a single key cannot be split by any hash and is joined
+directly, over budget.
 
 Under the governor the memory grant is **live**: a mid-query revocation
 (:meth:`repro.governor.grant.MemoryGrant.revoke`) can shrink the budget the
@@ -53,49 +40,25 @@ tuple-at-a-time specification (``batch=False``) and the production batch
 arm (default; the resident side is a
 :class:`~repro.join.vectorized.JoinTable`: rows staged column-wise, the
 table mapping keys to their indices, probes answered once per phase and
-matches group-gathered buffer-to-buffer).  With a worker pool (``workers > 1``) the batch arm's
-coordinator keeps all disk IO in serial order and workers handle
-classification and bucket build/probe (see :mod:`repro.join.parallel`).
-Recursive overflow buckets are always joined serially in the coordinator,
-at their in-order sequence point.  Worker failures in phase 2 are absorbed
-by :meth:`~repro.join.base.JoinAlgorithm.run_bucket_jobs` (serial retry,
-identical rows and counters).
+matches group-gathered buffer-to-buffer).  Each level is one loop per
+phase: partition R, partition S, then one pass over the spilled bucket
+pairs.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, Callable, Dict, List, Optional, Sequence, Sized, Tuple
+from typing import Any, List, Optional, Sized, Tuple
 
 from repro.access.hash_index import HashIndex
 from repro.join.base import JoinAlgorithm, JoinSpec
-from repro.join.parallel import (
-    hybrid_class_chunk_task,
-    make_pool,
-    precomputed_classifier,
-)
 from repro.join.partition import (
     SpillWriter,
     hybrid_class,
     partition_fan_out,
     read_bucket,
-    resplit_class,
 )
 from repro.join.vectorized import JoinTable, join_bucket_columnar
 from repro.storage.relation import Relation, Row
-
-
-class _Resplit:
-    """Routing state for one adaptively re-split spill bucket."""
-
-    __slots__ = ("sub_buckets", "r_files", "s_writer")
-
-    def __init__(
-        self, sub_buckets: int, r_files: List[str], s_writer: SpillWriter
-    ) -> None:
-        self.sub_buckets = sub_buckets
-        self.r_files = r_files
-        self.s_writer = s_writer
 
 
 class HybridHashJoin(JoinAlgorithm):
@@ -107,35 +70,14 @@ class HybridHashJoin(JoinAlgorithm):
     #: deeper than 8 means the partitioning hash has failed entirely.
     MAX_RECURSION = 8
 
-    #: Runtime-adaptive re-split of skew-hot spill buckets between phases
-    #: 1a and 1b (the E24 ablation flips this off for the static baseline).
-    adaptive = True
-
-    #: Tallies of the adaptive path, reset at the start of each execution:
-    #: buckets re-split, re-splits vetoed by the memory grant, re-splits
-    #: killed by an injected chaos fault.
-    resplits = 0
-    resplit_denied = 0
-    resplit_aborts = 0
-
-    def _classify(
-        self, key: Any, q: float, buckets: int, depth: int = 0
-    ) -> int:
-        """Class of ``key``: 0 = resident, 1..B = spill buckets."""
-        return hybrid_class(key, q, buckets, depth)
-
-    def _execute(self, spec: JoinSpec, output: Relation) -> None:
-        self.resplits = 0
-        self.resplit_denied = 0
-        self.resplit_aborts = 0
-        if not self.batch:
-            self._execute_level(spec, output, depth=0)
-            return
-        pool = make_pool(self.pool_workers())
-        try:
-            self._execute_level_batch(spec, output, depth=0, pool=pool)
-        finally:
-            self.finish_pool(pool)
+    def _execute(
+        self, spec: JoinSpec, output: Relation, depth: int = 0
+    ) -> None:
+        """One hybrid level; Section 3.3 recursion re-enters one deeper."""
+        if self.batch:
+            self._execute_level_batch(spec, output, depth)
+        else:
+            self._execute_level(spec, output, depth)
 
     # -- grant-aware degradation -------------------------------------------------
 
@@ -197,199 +139,6 @@ class HybridHashJoin(JoinAlgorithm):
             ovf_r.write(0, row)
         return ovf_r, ovf_s
 
-    # -- adaptive re-split --------------------------------------------------------
-
-    def _plan_resplit(
-        self,
-        spec: JoinSpec,
-        depth: int,
-        count: int,
-        key_load: Dict[Any, int],
-        capacity: int,
-    ) -> Optional[int]:
-        """Sub-bucket fan-out for one hot bucket, or None to leave it alone.
-
-        Two deterministic checks, both uncharged bookkeeping over the
-        phase-1a counts: the salted re-hash must actually separate the
-        bucket's keys into sub-buckets that fit the phase-2 capacity (a
-        bucket dominated by one fat key is indivisible -- routing it
-        would reshuffle the same overflow and then recurse anyway), and
-        the IO forecast must favour routing over static recursion.
-        """
-        if count <= capacity or len(key_load) < 2:
-            return None
-        base = max(2, math.ceil(count / capacity))
-        for k in (base, base + 1, 2 * base):
-            loads = [0] * k
-            for key, load in key_load.items():
-                loads[resplit_class(key, k, depth)] += load
-            if max(loads) <= capacity:
-                return k if self._resplit_pays(spec, count, capacity) else None
-        return None
-
-    def _resplit_pays(self, spec: JoinSpec, count: int, capacity: int) -> bool:
-        """Forecast: does routing beat static phase-2 recursion here?
-
-        A static recursion on the fat pair is itself hybrid: it keeps
-        ``q = capacity/count`` of the bucket resident and pays the spill
-        round trip only on the rest.  The re-split instead re-reads and
-        re-writes the whole R bucket now, double-moves the fraction a
-        recursion would have kept resident, and charges every routed S
-        tuple a second hash.  This mirrors the ``resplit`` term of
-        :func:`repro.cost.join_model.hash_pipeline_forecast`; S's bucket
-        share is forecast from the workload-wide S:R tuple ratio (phase
-        1b has not run yet, so it cannot be measured).
-        """
-        p = spec.params
-        q = capacity / count
-        est_s = count * p.s_tuples / max(1, p.r_tuples)
-        r_pages = count / max(1, spec.r.tuples_per_page)
-        s_pages = est_s / max(1, spec.s.tuples_per_page)
-        saved = (1.0 - q) * (est_s * p.move + 2.0 * s_pages * p.io_seq)
-        extra = q * (est_s * p.hash + count * p.move)
-        extra += 2.0 * q * r_pages * p.io_seq
-        return saved > extra
-
-    def _resplit_hot_buckets(
-        self,
-        spec: JoinSpec,
-        r_files: List[str],
-        depth: int,
-        counts: List[int],
-        key_counts: List[Dict[Any, int]],
-    ) -> Dict[int, _Resplit]:
-        """Re-split skew-hot spill buckets between phases 1a and 1b.
-
-        A bucket whose build side exceeds the phase-2 hash-table capacity
-        -- and whose per-key load forecast says splitting pays (see
-        :meth:`_plan_resplit`) -- is read back, re-hashed with an
-        independently salted function, and written out as sub-bucket
-        files; phase 1b then routes its S tuples straight to the
-        sub-buckets.  Decisions are driven purely by the phase-1a counts,
-        so they are identical across the tuple, batch and parallel
-        executions.  Charges: the bucket re-read (IO), one hash per
-        re-hashed R tuple, one move per tuple into the sub-bucket buffers
-        plus flush IO -- paid now to save S's fat-bucket round trip.
-        """
-        resplit: Dict[int, _Resplit] = {}
-        if not self.adaptive or depth >= self.MAX_RECURSION:
-            return resplit
-        capacity = self._bucket_capacity(spec)
-        budget = self.effective_memory_pages(spec.memory_pages)
-        guard = self.guard
-        r_key = spec.r_key
-        r_tpp = spec.r.tuples_per_page
-        for b, r_file in enumerate(r_files):
-            sub_buckets = self._plan_resplit(
-                spec, depth, counts[b], key_counts[b], capacity
-            )
-            if sub_buckets is None:
-                continue
-            # Mid-join memory-split adjustment: the sub-bucket output
-            # buffers must fit the *effective* budget alongside the B
-            # buffers already open.  An unrevoked grant sees the planned
-            # budget, so guarded and unguarded runs decide identically;
-            # only a revoked grant vetoes the re-split, and the bucket
-            # falls back to static phase-2 recursion.
-            used = len(r_files) + sub_buckets
-            if guard is not None and guard.grant is not None:
-                guard.grant.charge(used)
-            if used > budget:
-                self.resplit_denied += 1
-                continue
-            fault = guard.resplit_fault() if guard is not None else None
-            if fault == "abort":
-                # Chaos: the decision point fails before any IO; the
-                # bucket stays intact for the static path.
-                self.resplit_aborts += 1
-                continue
-            rows = read_bucket(self.disk, r_file)
-            self.disk.delete(r_file)
-            sub_names = ["%s.sub%d" % (r_file, i) for i in range(sub_buckets)]
-            self.counters.hash_key(len(rows))
-            # The whole bucket is in memory, so group rows by sub-bucket
-            # and rewrite each sub-file with a dedicated single-bucket
-            # writer: every flush is a full consecutive run and stays
-            # *sequential* -- matching the B == 1 flush discount a static
-            # recursion would enjoy, instead of paying random IO.
-            groups: List[List[Row]] = [[] for _ in range(sub_buckets)]
-            for row in rows:
-                groups[resplit_class(r_key(row), sub_buckets, depth)].append(
-                    row
-                )
-            if fault == "midway":
-                # Chaos: the re-split dies after partially writing the R
-                # sub-files.  Recovery deletes the partial subs, rewrites
-                # the bucket as one file, and falls back to static.
-                half = len(rows) // 2
-                written = 0
-                for name, group in zip(sub_names, groups):
-                    take = min(len(group), half - written)
-                    if take <= 0:
-                        break
-                    writer = SpillWriter(
-                        self.disk, [name], r_tpp, self.counters
-                    )
-                    try:
-                        writer.write_many(0, group[:take])
-                    finally:
-                        writer.close()
-                    written += take
-                for name in sub_names:
-                    self.disk.delete(name)
-                redo = SpillWriter(self.disk, [r_file], r_tpp, self.counters)
-                try:
-                    redo.write_many(0, rows)
-                finally:
-                    redo.close()
-                self.resplit_aborts += 1
-                continue
-            sub_files: List[str] = []
-            for name, group in zip(sub_names, groups):
-                writer = SpillWriter(self.disk, [name], r_tpp, self.counters)
-                try:
-                    writer.write_many(0, group)
-                finally:
-                    closed = writer.close()
-                sub_files.extend(closed)
-            s_names = [
-                "%s.d%d.%d.sub%d" % (self.scratch_name(spec, "s"), depth, b, i)
-                for i in range(sub_buckets)
-            ]
-            resplit[b] = _Resplit(
-                sub_buckets,
-                sub_files,
-                SpillWriter(
-                    self.disk, s_names, spec.s.tuples_per_page, self.counters
-                ),
-            )
-            self.resplits += 1
-        return resplit
-
-    def _assemble_pairs(
-        self,
-        r_files: List[str],
-        s_files: List[str],
-        resplit: Dict[int, _Resplit],
-        demoted: bool,
-        ovf_r: Optional[SpillWriter],
-        ovf_s: Optional[SpillWriter],
-    ) -> List[Tuple[str, str]]:
-        """The phase-2 bucket pair list, with re-split buckets expanded."""
-        pairs: List[Tuple[str, str]] = []
-        for b in range(len(r_files)):
-            plan = resplit.get(b)
-            if plan is None:
-                pairs.append((r_files[b], s_files[b]))
-            else:
-                # The bucket's own S file stayed empty (its rows were
-                # routed straight to the sub-buckets in phase 1b).
-                self.disk.delete(s_files[b])
-                pairs.extend(zip(plan.r_files, plan.s_writer.close()))
-        if demoted:
-            pairs.extend(zip(ovf_r.close(), ovf_s.close()))
-        return pairs
-
     # -- tuple-at-a-time path ----------------------------------------------------
 
     def _execute_level(
@@ -406,10 +155,6 @@ class HybridHashJoin(JoinAlgorithm):
         demoted = False
         ovf_r: Optional[SpillWriter] = None
         ovf_s: Optional[SpillWriter] = None
-
-        track = self.adaptive and buckets > 0 and depth < self.MAX_RECURSION
-        counts = [0] * buckets
-        key_counts: List[Dict[Any, int]] = [{} for _ in range(buckets)]
 
         # ---- Phase 1a: partition R, building R0's table on the fly. ----
         r_writer = None
@@ -432,7 +177,7 @@ class HybridHashJoin(JoinAlgorithm):
                     resident = HashIndex(self.counters, max_load=params.fudge)
                     demoted = True
             k = r_key(row)
-            cls = self._classify(k, q, buckets, depth)
+            cls = hybrid_class(k, q, buckets, depth)
             if cls == 0:
                 if demoted:
                     self.counters.hash_key()
@@ -443,18 +188,7 @@ class HybridHashJoin(JoinAlgorithm):
             else:
                 self.counters.hash_key()
                 r_writer.write(cls - 1, row)
-                if track:
-                    b = cls - 1
-                    counts[b] += 1
-                    kc = key_counts[b]
-                    kc[k] = kc.get(k, 0) + 1
-
         r_files = r_writer.close() if r_writer is not None else []
-        resplit = (
-            self._resplit_hot_buckets(spec, r_files, depth, counts, key_counts)
-            if track
-            else {}
-        )
 
         # ---- Phase 1b: partition S, probing R0 on the fly. ----
         s_writer = None
@@ -477,7 +211,7 @@ class HybridHashJoin(JoinAlgorithm):
                     resident = HashIndex(self.counters, max_load=params.fudge)
                     demoted = True
             k = s_key(row)
-            cls = self._classify(k, q, buckets, depth)
+            cls = hybrid_class(k, q, buckets, depth)
             if cls == 0:
                 if demoted:
                     self.counters.hash_key()
@@ -486,25 +220,13 @@ class HybridHashJoin(JoinAlgorithm):
                     for r_row in resident.probe(k):
                         self.emit(output, r_row, row)
             else:
-                plan = resplit.get(cls - 1) if resplit else None
-                if plan is None:
-                    self.counters.hash_key()
-                    s_writer.write(cls - 1, row)
-                else:
-                    # One class hash plus one sub-bucket hash: the hot
-                    # tuple goes straight to its sub-bucket, skipping the
-                    # fat bucket's write/read/re-hash/re-write round trip.
-                    self.counters.hash_key(2)
-                    plan.s_writer.write(
-                        resplit_class(k, plan.sub_buckets, depth), row
-                    )
-
+                self.counters.hash_key()
+                s_writer.write(cls - 1, row)
         s_files = s_writer.close() if s_writer is not None else []
-        pairs = self._assemble_pairs(
-            r_files, s_files, resplit, demoted, ovf_r, ovf_s
-        )
-        if not pairs:
-            return
+
+        pairs = list(zip(r_files, s_files))
+        if demoted:
+            pairs.extend(zip(ovf_r.close(), ovf_s.close()))
 
         # ---- Phase 2: join the spilled bucket pairs. ----
         bucket_capacity = self._bucket_capacity(spec)
@@ -534,21 +256,16 @@ class HybridHashJoin(JoinAlgorithm):
                 for r_row in table.probe(s_key(row)):
                     self.emit(output, r_row, row)
 
-    # -- batch path (optionally parallel) ----------------------------------------
+    # -- batch path --------------------------------------------------------------
 
     def _execute_level_batch(
-        self,
-        spec: JoinSpec,
-        output: Relation,
-        depth: int,
-        pool: Optional[Any],
+        self, spec: JoinSpec, output: Relation, depth: int
     ) -> None:
         params = spec.params
         memory = self.effective_memory_pages(spec.memory_pages)
         buckets, q = partition_fan_out(
             spec.r.page_count, memory, params.fudge
         )
-        r_key = spec.r_key
         r_ki, s_ki = spec.r_key_index, spec.s_key_index
 
         # R0 staged column-wise under a table from keys to row indices.
@@ -557,39 +274,10 @@ class HybridHashJoin(JoinAlgorithm):
         ovf_r: Optional[SpillWriter] = None
         ovf_s: Optional[SpillWriter] = None
 
-        track = self.adaptive and buckets > 0 and depth < self.MAX_RECURSION
-        counts = [0] * buckets
-        key_counts: List[Dict[Any, int]] = [{} for _ in range(buckets)]
-
-        classify_r: Optional[Callable[[Sequence[Any]], List[int]]] = None
-        classify_s: Optional[Callable[[Sequence[Any]], List[int]]] = None
-        if pool is not None and buckets > 0:
-            # Worker keys come straight off the packed join-key columns.
-            classify_r = precomputed_classifier(
-                pool,
-                [
-                    list(page.column(r_ki))
-                    for page in spec.r.pages
-                    if len(page)
-                ],
-                hybrid_class_chunk_task,
-                (q, buckets, depth),
-            )
-            classify_s = precomputed_classifier(
-                pool,
-                [
-                    list(page.column(s_ki))
-                    for page in spec.s.pages
-                    if len(page)
-                ],
-                hybrid_class_chunk_task,
-                (q, buckets, depth),
-            )
-
         # ---- Phase 1a: partition R, building R0's table page by page. ----
-        # Per page the resident class is collected as (keys, slots) and the
-        # spill classes as rows; ``demoted`` only changes where the
-        # resident class goes -- the overflow writer instead of the table.
+        # Per page the resident class is collected as slots and the spill
+        # classes as rows; ``demoted`` only changes where the resident
+        # class goes -- the overflow writer instead of the table.
         r_writer = None
         if buckets > 0:
             r_names = [
@@ -608,7 +296,6 @@ class HybridHashJoin(JoinAlgorithm):
             n = len(page)
             if not n:
                 continue
-            keys = page.column(r_ki)
             if buckets == 0:
                 # Everything is resident (q == 1): no classification and
                 # no spill; the key column is indexed and the page's
@@ -619,28 +306,19 @@ class HybridHashJoin(JoinAlgorithm):
                 else:
                     resident.insert(page)
                 continue
-            classes = (
-                classify_r(keys)
-                if classify_r is not None
-                else [hybrid_class(k, q, buckets, depth) for k in keys]
-            )
             pending: List[List[Row]] = [[] for _ in range(buckets)]
             spilled = 0
             rows: Optional[List[Row]] = None
             res_pos: List[int] = []
-            for i, (k, cls) in enumerate(zip(keys, classes)):
+            for i, k in enumerate(page.column(r_ki)):
+                cls = hybrid_class(k, q, buckets, depth)
                 if cls == 0:
                     res_pos.append(i)
                 else:
                     if rows is None:
                         rows = page.tuples
-                    b = cls - 1
-                    pending[b].append(rows[i])
+                    pending[cls - 1].append(rows[i])
                     spilled += 1
-                    if track:
-                        counts[b] += 1
-                        kc = key_counts[b]
-                        kc[k] = kc.get(k, 0) + 1
             if res_pos:
                 if demoted:
                     self.counters.hash_key(len(res_pos))
@@ -652,13 +330,7 @@ class HybridHashJoin(JoinAlgorithm):
                 self.counters.hash_key(spilled)
                 for b, bucket_rows in enumerate(pending):
                     r_writer.write_many(b, bucket_rows)
-
         r_files = r_writer.close() if r_writer is not None else []
-        resplit = (
-            self._resplit_hot_buckets(spec, r_files, depth, counts, key_counts)
-            if track
-            else {}
-        )
 
         # ---- Phase 1b: partition S, probing R0 page by page. ----
         s_writer = None
@@ -681,7 +353,6 @@ class HybridHashJoin(JoinAlgorithm):
             n = len(page)
             if not n:
                 continue
-            keys = page.column(s_ki)
             if buckets == 0:
                 if demoted:
                     self.counters.hash_key(n)
@@ -689,40 +360,19 @@ class HybridHashJoin(JoinAlgorithm):
                 else:
                     resident.probe(page, output)
                 continue
-            classes = (
-                classify_s(keys)
-                if classify_s is not None
-                else [hybrid_class(k, q, buckets, depth) for k in keys]
-            )
             pending = [[] for _ in range(buckets)]
             spilled = 0
-            routed = 0
-            sub_pending: Optional[Dict[int, List[List[Row]]]] = (
-                {
-                    b: [[] for _ in range(plan.sub_buckets)]
-                    for b, plan in resplit.items()
-                }
-                if resplit
-                else None
-            )
             rows = None
             probe_pos: List[int] = []
-            for i, (k, cls) in enumerate(zip(keys, classes)):
+            for i, k in enumerate(page.column(s_ki)):
+                cls = hybrid_class(k, q, buckets, depth)
                 if cls == 0:
                     probe_pos.append(i)
                 else:
                     if rows is None:
                         rows = page.tuples
-                    b = cls - 1
-                    plan = resplit.get(b) if resplit else None
-                    if plan is None:
-                        pending[b].append(rows[i])
-                        spilled += 1
-                    else:
-                        sub_pending[b][
-                            resplit_class(k, plan.sub_buckets, depth)
-                        ].append(rows[i])
-                        routed += 1
+                    pending[cls - 1].append(rows[i])
+                    spilled += 1
             if probe_pos:
                 if demoted:
                     self.counters.hash_key(len(probe_pos))
@@ -730,37 +380,22 @@ class HybridHashJoin(JoinAlgorithm):
                     ovf_s.write_many(0, [rows[i] for i in probe_pos])
                 else:
                     resident.probe(page, output, probe_pos)
-            if spilled or routed:
-                # One class hash per spilled tuple; routed (re-split)
-                # tuples pay one extra sub-bucket hash each.
-                self.counters.hash_key(spilled + 2 * routed)
+            if spilled:
+                self.counters.hash_key(spilled)
                 for b, bucket_rows in enumerate(pending):
                     s_writer.write_many(b, bucket_rows)
-                if sub_pending is not None:
-                    for b in sorted(sub_pending):
-                        plan = resplit[b]
-                        for sub, sub_rows in enumerate(sub_pending[b]):
-                            plan.s_writer.write_many(sub, sub_rows)
 
         # The resident class is probed once per phase, not per page.
         resident.flush(output)
         s_files = s_writer.close() if s_writer is not None else []
-        pairs = self._assemble_pairs(
-            r_files, s_files, resplit, demoted, ovf_r, ovf_s
-        )
-        if not pairs:
-            return
+
+        pairs = list(zip(r_files, s_files))
+        if demoted:
+            pairs.extend(zip(ovf_r.close(), ovf_s.close()))
 
         # ---- Phase 2: join the spilled bucket pairs. ----
-        # The coordinator reads and deletes every bucket in serial order;
-        # recursion runs inline (it performs IO at its sequence point),
-        # while plain bucket pairs either join serially or go to the pool.
         bucket_capacity = self._bucket_capacity(spec)
-        r_index = spec.r.schema.index_of(spec.r_field)
-        s_index = spec.s.schema.index_of(spec.s_field)
-        fudge = params.fudge
-
-        entries: List[Tuple[str, Any]] = []
+        r_key = spec.r_key
         for r_file, s_file in pairs:
             self.checkpoint()
             r_rows = read_bucket(self.disk, r_file)
@@ -773,52 +408,12 @@ class HybridHashJoin(JoinAlgorithm):
                 and depth < self.MAX_RECURSION
                 and len({r_key(row) for row in r_rows}) > 1
             ):
-                if pool is None:
-                    self._recurse_on_bucket(
-                        spec, output, r_rows, s_rows, depth, batch=True
-                    )
-                else:
-                    # Recurse now (its IO belongs here) but emit into a
-                    # side relation so bucket-ordered assembly holds.
-                    side = Relation(
-                        "%s~side%d" % (output.name, len(entries)),
-                        output.schema,
-                        output.page_bytes,
-                    )
-                    self._recurse_on_bucket(
-                        spec, side, r_rows, s_rows, depth, batch=True
-                    )
-                    entries.append(("rel", side))
+                self._recurse_on_bucket(spec, output, r_rows, s_rows, depth)
                 continue
 
-            if pool is None:
-                join_bucket_columnar(
-                    r_rows,
-                    s_rows,
-                    r_index,
-                    s_index,
-                    fudge,
-                    self.counters,
-                    output,
-                )
-            else:
-                entries.append(("job", (r_rows, s_rows, r_index, s_index, fudge)))
-
-        if pool is not None:
-            results = iter(
-                self.run_bucket_jobs(
-                    pool,
-                    [payload for kind, payload in entries if kind == "job"],
-                )
+            join_bucket_columnar(
+                r_rows, s_rows, r_ki, s_ki, params.fudge, self.counters, output
             )
-            for kind, payload in entries:
-                if kind == "rel":
-                    for page in payload.pages:
-                        output.extend_rows(page.tuples)
-                else:
-                    rows, worker_counters = next(results)
-                    self.counters.absorb(worker_counters)
-                    output.extend_rows(rows)
 
     def _recurse_on_bucket(
         self,
@@ -827,13 +422,10 @@ class HybridHashJoin(JoinAlgorithm):
         r_rows: List[Row],
         s_rows: List[Row],
         depth: int,
-        batch: bool = False,
     ) -> None:
         """Re-join one overflowing bucket pair one level deeper.
 
-        Always serial: recursion is rare (skew overflow only) and its IO
-        must stay at the coordinator's in-order sequence point.  The
-        sub-level plans against the *current* effective grant, so a
+        The sub-level plans against the *current* effective grant, so a
         revoked budget keeps shrinking the recursive fan-outs.
         """
         sub_r = Relation(
@@ -858,10 +450,7 @@ class HybridHashJoin(JoinAlgorithm):
         if sub_spec.r is not sub_r:
             sub_spec.r, sub_spec.s = sub_r, sub_s
             sub_spec.r_field, sub_spec.s_field = spec.r_field, spec.s_field
-        if batch:
-            self._execute_level_batch(sub_spec, output, depth + 1, pool=None)
-        else:
-            self._execute_level(sub_spec, output, depth + 1)
+        self._execute(sub_spec, output, depth + 1)
 
 
 __all__ = ["HybridHashJoin"]

@@ -42,25 +42,12 @@ def hybrid_class(key: Any, q: float, buckets: int, depth: int = 0) -> int:
     """Hybrid-hash class of ``key``: 0 = resident, 1..B = spill buckets.
 
     The hash is salted with ``depth`` so a recursive re-partition of an
-    overflowing bucket actually splits it.  Lives here (not on the join
-    class) so parallel workers can recompute classes from keys alone.
+    overflowing bucket actually splits it.
     """
     u = (partition_hash((depth, key)) % _HASH_SPACE) / _HASH_SPACE
     if u < q or buckets == 0:
         return 0
     return 1 + min(buckets - 1, int((u - q) / (1.0 - q) * buckets))
-
-
-#: Salt for re-splitting a hot spill bucket, independent of both the
-#: bucket-level hash and any recursion level's depth-salted hash -- so an
-#: adaptive re-split divides exactly the keys the bucket hash collided,
-#: and a later static recursion on a still-hot sub-bucket divides again.
-_RESPLIT_SALT = 0x9E37
-
-
-def resplit_class(key: Any, sub_buckets: int, depth: int) -> int:
-    """Sub-bucket of ``key`` when a skew-hot spill bucket is re-split."""
-    return partition_hash((_RESPLIT_SALT, depth, key)) % sub_buckets
 
 
 def partition_fan_out(
@@ -163,7 +150,6 @@ def partition_relation(
     resident_bucket: bool = False,
     on_resident: Optional[Callable[[Any, Row], None]] = None,
     batch: bool = True,
-    classify: Optional[Callable[[Sequence[Any]], List[int]]] = None,
     checkpoint: Optional[Callable[[], None]] = None,
     key_index: Optional[int] = None,
 ) -> List[str]:
@@ -180,10 +166,7 @@ def partition_relation(
 
     The default ``batch`` path walks pages, charges hashes in bulk, and
     groups spill writes per bucket per page -- identical files, charges,
-    and resident-callback order.  ``classify`` optionally supplies the
-    residue computation for a whole page of keys (the parallel partition
-    phase plugs worker-computed residues in here); it must return
-    ``partition_hash(key) % (buckets + resident)`` per key.
+    and resident-callback order.
 
     ``checkpoint`` (the governor's cooperative cancellation hook) is
     called once per input page in both execution modes, so a cancelled or
@@ -218,11 +201,7 @@ def partition_relation(
                 if key_index is not None
                 else [key(row) for row in rows]
             )
-            residues = (
-                classify(keys)
-                if classify is not None
-                else [partition_hash(k) % total_classes for k in keys]
-            )
+            residues = [partition_hash(k) % total_classes for k in keys]
             if writer is None:
                 assert on_resident is not None, "resident bucket needs a consumer"
                 for k, row in zip(keys, rows):
@@ -276,5 +255,4 @@ __all__ = [
     "partition_hash",
     "partition_relation",
     "read_bucket",
-    "resplit_class",
 ]

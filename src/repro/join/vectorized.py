@@ -478,13 +478,14 @@ def join_bucket_columnar(
     counters: OperationCounters,
     output: Relation,
 ) -> int:
-    """Columnar twin of :func:`repro.join.parallel.join_bucket`.
+    """Build-and-probe one spilled bucket pair into ``output``.
 
-    Same hash-table build and probe (hence identical charges) -- through
-    the packed kernel when both buckets' keys pack as int64 -- but the
-    matched pairs are emitted by transposing the bucket rows once and
-    group-gathering survivor columns instead of concatenating one tuple
-    per match.  Returns the match count.
+    Same hash-table build and probe as the specification arm's
+    :class:`~repro.access.hash_index.HashIndex` loop (hence identical
+    charges) -- through the packed kernel when both buckets' keys pack as
+    int64 -- but the matched pairs are emitted by transposing the bucket
+    rows once and group-gathering survivor columns instead of
+    concatenating one tuple per match.  Returns the match count.
     """
     r_keys = [row[r_key_index] for row in r_rows]
     s_keys = [row[s_key_index] for row in s_rows]

@@ -2,7 +2,7 @@
 
 The static twin of PR 8's zero-leaked-slots chaos sweeps: every
 governor admission (``handle = gov.admit(...)``), every slot parked
-with ``gov.begin_wait(handle)``, every re-split scratch file
+with ``gov.begin_wait(handle)``, every join spill writer
 (``SpillWriter(...)``), and every explicit lock ``acquire()`` must
 reach its release/close on **every** exit path of the acquiring
 function -- including the exceptional ones the happy-path tests never

@@ -2,10 +2,9 @@
 
 A class that guards an instance attribute with its own lock in one
 method but writes the same attribute bare in another has a data race:
-server worker threads, the group-commit flusher, and join phase-2
-workers all enter these objects concurrently (docs/SERVER.md,
-docs/ROBUSTNESS.md).  The guard discipline is *inferred*, not
-annotated: an attribute written at least once while a lock of the same
+server worker threads and the group-commit flusher all enter these
+objects concurrently (docs/SERVER.md, docs/ROBUSTNESS.md).  The guard
+discipline is *inferred*, not annotated: an attribute written at least once while a lock of the same
 class is held (mutex or rwlock write side -- the read side guards
 nothing) is considered lock-protected, and every other write to it
 must also hold such a lock, either locally or in the must-entry

@@ -200,10 +200,10 @@ class LintConfig:
     #: Module names exempt from the public-api __all__ requirement.
     no_all_ok: Tuple[str, ...] = ("__main__", "conftest")
     #: Modules whose objects are reachable from multiple thread entry
-    #: points (server worker pool, group-commit flusher, join phase-2
-    #: coordination) -- the scope of the interprocedural concurrency
-    #: rules (blocking-under-lock, unlocked-shared-write,
-    #: rwlock-discipline, resource-lifecycle).
+    #: points (server statement threads, each running its own plan and
+    #: joins; the group-commit flusher) -- the scope of the
+    #: interprocedural concurrency rules (blocking-under-lock,
+    #: unlocked-shared-write, rwlock-discipline, resource-lifecycle).
     concurrency_prefixes: Tuple[str, ...] = (
         "repro.core",
         "repro.cost",
@@ -243,16 +243,11 @@ class LintConfig:
     )
     #: Required chaos-seam inventory: module name -> callables that must
     #: be defined or referenced there, so the post-PR-5 fault points
-    #: (re-split, bank park/unpark, server disconnect/crash) cannot be
-    #: silently dropped.  Only enforced for modules present in the tree.
+    #: (bank park/unpark, server disconnect/crash) cannot be silently
+    #: dropped.  Only enforced for modules present in the tree.
     seam_inventory: Dict[str, Tuple[str, ...]] = field(
         default_factory=lambda: {
-            "repro.chaos.injector": (
-                "resplit_fault",
-                "worker_fault",
-                "executor_page",
-            ),
-            "repro.join.hybrid_hash": ("resplit_fault",),
+            "repro.chaos.injector": ("executor_page",),
             # Bank park/unpark chaos points fire through _chaos_point
             # labels in the session layer; close_session is the
             # disconnect seam the 220-seed interleaving sweep drives.

@@ -2,7 +2,7 @@
 
 The PR-5 checkers analyze one function at a time; the concurrency
 invariants that PRs 6-9 added by hand (admission parking, sharded
-counters, the catalog read-write lock, re-split scratch files) are
+counters, the catalog read-write lock, join scratch files) are
 *interprocedural*: whether a statement blocks while holding a lock
 depends on what its callees do, and whether a write is guarded depends
 on the context every caller establishes.  This module builds, once per
@@ -92,7 +92,7 @@ _SOCKET_OPS = {"recv", "recv_into", "sendall", "accept", "connect", "makefile"}
 #: Chaos seams: schedulable fault points that may crash/cancel mid-call;
 #: firing one while holding a hot lock turns an injected fault into a
 #: convoy (every sweep schedule serialises behind the holder).
-_CHAOS_SEAMS = {"_chaos_point", "point", "resplit_fault", "worker_fault"}
+_CHAOS_SEAMS = {"_chaos_point", "point"}
 #: Receiver-name hints that make a ``.join()`` a thread join, not
 #: ``str.join`` (conservative: only flag joins on thread-like fields).
 _THREADLIKE_HINTS = ("thread", "flusher", "worker", "proc", "pool")

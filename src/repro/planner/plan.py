@@ -54,12 +54,10 @@ class PlanContext:
     #: tuple-at-a-time specification.  Results and counted costs are
     #: identical either way (tests/test_batch_equivalence.py).
     batch: bool = True
-    #: Worker processes for the partitioned hash joins (1 = serial).
-    join_workers: int = 1
     #: Materialised-subplan cache; ``None`` disables reuse.
     reuse_cache: Optional[PlanReuseCache] = None
     #: The governor's per-query :class:`repro.governor.QueryGuard`
-    #: (cancellation token, revocable memory grant, worker-fault policy).
+    #: (cancellation token, revocable memory grant).
     #: ``None`` executes ungoverned, exactly as before.
     guard: Optional[Any] = None
 
@@ -411,7 +409,6 @@ class JoinNode(PlanNode):
             counters=ctx.counters,
             disk=ctx.disk,
             batch=ctx.batch,
-            workers=ctx.join_workers,
         )
         if ctx.guard is not None:
             algo.set_guard(ctx.guard)

@@ -16,7 +16,7 @@ the same log as *batches over page partitions*:
   per-page state), so partitions replay without coordination;
 * when a fork pool is worth it -- multiple cores and enough bucketed
   records to amortize the fork + pickle round trip -- partitions go to
-  worker processes (the PR 2 join-pool idiom) which pickle back only the
+  worker processes which pickle back only the
   applied deltas, and the coordinator **merges** them.  Partitions are
   disjoint and each worker applied its records in log order, so the
   merge preserves the topological commit ordering the commit-group
@@ -37,10 +37,11 @@ restart time are byte-identical to the serial path for any crash state
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.join.parallel import make_pool
+from repro.errors import ConfigurationError
 from repro.recovery.records import UpdateRecord
 
 #: Bucketed work inherited by forked workers: (undo_by_page, redo_by_page,
@@ -53,6 +54,53 @@ _CTX: Optional[Tuple[Dict, Dict, List[int]]] = None
 #: run inline.  Forking also never pays on a single-core host, however
 #: large the log.
 MIN_RECORDS_FOR_POOL = 65536
+
+
+def validate_workers(workers: Any) -> int:
+    """Normalise a worker count: coerce integral floats, reject garbage.
+
+    ``0`` and ``1`` both mean serial execution.  Negative counts, booleans,
+    non-integral floats, and non-numbers raise
+    :class:`~repro.errors.ConfigurationError` instead of being silently
+    clamped -- a negative worker count is a caller bug, not a preference.
+    """
+    if isinstance(workers, bool):
+        raise ConfigurationError(
+            "workers must be an integer count, got the boolean %r" % (workers,)
+        )
+    if isinstance(workers, float):
+        if not workers.is_integer():
+            raise ConfigurationError(
+                "workers must be a whole number, got %r" % (workers,)
+            )
+        workers = int(workers)
+    if not isinstance(workers, int):
+        raise ConfigurationError(
+            "workers must be an integer count, got %r" % (workers,)
+        )
+    if workers < 0:
+        raise ConfigurationError(
+            "workers cannot be negative, got %d" % workers
+        )
+    return max(1, workers)
+
+
+def make_pool(workers: int) -> Optional[Any]:
+    """A fork-context pool, or ``None`` for serial execution.
+
+    Returns ``None`` when ``workers <= 1`` or when the platform has no
+    ``fork`` start method (workers inherit the bucketed log through
+    :data:`_CTX`, which only a fork gives them).  Invalid counts raise
+    :class:`~repro.errors.ConfigurationError` via :func:`validate_workers`.
+    """
+    workers = validate_workers(workers)
+    if workers <= 1:
+        return None
+    try:
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:
+        return None
+    return ctx.Pool(processes=workers)
 
 
 def _replay_pages(
@@ -218,4 +266,9 @@ def parallel_redo(
     return scanned, redone, undone, pages_skipped_clean
 
 
-__all__ = ["MIN_RECORDS_FOR_POOL", "parallel_redo"]
+__all__ = [
+    "MIN_RECORDS_FOR_POOL",
+    "make_pool",
+    "parallel_redo",
+    "validate_workers",
+]

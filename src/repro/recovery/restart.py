@@ -226,7 +226,7 @@ def recover(
     :class:`~repro.governor.Governor`) accounts the rebuilt image's pages
     against the memory grant budget for the duration of the restart.
     """
-    from repro.join.parallel import validate_workers
+    from repro.recovery.parallel_restart import validate_workers
 
     workers = validate_workers(workers)
     page_count = (

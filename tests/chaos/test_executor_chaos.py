@@ -1,11 +1,10 @@
 """Seeded chaos sweeps over the governed query executor.
 
 Mirrors the recovery sweeps for the query side of the house: integer
-seeds fully determine where queries are cancelled, where memory grants
-are revoked, and which parallel bucket jobs are killed/hung/garbled.
-Every run must satisfy the DegradedRunOracle -- rows identical to the
-undisturbed run or a typed governor error, and counter-identical when no
-degradation actually fired.
+seeds fully determine where queries are cancelled and where (and how
+deep) memory grants are revoked.  Every run must satisfy the
+DegradedRunOracle -- rows identical to the undisturbed run or a typed
+governor error, and counter-identical when no degradation actually fired.
 
 Replay one failing schedule with ``pytest tests/chaos --chaos-seed N``.
 """
@@ -14,13 +13,10 @@ from __future__ import annotations
 
 from repro.chaos import (
     ExecutorScenario,
-    FaultInjector,
-    FaultPlan,
     capture_baseline,
     executor_sweep,
     run_executor_seed,
 )
-from repro.chaos.executor import build_database, scenario_queries
 
 
 class TestSeededSerialSweep:
@@ -44,68 +40,3 @@ class TestSeededSerialSweep:
             second.queries_cancelled,
             second.grants_revoked,
         )
-
-
-class TestParallelWorkerFaults:
-    """Worker kill/hang/garble in hybrid phase 2, with grant revocation."""
-
-    SCENARIO = ExecutorScenario(join_workers=2, worker_timeout=1.5)
-
-    def test_sweep_with_worker_faults_passes_oracle(self):
-        report = executor_sweep(range(8), self.SCENARIO)
-        assert report.ok, report.summary()
-        # The fixed seed range covers both acceptance seams: worker
-        # faults (including kills) and grant revocation.
-        assert report.worker_faults_injected >= 1
-        assert report.grants_revoked >= 1
-        assert report.queries_cancelled >= 1
-
-    def test_deterministic_worker_kill_recovers_serially(self):
-        baseline_db = build_database(self.SCENARIO)
-        queries = dict(scenario_queries())
-        expected = sorted(baseline_db.execute(queries["spill-join"]), key=repr)
-        expected_counters = baseline_db.counters.snapshot()
-
-        db = build_database(self.SCENARIO)
-        injector = FaultInjector(FaultPlan(worker_faults={0: "kill"}))
-        db.attach_chaos(injector)
-        rows = sorted(db.execute(queries["spill-join"]), key=repr)
-        assert rows == expected
-        assert injector.worker_faults_injected == 1
-        # The failure was recorded against the session breaker...
-        assert db.governor.breaker.failures == 1
-        assert db.governor.breaker.allows_parallel()  # below threshold
-        # ...and the serial retry was counter-identical.
-        assert db.counters.snapshot() == expected_counters
-
-    def test_deterministic_garbled_result_is_detected(self):
-        baseline_db = build_database(self.SCENARIO)
-        queries = dict(scenario_queries())
-        expected = sorted(baseline_db.execute(queries["spill-join"]), key=repr)
-
-        db = build_database(self.SCENARIO)
-        injector = FaultInjector(FaultPlan(worker_faults={1: "garble"}))
-        db.attach_chaos(injector)
-        rows = sorted(db.execute(queries["spill-join"]), key=repr)
-        assert rows == expected
-        assert db.governor.breaker.failures == 1
-
-    def test_repeated_faults_trip_breaker_to_serial(self):
-        db = build_database(self.SCENARIO)
-        injector = FaultInjector(
-            FaultPlan(worker_faults={0: "garble", 1: "garble", 2: "garble"})
-        )
-        db.attach_chaos(injector)
-        queries = dict(scenario_queries())
-        baseline_db = build_database(self.SCENARIO)
-        expected = sorted(baseline_db.execute(queries["spill-join"]), key=repr)
-        rows = sorted(db.execute(queries["spill-join"]), key=repr)
-        assert rows == expected
-        stats = db.governor_stats()["breaker"]
-        if stats["failures"] >= stats["threshold"]:
-            assert stats["tripped"]
-            # Subsequent joins run serially: no new jobs are dispatched.
-            jobs_before = injector.worker_jobs
-            again = sorted(db.execute(queries["spill-join"]), key=repr)
-            assert again == expected
-            assert injector.worker_jobs == jobs_before

@@ -2,8 +2,7 @@
 
 Covers admission control (budgets, queue, typed rejections), cooperative
 cancellation and deadlines, mid-query grant revocation with hybrid hash's
-graceful degradation, the worker circuit breaker, and the worker-count
-validation satellite.
+graceful degradation, and the worker-count validation satellite.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from repro.errors import (
 )
 from repro.governor import (
     CancellationToken,
-    CircuitBreaker,
     Governor,
     GovernorConfig,
     MemoryGrant,
@@ -36,9 +34,9 @@ from repro.governor import (
 )
 from repro.join.base import JoinSpec
 from repro.join.hybrid_hash import HybridHashJoin
-from repro.join.parallel import validate_workers
 from repro.operators.selection import Comparison
 from repro.planner.query import JoinClause, Query
+from repro.recovery.parallel_restart import validate_workers
 from repro.storage.tuples import DataType, make_schema
 
 from tests.conftest import build_relation
@@ -451,29 +449,6 @@ class TestGrantRevocationDegradation:
             HybridHashJoin(batch=True).set_guard(guard).join(spec())
 
 
-class TestCircuitBreaker:
-    def test_trips_after_threshold_and_is_sticky(self):
-        breaker = CircuitBreaker(threshold=2)
-        assert breaker.allows_parallel()
-        assert breaker.record_failure() is False
-        assert breaker.record_failure() is True
-        assert not breaker.allows_parallel()
-        breaker.reset()
-        assert breaker.allows_parallel()
-        assert breaker.serial_retries == 2  # retries survive reset
-
-    def test_tripped_breaker_forces_serial_pool(self):
-        breaker = CircuitBreaker(threshold=1)
-        breaker.record_failure()
-        guard = QueryGuard(token=CancellationToken(), breaker=breaker)
-        algo = HybridHashJoin(workers=4).set_guard(guard)
-        assert algo.pool_workers() == 1
-
-    def test_rejects_zero_threshold(self):
-        with pytest.raises(ConfigurationError):
-            CircuitBreaker(threshold=0)
-
-
 class TestValidateWorkers:
     def test_accepts_ints_and_integral_floats(self):
         assert validate_workers(1) == 1
@@ -486,13 +461,9 @@ class TestValidateWorkers:
         with pytest.raises((ConfigurationError, TypeError)):
             validate_workers(bad)
 
-    def test_join_entry_point_validates(self):
-        with pytest.raises(ConfigurationError):
-            HybridHashJoin(workers=-3)
-
     def test_facade_validates(self):
         with pytest.raises(ConfigurationError):
-            MainMemoryDatabase(join_workers=-1)
+            MainMemoryDatabase(recovery_workers=-1)
 
 
 class TestFacadeIntegration:

@@ -29,13 +29,11 @@ class RecordingHybrid(HybridHashJoin):
         super().__init__(**kwargs)
         self.recursions = []
 
-    def _recurse_on_bucket(self, spec, output, r_rows, s_rows, depth,
-                           batch=False):
+    def _recurse_on_bucket(self, spec, output, r_rows, s_rows, depth):
         self.recursions.append(
             (depth + 1, self.effective_memory_pages(spec.memory_pages))
         )
-        super()._recurse_on_bucket(spec, output, r_rows, s_rows, depth,
-                                   batch=batch)
+        super()._recurse_on_bucket(spec, output, r_rows, s_rows, depth)
 
 
 def reference_join(r, s, r_field, s_field):

@@ -9,6 +9,7 @@ from repro.cost.join_model import (
     JoinWorkload,
     figure1_series,
     grace_hash_cost,
+    hash_pipeline_forecast,
     hybrid_hash_cost,
     hybrid_partition_plan,
     simple_hash_cost,
@@ -128,6 +129,41 @@ class TestHybrid:
             assert hybrid_hash_cost(workload(ratio)) <= grace_hash_cost(
                 workload(ratio)
             ) * 1.001
+
+
+class TestHashPipelineForecast:
+    def test_equals_closed_form_without_skew(self):
+        """Table 2 shape: with no hot slice the named terms add up to
+        ``hybrid_hash_cost`` on both sides of the 0.5 discontinuity."""
+        for ratio in (0.02, 0.1, 0.495, 0.505, 0.9):
+            forecast = hash_pipeline_forecast(workload(ratio))
+            assert forecast["recursion"] == 0.0
+            assert forecast["total"] == pytest.approx(
+                hybrid_hash_cost(workload(ratio)), abs=1e-9
+            )
+
+    def test_skew_term_is_the_stated_closed_form_and_monotone(self):
+        w = workload(0.1)
+        p = TABLE2_DEFAULTS
+        _, q = hybrid_partition_plan(w)
+        totals = []
+        for hot in (0.0, 0.1, 0.3, 0.5, 1.0):
+            forecast = hash_pipeline_forecast(w, hot)
+            assert forecast["recursion"] == pytest.approx(
+                hot * (1.0 - q) * (
+                    (p.r_tuples + p.s_tuples) * (p.hash + p.move)
+                    + (p.r_pages + p.s_pages) * 2.0 * p.io_seq
+                )
+            )
+            assert forecast["total"] == pytest.approx(
+                sum(v for k, v in forecast.items() if k != "total")
+            )
+            totals.append(forecast["total"])
+        assert totals == sorted(totals) and totals[0] < totals[-1]
+
+    def test_rejects_fraction_outside_unit_interval(self):
+        with pytest.raises(ValueError):
+            hash_pipeline_forecast(workload(0.1), hot_fraction=1.5)
 
 
 class TestSortMerge:

@@ -1,15 +1,13 @@
 """Tests for the PR-9 vectorized join pipeline.
 
-Four seams are covered, matching the acceptance checklist:
+Four seams are covered:
 
 * **N-way equivalence** -- 3..5-table chained joins through every join
   algorithm are byte-identical (rows *and* ``OperationCounters``) between
   the tuple-at-a-time specification and the production batch arm.
-* **Adaptive re-split** -- the hybrid join's runtime skew handling fires
-  under Zipf-skewed keys, produces the same rows as the static recursive
-  fallback, makes the same decisions in every execution mode, and
-  survives a seeded chaos sweep over the re-split fault seam with no
-  leaked scratch files.
+* **Section 3.3 recursion under skew** -- the hybrid join's one overflow
+  remedy handles Zipf-skewed keys identically in both arms (rows and
+  counters, pinned), with no leaked scratch files.
 * **Plan order-invariance** -- the greedy optimizer picks the same plan
   no matter how the query lists its tables.
 * **Measured statistics** -- ``join_selectivity`` consumes analyzed
@@ -24,11 +22,8 @@ import random
 
 import pytest
 
-from repro.chaos.injector import FaultInjector, FaultPlan, RESPLIT_FAULT_KINDS
 from repro.cost.counters import OperationCounters
 from repro.cost.parameters import CostParameters
-from repro.governor.cancellation import CancellationToken
-from repro.governor.guard import QueryGuard
 from repro.join import ALL_JOINS, HybridHashJoin, JoinSpec
 from repro.planner.planner import Planner, PlannerConfig
 from repro.planner.query import JoinClause, Query
@@ -120,14 +115,14 @@ class TestNWayEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive re-split under skew
+# Section 3.3 recursion under skew
 # ---------------------------------------------------------------------------
 
 
 #: Wide pages and a key domain much larger than the bucket fan-out: hot
-#: buckets hold many moderately hot keys, which is the regime where the
-#: salted re-split can actually separate them (a single mega-key bucket
-#: is indivisible and is deliberately left to static recursion).
+#: buckets hold many moderately hot keys, so a depth-salted recursion can
+#: actually separate them (a single mega-key bucket is indivisible and is
+#: joined directly, over budget).
 SKEW_PAGE_BYTES = 512
 
 
@@ -146,11 +141,8 @@ def skew_relation(name, rows, columns):
     return rel
 
 
-def run_hybrid(r_rows, s_rows, adaptive=True, guard=None, **kwargs):
+def run_hybrid(r_rows, s_rows, **kwargs):
     algo = HybridHashJoin(**kwargs)
-    algo.adaptive = adaptive
-    if guard is not None:
-        algo.set_guard(guard)
     r = skew_relation("r", r_rows, ("key", "pay"))
     s = skew_relation("s", s_rows, ("skey", "spay"))
     memory_pages = max(3, int(r.page_count * 1.2 / 7.0) + 1)
@@ -158,66 +150,38 @@ def run_hybrid(r_rows, s_rows, adaptive=True, guard=None, **kwargs):
     return algo, sorted(result.relation), result.counters.as_dict()
 
 
-class TestAdaptiveResplit:
-    @pytest.mark.parametrize("theta", [0.0, 0.8, 1.2])
-    def test_modes_agree_on_resplit_decisions(self, theta):
+#: theta -> (counters, result rows) of E24's static rung at |M| ~ |R|/7,
+#: as committed before the forecast-gated re-split was removed (PR 19).
+SKEW_PINS = {
+    0.0: ((4938, 11222, 7222, 115, 101), 64084),
+    0.8: ((4938, 16088, 12088, 217, 159), 173775),
+    1.2: ((4938, 24179, 20179, 290, 348), 469748),
+}
+
+
+class TestRecursionUnderSkew:
+    @pytest.mark.parametrize("theta", sorted(SKEW_PINS))
+    def test_arms_agree_and_counters_are_pinned(self, theta):
         r_rows, s_rows = skewed_inputs(theta)
-        runs = [
-            run_hybrid(r_rows, s_rows, **dict(kwargs)) for kwargs in MODES
-        ]
-        base_algo, base_rows, base_counters = runs[0]
-        for algo, rows, counters in runs[1:]:
+        (comparisons, hashes, moves, seq, rand), cardinality = SKEW_PINS[theta]
+        pinned = {
+            "comparisons": comparisons,
+            "hashes": hashes,
+            "moves": moves,
+            "swaps": 0,
+            "sequential_ios": seq,
+            "random_ios": rand,
+        }
+        base_rows = None
+        for kwargs in MODES:
+            algo, rows, counters = run_hybrid(r_rows, s_rows, **kwargs)
+            assert counters == pinned, kwargs
+            assert len(rows) == cardinality
+            if base_rows is None:
+                base_rows = rows
             assert rows == base_rows
-            assert counters == base_counters
-            assert algo.resplits == base_algo.resplits
-            assert algo.resplit_denied == base_algo.resplit_denied
-
-    def test_skew_triggers_resplit(self):
-        r_rows, s_rows = skewed_inputs(0.8)
-        algo, rows, _ = run_hybrid(r_rows, s_rows)
-        assert algo.resplits > 0
-        assert rows
-
-    def test_static_fallback_same_rows(self):
-        for theta in (0.0, 0.8, 1.2):
-            r_rows, s_rows = skewed_inputs(theta)
-            _, adaptive_rows, _ = run_hybrid(r_rows, s_rows, adaptive=True)
-            static, static_rows, _ = run_hybrid(
-                r_rows, s_rows, adaptive=False
-            )
-            assert static.resplits == 0
-            assert adaptive_rows == static_rows
-
-    @pytest.mark.parametrize("kind", RESPLIT_FAULT_KINDS)
-    def test_deterministic_resplit_fault_keeps_rows(self, kind):
-        r_rows, s_rows = skewed_inputs(0.8)
-        _, expected, _ = run_hybrid(r_rows, s_rows)
-        injector = FaultInjector(FaultPlan(resplit_faults={0: kind}))
-        guard = QueryGuard(token=CancellationToken(), injector=injector)
-        algo, rows, _ = run_hybrid(r_rows, s_rows, guard=guard)
-        assert rows == expected
-        assert injector.resplit_faults_injected == 1
-        assert algo.resplit_aborts >= 1
-
-    def test_seeded_fault_sweep_keeps_rows_and_cleans_disk(self):
-        r_rows, s_rows = skewed_inputs(0.8)
-        _, expected, _ = run_hybrid(r_rows, s_rows)
-        for seed in range(8):
-            rng = random.Random(seed)
-            faults = {
-                event: RESPLIT_FAULT_KINDS[rng.randrange(2)]
-                for event in range(4)
-                if rng.random() < 0.5
-            }
-            injector = FaultInjector(FaultPlan(resplit_faults=faults))
-            guard = QueryGuard(token=CancellationToken(), injector=injector)
-            algo, rows, _ = run_hybrid(r_rows, s_rows, guard=guard)
-            assert rows == expected, "seed %d diverged" % seed
             # Every scratch partition file was consumed and deleted.
-            assert not algo.disk._files, "seed %d leaked %r" % (
-                seed,
-                sorted(algo.disk._files),
-            )
+            assert not algo.disk._files, sorted(algo.disk._files)
 
 
 # ---------------------------------------------------------------------------

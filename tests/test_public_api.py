@@ -63,36 +63,59 @@ def test_every_public_symbol_has_a_docstring():
 
 
 def test_batch_is_the_only_execution_arm_option():
-    """No public executor entry point takes a ``columnar`` knob (PR 15):
-    the specification/production choice is ``batch`` and nothing else."""
+    """No public executor entry point takes a ``columnar`` knob (PR 15),
+    and none takes a join worker pool or a re-split switch (PR 19): the
+    specification/production choice is ``batch`` and nothing else."""
     import inspect
 
     from repro.core.database import MainMemoryDatabase
+    from repro.governor import GovernorConfig, QueryGuard
     from repro.planner.plan import PlanContext
 
-    targets = [MainMemoryDatabase, PlanContext]
-    for package in ("repro.operators", "repro.join"):
-        module = importlib.import_module(package)
-        targets.extend(
-            obj
-            for obj in (getattr(module, name) for name in module.__all__)
-            if callable(obj)
-        )
+    #: ``recovery_workers``, ``redo_workers``, the facade's per-restart
+    #: ``crash_and_recover(workers=)`` and the server's statement-thread
+    #: ``workers`` are different things and stay.
+    removed = {
+        "columnar",
+        "workers",
+        "join_workers",
+        "adaptive",
+        "worker_timeout",
+        "breaker_threshold",
+    }
+    join_api = importlib.import_module("repro.join")
+    joins = [getattr(join_api, name) for name in join_api.__all__]
+    operators_api = importlib.import_module("repro.operators")
+    operators = [getattr(operators_api, name) for name in operators_api.__all__]
+
     offenders = []
-    for obj in targets:
-        candidates = [obj]
+
+    def check(fn, names):
+        try:
+            params = inspect.signature(fn).parameters
+        except (TypeError, ValueError):
+            return
+        label = getattr(fn, "__qualname__", repr(fn))
+        offenders.extend("%s(%s=)" % (label, n) for n in names & set(params))
+
+    # Constructors (for a dataclass, its fields) of the facade, the plan
+    # context and the governor's configuration.
+    for cls in (MainMemoryDatabase, PlanContext, GovernorConfig, QueryGuard):
+        check(cls, removed)
+    # Every public callable of the join package with its public methods
+    # and class attributes; the operators and the facade's methods keep
+    # the PR-15 check.
+    for obj in joins + operators + [MainMemoryDatabase]:
+        if not callable(obj):
+            continue
+        names = removed if obj in joins else {"columnar"}
+        check(obj, names)
         if inspect.isclass(obj):
-            candidates.extend(
-                member
-                for name, member in inspect.getmembers(obj, callable)
-                if not name.startswith("_")
+            offenders.extend(
+                "%s.%s" % (obj.__name__, n) for n in names if hasattr(obj, n)
             )
-        for fn in candidates:
-            try:
-                params = inspect.signature(fn).parameters
-            except (TypeError, ValueError):
-                continue
-            if "columnar" in params:
-                offenders.append(getattr(fn, "__qualname__", repr(fn)))
-    assert not offenders, "columnar knob is back on: %s" % offenders
+            for name, member in inspect.getmembers(obj, callable):
+                if not name.startswith("_"):
+                    check(member, names)
+    assert not offenders, "removed execution options are back: %s" % offenders
     assert "batch" in inspect.signature(PlanContext).parameters
