@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
+from itertools import chain
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.access.interface import Index, remove_value
@@ -357,6 +358,35 @@ class BPlusTree(Index):
                     yield key, value
             leaf = leaf.next
             start = 0
+
+    def range_tids(
+        self,
+        low: Optional[Any] = None,
+        high: Optional[Any] = None,
+        low_open: bool = False,
+        high_open: bool = False,
+        token: Optional[Any] = None,
+        chunk: int = 64,
+    ) -> List[Any]:
+        """One descent to ``low``, then a slice of each leaf's value lists,
+        both ends found by bisection: keys outside the interval are never
+        visited.  Charges what :meth:`range_scan` does (the descent);
+        ``token`` is checked before each leaf read, whatever ``chunk``."""
+        first = bisect_right if low_open else bisect_left
+        last = bisect_left if high_open else bisect_right
+        values: List[Any] = []
+        leaf = self._leftmost_leaf() if low is None else self._find_leaf(low)
+        while leaf is not None:
+            if token is not None:
+                token.check()
+            keys = leaf.keys
+            start = 0 if low is None else first(keys, low)
+            stop = len(keys) if high is None else last(keys, high)
+            values.extend(chain.from_iterable(leaf.values[start:stop]))
+            if stop < len(keys):
+                break
+            leaf = leaf.next
+        return values
 
     def scan_pages(
         self, low: Optional[Any] = None, high: Optional[Any] = None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import abc
 from bisect import bisect_left
+from itertools import islice
 from typing import Any, Iterator, List, Optional, Tuple
 
 
@@ -71,6 +72,32 @@ class Index(abc.ABC):
         raise NotImplementedError(
             "%s does not support ordered scans" % type(self).__name__
         )
+
+    def range_tids(
+        self,
+        low: Optional[Any] = None,
+        high: Optional[Any] = None,
+        low_open: bool = False,
+        high_open: bool = False,
+        token: Optional[Any] = None,
+        chunk: int = 64,
+    ) -> List[Any]:
+        """The values of a key interval as one list, in key order: the bulk
+        form of :meth:`range_scan`.  ``None`` leaves an end unbounded;
+        ``low_open`` / ``high_open`` leave the bound's own key out.  A
+        cancellation ``token`` is checked before each ``chunk`` entries are
+        drained (those an open end rejects included); indexes with
+        page-structured nodes override this and check per node read."""
+        entries = self.range_scan(low, high)
+        left_out = ([low] if low_open else []) + ([high] if high_open else [])
+        values: List[Any] = []
+        while True:
+            if token is not None:
+                token.check()
+            drained = list(islice(entries, chunk))
+            values.extend(v for k, v in drained if k not in left_out)
+            if len(drained) < chunk:
+                return values
 
     def items(self) -> Iterator[Tuple[Any, Any]]:
         """Every ``(key, value)`` pair (key order for ordered indexes)."""

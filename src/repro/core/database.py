@@ -34,7 +34,7 @@ from repro.cost.counters import (
 )
 from repro.cost.parameters import CostParameters
 from repro.governor import Governor, GovernorConfig
-from repro.operators.selection import Comparison, Predicate, select, select_tids
+from repro.operators.selection import Comparison, Predicate, Range, select, select_tids
 from repro.planner.plan import PlanContext, PlanNode
 from repro.planner.planner import Planner, PlannerConfig
 from repro.planner.query import Query
@@ -355,13 +355,13 @@ class MainMemoryDatabase:
     def range_lookup(
         self, table: str, column: str, low: Any, high: Any
     ) -> List[Tuple[Any, ...]]:
-        """Range lookup ``low <= column <= high`` via an ordered index."""
+        """Range lookup ``low <= column <= high`` via an ordered index
+        (where ``None`` leaves an end unbounded) or, without one, a scan."""
         relation = self.catalog.relation(table)
         index = self.catalog.index(table, column)
         if index is None or not index.supports_range_scan:
-            pred = Comparison(column, ">=", low) & Comparison(column, "<=", high)
-            return list(select(relation, pred, self.counters))
-        return [relation.fetch(tid) for _, tid in index.range_scan(low, high)]
+            return list(select(relation, Range(column, low, high), self.counters))
+        return [relation.fetch(tid) for tid in index.range_tids(low, high)]
 
     def plan(self, query: Query) -> PlanNode:
         """Optimize ``query`` (Section 4) without executing it."""

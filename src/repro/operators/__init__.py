@@ -29,6 +29,7 @@ from repro.operators.selection import (
     Or,
     Predicate,
     Prefix,
+    Range,
     select,
     select_via_index,
 )
@@ -42,6 +43,7 @@ __all__ = [
     "Or",
     "Predicate",
     "Prefix",
+    "Range",
     "cross_product",
     "difference",
     "divide",

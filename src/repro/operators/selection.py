@@ -1,9 +1,9 @@
 """Selection: predicates and the scan / index-assisted operators.
 
-Predicates form a small combinator algebra (:class:`Comparison` leaves with
-``And`` / ``Or`` / ``Not``) so the Section 4 planner can inspect them for
-selectivity estimation and index eligibility, rather than being handed an
-opaque Python callable.
+Predicates form a small combinator algebra (:class:`Comparison`,
+:class:`Range` and :class:`Prefix` leaves with ``And`` / ``Or`` / ``Not``)
+so the Section 4 planner can inspect them for selectivity estimation and
+index eligibility, rather than being handed an opaque Python callable.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
-    Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -184,7 +182,7 @@ class Prefix(Predicate):
     """``column = "J*"`` -- the paper's Section 2 sequential-access query.
 
     Matches string values starting with ``prefix``.  Served by an ordered
-    index as the range ``[prefix, prefix + chr(max))``, which is exactly
+    index as the range ``[prefix, successor(prefix))``, which is exactly
     the "locate the first employee with a name beginning with J and then
     read sequentially" plan the paper analyses.
     """
@@ -223,9 +221,78 @@ class Prefix(Predicate):
         return ("prefix", self.column, self.prefix)
 
     @property
-    def range_bounds(self) -> Tuple[str, str]:
-        """Half-open key range equivalent to the prefix match."""
-        return self.prefix, self.prefix + chr(0x10FFFF)
+    def range_bounds(self) -> Tuple[str, Optional[str]]:
+        """Half-open key range ``[prefix, successor)`` equivalent to the
+        prefix match: the last code point incremented, carrying past the
+        largest one (``None``, no upper bound, when all are the largest)."""
+        stem = self.prefix.rstrip(chr(0x10FFFF))
+        if not stem:
+            return self.prefix, None
+        return self.prefix, stem[:-1] + chr(ord(stem[-1]) + 1)
+
+
+@dataclass(frozen=True)
+class Range(Predicate):
+    """``low <(=) column <(=) high`` -- one interval on one column.
+
+    What the planner folds a lower and an upper bound on one column into,
+    so an ordered index is probed with both ends (Section 2's "locate the
+    first qualifying key, then read sequentially") and a scan tests both
+    in one page pass.  ``low_open`` / ``high_open`` exclude the bound.
+    """
+
+    column: str
+    low: Any
+    high: Any
+    low_open: bool = False
+    high_open: bool = False
+
+    def conjunction(self) -> "And":
+        """The conjunction of two comparisons this range stands for."""
+        return And(
+            Comparison(self.column, ">" if self.low_open else ">=", self.low),
+            Comparison(self.column, "<" if self.high_open else "<=", self.high),
+        )
+
+    def evaluate(self, schema: Schema, row: Row) -> bool:
+        value = row[schema.index_of(self.column)]
+        return (value > self.low if self.low_open else value >= self.low) and (
+            value < self.high if self.high_open else value <= self.high
+        )
+
+    def compile(self, schema: Schema) -> Callable[[Row], bool]:
+        return self.conjunction().compile(schema)
+
+    def compile_mask(self, schema: Schema) -> Callable[[Page], Sequence[bool]]:
+        idx = schema.index_of(self.column)
+        both = self.conjunction()
+        above, below = _OPS[both.left.op], _OPS[both.right.op]
+        low, high = self.low, self.high
+        spelt_out = both.compile_mask(schema)
+        # The packed kinds both bounds pass Comparison's exactness gate for.
+        exact = [
+            kind for kind in (codecs.INT_KIND, codecs.FLOAT_KIND)
+            if _vector_exact(kind, low) and _vector_exact(kind, high)
+        ]
+
+        def masker(page: Page):
+            col = page.column(idx)
+            if type(col) is codecs.array and col.typecode in exact:
+                view = codecs.packed_view(col)
+                if view is not None:
+                    return above(view, low) & below(view, high)  # one page pass
+            return spelt_out(page)
+
+        return masker
+
+    def comparisons(self) -> int:
+        return 2
+
+    def columns(self) -> List[str]:
+        return [self.column]
+
+    def fingerprint(self) -> Tuple[Any, ...]:
+        return ("range", self.column, self.low, self.high, self.low_open, self.high_open)
 
 
 def _both(
@@ -426,34 +493,38 @@ def select_tids(
 def _gather_tid_runs(
     relation: Relation,
     out: Relation,
-    tids: Iterable[Tuple[int, int]],
+    tids: List[Tid],
     counters: OperationCounters,
     equality: bool,
     indexes: Optional[Sequence[int]] = None,
 ) -> None:
     """Materialise an index scan's TIDs buffer-to-buffer.
 
-    ``tids`` arrive in index order; consecutive TIDs on the same page form
-    a run that is charged in bulk (one compare plus one move per TID for
+    ``tids`` are in index order; consecutive TIDs on the same page form a
+    run that is charged in bulk (one compare plus one move per TID for
     range scans, one move for equality -- the same totals as the per-TID
-    fetch loop) and gathered column-to-column through
+    fetch loop) and appended column-to-column through
     :meth:`~repro.storage.relation.Relation.extend_columns`, so no row
-    tuple is ever built for the qualifying slice.  Only the columns at
-    ``indexes`` (``None`` = all) are gathered.
+    tuple is ever built for the qualifying slice: a buffer slice when the
+    run's slots count up one by one (a clustered index), a gather
+    otherwise.  Only the columns at ``indexes`` (``None`` = all) are read.
     """
     pages = relation.pages
+    charge = charge_page_moves if equality else charge_page_fetch
     run_page = -1
     run_slots: List[int] = []
 
     def flush() -> None:
-        if equality:
-            charge_page_moves(counters, len(run_slots))
-        else:
-            charge_page_fetch(counters, len(run_slots))
-        out.extend_columns(
-            gather_columns(kept_columns(pages[run_page], indexes), run_slots),
-            len(run_slots),
-        )
+        n = len(run_slots)
+        charge(counters, n)
+        page = pages[run_page]
+        columns = kept_columns(page, indexes)
+        first = run_slots[0]
+        if run_slots != list(range(first, first + n)):
+            columns = gather_columns(columns, run_slots)
+        elif n < len(page):
+            columns = [col[first:first + n] for col in columns]
+        out.extend_columns(columns, n)
 
     for page_no, slot in tids:
         if page_no != run_page:
@@ -466,58 +537,49 @@ def _gather_tid_runs(
         flush()
 
 
+def _key_interval(predicate: Predicate) -> Tuple[Any, Any, bool, bool]:
+    """The ``(low, high, low_open, high_open)`` keys an ordered index serves
+    ``predicate`` with: ``None`` is the end a comparison leaves unbounded."""
+    if isinstance(predicate, Range):
+        return predicate.low, predicate.high, predicate.low_open, predicate.high_open
+    if isinstance(predicate, Prefix):
+        return predicate.range_bounds + (False, True)
+    if predicate.op in (">", ">="):
+        return predicate.value, None, predicate.op == ">", False
+    if predicate.op in ("<", "<="):
+        return None, predicate.value, False, predicate.op == "<"
+    raise PlannerError("operator %r cannot use an index" % predicate.op)
+
+
 def _index_tids(
     index: Index,
-    predicate: "Union[Comparison, Prefix]",
+    predicate: "Union[Comparison, Prefix, Range]",
     token: Optional[Any],
     tpp: int,
-) -> Iterator[Tuple[int, int]]:
-    """Probe ``index`` for ``predicate``; yield qualifying TIDs in index order.
+) -> List[Tid]:
+    """Probe ``index`` for ``predicate``; the qualifying TIDs in index order.
 
-    ``token`` is checked once per ``tpp`` index entries visited (an entry
-    an open range endpoint rejects still counts), so a cancelled query
-    stops within one page's worth of probing.
+    Equality is a point lookup, ``token`` checked once per ``tpp`` TIDs
+    found; anything else is one key interval handed to
+    :meth:`~repro.access.interface.Index.range_tids`, which checks it per
+    leaf read or per ``tpp`` entries, so a cancelled query stops within
+    one page's worth of probing.
     """
-    open_endpoint = False
-    if isinstance(predicate, Prefix):
-        if not index.supports_range_scan:
-            raise PlannerError(
-                "prefix predicates need an ordered index on %r"
-                % predicate.column
-            )
-        entries = index.range_scan(*predicate.range_bounds)
-    elif predicate.is_equality:
-        for i, tid in enumerate(index.search(predicate.value)):
-            if token is not None and i % tpp == 0:
+    if isinstance(predicate, Comparison) and predicate.is_equality:
+        tids = index.search(predicate.value)
+        if token is not None:
+            for _ in range(0, len(tids), tpp):
                 token.check()
-            yield tid
-        return
-    else:
-        if not index.supports_range_scan:
-            raise PlannerError(
-                "index on %r cannot serve a %r predicate; hash indexes only "
-                "support equality" % (predicate.column, predicate.op)
-            )
-        if predicate.op in (">", ">="):
-            entries = index.range_scan(predicate.value, None)
-        elif predicate.op in ("<", "<="):
-            entries = index.range_scan(None, predicate.value)
-        else:
-            raise PlannerError("operator %r cannot use an index" % predicate.op)
-        open_endpoint = predicate.op in (">", "<")
-    for i, (key, tid) in enumerate(entries):
-        if token is not None and i % tpp == 0:
-            token.check()
-        # Open endpoints: drop the boundary key itself.
-        if open_endpoint and key == predicate.value:
-            continue
-        yield tid
+        return tids
+    if not index.supports_range_scan:
+        raise PlannerError("hash indexes only support equality: %r" % (predicate,))
+    return index.range_tids(*_key_interval(predicate), token=token, chunk=tpp)
 
 
 def select_via_index(
     relation: Relation,
     index: Index,
-    predicate: "Union[Comparison, Prefix]",
+    predicate: "Union[Comparison, Prefix, Range]",
     counters: Optional[OperationCounters] = None,
     output_name: Optional[str] = None,
     token: Optional[Any] = None,
@@ -527,8 +589,8 @@ def select_via_index(
     """Index-assisted selection for equality, range, and prefix predicates.
 
     The index stores TIDs into ``relation``; equality uses a point lookup,
-    ranges and prefixes use
-    :meth:`~repro.access.interface.Index.range_scan` when the index is
+    one- and two-sided ranges and prefixes use
+    :meth:`~repro.access.interface.Index.range_tids` when the index is
     ordered.  This is the paper's Section 2 access path -- both the
     ``emp.name = "Jones"`` and the ``emp.name = "J*"`` queries go through
     here.
@@ -568,6 +630,7 @@ __all__ = [
     "Or",
     "Predicate",
     "Prefix",
+    "Range",
     "select",
     "select_tids",
     "select_via_index",

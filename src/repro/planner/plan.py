@@ -13,7 +13,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro.cost.counters import OperationCounters
 from repro.cost.join_model import ALGORITHMS as JOIN_COST_MODELS
@@ -29,6 +29,7 @@ from repro.operators.selection import (
     Comparison,
     Predicate,
     Prefix,
+    Range,
     select,
     select_via_index,
 )
@@ -241,7 +242,7 @@ class IndexScanNode(PlanNode):
     def __init__(
         self,
         table: str,
-        predicate: Comparison,
+        predicate: Union[Comparison, Prefix, Range],
         catalog: Catalog,
         selectivity: float,
         columns: Optional[Sequence[str]] = None,
@@ -259,6 +260,11 @@ class IndexScanNode(PlanNode):
     def label(self) -> str:
         if isinstance(self.predicate, Prefix):
             condition = "= %r*" % self.predicate.prefix
+        elif isinstance(self.predicate, Range):
+            p = self.predicate
+            condition = "in %s%r, %r%s" % (
+                "(" if p.low_open else "[", p.low, p.high, ")" if p.high_open else "]"
+            )
         else:
             condition = "%s %r" % (self.predicate.op, self.predicate.value)
         return "IndexScan(%s.%s %s)%s" % (

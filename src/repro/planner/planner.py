@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.cost.parameters import CostParameters
 from repro.errors import PlannerError, UnplannableQueryError
 from repro.join import ALL_JOINS
-from repro.operators.selection import And, Comparison, Predicate, Prefix
+from repro.operators.selection import Comparison, Predicate, Prefix, Range
 from repro.planner.plan import (
     AggregateNode,
     FilterNode,
@@ -75,8 +75,46 @@ class PlannerConfig:
         return list(self.join_algorithms)
 
 
-#: A predicate beside the column names it reads (``Predicate.columns()``).
-_Reads = Tuple[Predicate, Optional[List[str]]]
+#: A predicate, the column names it reads (``Predicate.columns()``), its selectivity.
+_Reads = Tuple[Predicate, Optional[List[str]], float]
+
+
+def _bound_key(pred: Predicate) -> Optional[Tuple[str, type]]:
+    """``(column, str or float)`` for a one-sided comparison against a
+    string or a number (not NaN) -- the bounds that fold into a
+    :class:`Range` with the others of their key -- else ``None``."""
+    if isinstance(pred, Comparison) and pred.op not in ("=", "!="):
+        value = pred.value
+        if isinstance(value, str):
+            return pred.column, str
+        if isinstance(value, (int, float)) and type(value) is not bool and value == value:
+            return pred.column, float
+    return None
+
+
+def _fold_ranges(predicates: List[Predicate]) -> List[Predicate]:
+    """``predicates`` with each column's lower and upper bounds folded into
+    one :class:`Range` where the first of them was written: the tightest
+    bound per side, an open end over a closed one at the same value.  A
+    column bounded on one side only is left alone."""
+    keys = [_bound_key(pred) for pred in predicates]
+    groups: Dict[Optional[Tuple[str, type]], List[Predicate]] = {}
+    for key, pred in zip(keys, predicates):
+        groups.setdefault(key, []).append(pred)
+    folded: List[Predicate] = []
+    for key, pred in zip(keys, predicates):
+        bounds = groups[key] if key else ()
+        lows = [b for b in bounds if b.op in (">", ">=")]
+        highs = [b for b in bounds if b.op in ("<", "<=")]
+        if not lows or not highs:
+            folded.append(pred)
+        elif pred is bounds[0]:
+            low = max(lows, key=lambda b: (b.value, b.op == ">"))
+            high = min(highs, key=lambda b: (b.value, b.op != "<"))
+            folded.append(Range(
+                pred.column, low.value, high.value, low.op == ">", high.op == "<"
+            ))
+    return folded
 
 
 class _SubPlan:
@@ -177,8 +215,11 @@ class Planner:
         keep = None if read is None else (
             read.intersection(names) or {names[0]}
         )
-        # Each predicate beside the columns it names (None: it does not say).
-        predicates = [(p, p.columns()) for p in query.predicates_on(table)]
+        # Each predicate, the columns it names (None: it does not say), its selectivity.
+        predicates = [
+            (p, p.columns(), estimate_selectivity(p, stats))
+            for p in _fold_ranges(query.predicates_on(table))
+        ]
 
         def live(width: int, later: List[_Reads]) -> Optional[List[str]]:
             """What a node over ``width`` columns must still emit: ``keep``
@@ -189,7 +230,7 @@ class Planner:
             if keep is None:
                 return None
             wanted = set(keep)
-            for _, named in later:
+            for _, named, _ in later:
                 if named is None:
                     return None
                 wanted.update(named)
@@ -197,10 +238,11 @@ class Planner:
             return kept if len(kept) < width else None
 
         def filtered(node: PlanNode, chain: List[_Reads]) -> PlanNode:
-            for i, (pred, _) in enumerate(chain):
+            # Section 4: the most selective first; ties in written order.
+            chain = sorted(chain, key=lambda reads: reads[2])
+            for i, (pred, _, sel) in enumerate(chain):
                 node = FilterNode(
-                    node, pred, estimate_selectivity(pred, stats),
-                    live(len(node.schema), chain[i + 1 :]),
+                    node, pred, sel, live(len(node.schema), chain[i + 1 :])
                 )
             return node
 
@@ -217,16 +259,13 @@ class Planner:
 
         # Try serving one indexed comparison with an index scan, filtering
         # the rest on top; keep whichever estimate is cheaper.
-        for i, (pred, _) in enumerate(predicates):
-            comparison = self._indexable(pred, table)
-            if comparison is None:
+        for i, (pred, _, sel) in enumerate(predicates):
+            if not self._indexable(pred, table):
                 continue
-            sel = estimate_selectivity(comparison, stats)
             rest = predicates[:i] + predicates[i + 1 :]
             candidate = filtered(
                 IndexScanNode(
-                    table, comparison, self.catalog, sel,
-                    live(len(names), rest),
+                    table, pred, self.catalog, sel, live(len(names), rest)
                 ),
                 rest,
             )
@@ -236,20 +275,15 @@ class Planner:
         distinct = {name: stats.column(name) for name in names}
         return _SubPlan(best, {table}, distinct)
 
-    def _indexable(self, pred: Predicate, table: str):
-        if isinstance(pred, Prefix):
-            index = self.catalog.index(table, pred.column)
-            if index is not None and index.supports_range_scan:
-                return pred
-            return None
-        if not isinstance(pred, Comparison) or pred.op == "!=":
-            return None
-        index = self.catalog.index(table, pred.column)
-        if index is None:
-            return None
-        if not pred.is_equality and not index.supports_range_scan:
-            return None
-        return pred
+    def _indexable(self, pred: Predicate, table: str) -> bool:
+        """Whether an index on ``table`` can serve ``pred``: any index an
+        equality, an ordered one a range or a prefix."""
+        equality = isinstance(pred, Comparison) and pred.is_equality
+        ranged = isinstance(pred, (Prefix, Range)) or (
+            isinstance(pred, Comparison) and pred.op in ("<", "<=", ">", ">=")
+        )
+        index = self.catalog.index(table, pred.column) if equality or ranged else None
+        return index is not None and (equality or index.supports_range_scan)
 
     # -- step 2+3: join ordering and algorithm choice -----------------------------------
 

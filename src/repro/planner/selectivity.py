@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from repro.operators.selection import And, Comparison, Not, Or, Predicate, Prefix
+from repro.operators.selection import And, Comparison, Not, Or, Predicate, Prefix, Range
 from repro.storage.catalog import ColumnStats, RelationStats
 
 #: Fallbacks from the Selinger paper for un-analyzable predicates.
@@ -25,6 +25,8 @@ def estimate_selectivity(predicate: Predicate, stats: RelationStats) -> float:
         return _comparison_selectivity(predicate, stats)
     if isinstance(predicate, Prefix):
         return _prefix_selectivity(predicate, stats)
+    if isinstance(predicate, Range):
+        return _range_selectivity(predicate, stats)
     if isinstance(predicate, And):
         return estimate_selectivity(predicate.left, stats) * estimate_selectivity(
             predicate.right, stats
@@ -71,6 +73,15 @@ def _comparison_selectivity(pred: Comparison, stats: RelationStats) -> float:
     if pred.op in ("<", "<="):
         return max(0.0, min(1.0, (pred.value - lo) / span))
     return max(0.0, min(1.0, (hi - pred.value) / span))
+
+
+def _range_selectivity(pred: Range, stats: RelationStats) -> float:
+    """The interval's share of the column, not the product of its two
+    ends' (which are anything but independent); bounds the statistics
+    cannot measure (strings) are estimated as the comparisons they are."""
+    if isinstance(pred.low, str) or isinstance(pred.high, str):
+        return estimate_selectivity(pred.conjunction(), stats)
+    return stats.column(pred.column).selectivity_range(pred.low, pred.high)
 
 
 def _prefix_selectivity(pred: Prefix, stats: RelationStats) -> float:

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 
 from repro.access.avl import AVLTree
 from repro.cost.counters import OperationCounters
+from repro.errors import QueryCancelled
+from repro.governor import CancellationToken
+from tests.test_btree import check_probe_on_every_interval, loaded
 
 
 @pytest.fixture
@@ -205,3 +208,45 @@ def test_property_delete_matches_multiset(inserts, deletes):
         k for k, count in reference.items() for _ in range(count)
     )
     assert sorted(k for k, _ in tree.items()) == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(0, 40), max_size=120),
+    st.lists(st.integers(0, 40), max_size=60),
+)
+def test_property_range_tids_is_the_filtered_range_scan(keys, deletes):
+    """The bulk probe every ordered index inherits (tests/test_btree.py
+    holds the property and the B+-tree's own implementation of it)."""
+    tree = loaded(AVLTree(), keys)
+    check_probe_on_every_interval(tree, keys)
+    for k in deletes:
+        tree.delete(k)
+    tree.check_invariants()
+    check_probe_on_every_interval(tree, [k for k in keys if k not in deletes])
+
+
+class TestRangeTidsCancellation:
+    """The inherited probe checks its token before every ``chunk``
+    entries it drains, those an open end rejects included."""
+
+    def test_one_check_per_chunk_of_entries_visited(self):
+        tree = loaded(AVLTree(), range(50))
+        for chunk, checks in ((8, 7), (10, 6), (64, 1)):
+            token = CancellationToken(qid=1)
+            assert len(tree.range_tids(token=token, chunk=chunk)) == 50
+            assert token.checks == checks
+        token = CancellationToken(qid=1)
+        assert tree.range_tids(0, 7, True, True, token=token, chunk=8) == [
+            (k, k) for k in range(1, 7)
+        ]
+        assert token.checks == 2  # eight entries visited, six returned
+
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_cancelled_after_k_checks_stops_before_the_next_chunk(self, k):
+        tree = loaded(AVLTree(), range(50))
+        token = CancellationToken(qid=1)
+        token.on_check = lambda tok: tok.cancel() if tok.checks > k else None
+        with pytest.raises(QueryCancelled):
+            tree.range_tids(token=token, chunk=8)
+        assert token.checks == k + 1

@@ -48,6 +48,7 @@ from repro.operators.selection import (
     Comparison,
     Predicate,
     Prefix,
+    Range,
     select,
     select_via_index,
 )
@@ -206,6 +207,13 @@ INDEX_PREDICATES = [
     Comparison("key", ">", 31),
     Comparison("key", ">=", 31),
     Comparison("key", ">", 1000),  # empty range
+    Range("key", 12, 31),
+    Range("key", 12, 31, low_open=True, high_open=True),
+    Range("key", 12, 31, high_open=True),
+    Range("key", 20, 20),  # one key
+    Range("key", 20, 20, high_open=True),  # empty: [20, 20)
+    Range("key", 31, 12),  # empty: inverted
+    Range("key", -5, 1000),  # everything
 ]
 
 
@@ -236,7 +244,7 @@ class TestSelectViaIndex:
         rel = kv_relation("t", seeded_pairs(16, 123, 40))
         matched = 0
         for predicate in INDEX_PREDICATES:
-            if index_cls is HashIndex and not predicate.is_equality:
+            if index_cls is HashIndex and not getattr(predicate, "is_equality", False):
                 for kwargs in MODES:
                     with pytest.raises(PlannerError):
                         select_via_index(rel, index_cls(), predicate, **kwargs)

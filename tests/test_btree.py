@@ -1,5 +1,6 @@
 """Tests for the B+-tree, including hypothesis invariant checks."""
 
+import itertools
 import math
 import random
 
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from repro.access.btree import BPlusTree
 from repro.cost.counters import OperationCounters
+from repro.errors import QueryCancelled
+from repro.governor import CancellationToken
 
 
 @pytest.fixture
@@ -199,3 +202,81 @@ def test_property_insert_delete_consistency(inserts, deletes):
     tree.check_invariants()
     expected = sorted(k for k, c in reference.items() for _ in range(c))
     assert sorted(k for k, _ in tree.range_scan()) == expected
+
+
+# -- the bulk probe: range_tids against range_scan ------------------------------
+
+
+def check_range_tids(tree, low, high, low_open, high_open):
+    """``range_tids`` is ``range_scan`` less the keys an open end leaves
+    out, in value and order, and charges the index what the scan does."""
+    tree.counters.reset()
+    expected = [
+        value
+        for key, value in tree.range_scan(low, high)
+        if not (low_open and key == low) and not (high_open and key == high)
+    ]
+    scan_charged = tree.counters.as_dict()
+    tree.counters.reset()
+    assert tree.range_tids(low, high, low_open, high_open) == expected, (
+        low, high, low_open, high_open,
+    )
+    assert tree.counters.as_dict() == scan_charged
+
+
+def check_probe_on_every_interval(tree, keys):
+    """Every combination of absent (``None``) / present / missing / equal
+    / inverted bounds, inside and outside ``[min, max]``, open and
+    closed."""
+    low, high = (min(keys), max(keys)) if keys else (0, 0)
+    present = sorted(keys)[len(keys) // 2] if keys else 0
+    points = [None, low - 1, low, present, present + 0.5, high, high + 1]
+    for bounds in itertools.product(points, points, (False, True), (False, True)):
+        check_range_tids(tree, *bounds)
+
+
+def loaded(tree, keys):
+    """``tree`` holding ``(key, ordinal)`` under each of ``keys``, so the
+    duplicates of a key can be told apart and their order checked."""
+    for i, k in enumerate(keys):
+        tree.insert(k, (k, i))
+    return tree
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(0, 40), max_size=120),
+    st.lists(st.integers(0, 40), max_size=60),
+)
+def test_property_range_tids_is_the_filtered_range_scan(keys, deletes):
+    tree = loaded(BPlusTree(order=4), keys)
+    check_probe_on_every_interval(tree, keys)
+    for k in deletes:  # whole keys: leaves borrow from and merge with siblings
+        tree.delete(k)
+    tree.check_invariants()
+    check_probe_on_every_interval(tree, [k for k in keys if k not in deletes])
+
+
+class TestRangeTidsCancellation:
+    @pytest.fixture
+    def tree(self):
+        return loaded(BPlusTree(order=4), range(64))
+
+    def test_one_check_per_leaf_read(self, tree):
+        _, leaves = tree.node_counts()
+        token = CancellationToken(qid=1)
+        assert len(tree.range_tids(token=token)) == 64
+        assert token.checks == leaves
+        # A range inside one leaf reads one leaf.
+        token = CancellationToken(qid=1)
+        key = tree.minimum()
+        assert tree.range_tids(key, key, token=token) == [(key, key)]
+        assert token.checks == 1
+
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    def test_cancelled_after_k_checks_stops_before_leaf_k_plus_one(self, tree, k):
+        token = CancellationToken(qid=1)
+        token.on_check = lambda tok: tok.cancel() if tok.checks > k else None
+        with pytest.raises(QueryCancelled):
+            tree.range_tids(token=token)
+        assert token.checks == k + 1  # raised at the check before that leaf

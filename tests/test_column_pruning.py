@@ -174,10 +174,13 @@ class TestFreeInMemory:
         for opaque, four_below in (
             (Odd(), 4), (And(Odd(), Comparison("four", "<", 3)), 3)
         ):
+            # Written most selective first (1/3, then two estimates of
+            # 1/2), which is the order the planner chains them in: the
+            # opaque predicate has a filter below it and one above.
             query = Query(
                 tables=["tenk1"],
                 predicates=[
-                    ("tenk1", Comparison("ten", "<", 5)),
+                    ("tenk1", Comparison("ten", "<", 3)),
                     ("tenk1", opaque),
                     ("tenk1", Comparison("two", "=", 1)),
                 ],
@@ -192,7 +195,7 @@ class TestFreeInMemory:
                 rows, _, _ = run(db, plan, batch)
                 assert rows == Counter(
                     (r[6],) for r in db.table("tenk1")
-                    if r[4] < 5 and r[0] % 2 == 1 and r[3] < four_below
+                    if r[4] < 3 and r[0] % 2 == 1 and r[3] < four_below
                     and r[2] == 1
                 )
 
@@ -315,8 +318,9 @@ NODE_QUERIES = {
                           ("t", Comparison("pad", "!=", -40)),
                           ("t", Comparison("mixed", "<", 30))],
               projection=["name", "big"]),
-        "Filter(Comparison(column='x', op='>=', value=10.0))"
-        "[name, big, mixed, pad]",
+        # The most selective of the three runs first, whatever was written.
+        "Filter(Comparison(column='mixed', op='<', value=30))"
+        "[x, name, big, pad]",
     ),
     "bare scan": (
         Query(tables=["t", "u"], joins=[JoinClause("t", "k", "u", "uk")],

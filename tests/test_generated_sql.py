@@ -3,7 +3,10 @@
 A ``hypothesis`` strategy draws a small random database (two or three
 tables, mixed column types, random indexes, a memory grant that may or
 may not make joins spill) and a handful of select / project / distinct /
-join (2- and 3-way) / group-by statements over it.  Every statement must
+join (2- and 3-way) / group-by statements over it, a lower and an upper
+bound on one column -- the pair the planner folds into one ``Range`` and
+probes an ordered index with -- among their predicates.  Every statement
+must
 
 * return the multiset of rows stdlib ``sqlite3`` returns for the same
   text over the same rows (the performance ledger's oracle idea,
@@ -23,6 +26,7 @@ nightly CI job raises it.
 
 from __future__ import annotations
 
+import re
 import sqlite3
 from collections import Counter
 from dataclasses import dataclass, field
@@ -72,6 +76,8 @@ class Statement:
     distinct: bool = False
     group_by: List[str] = field(default_factory=list)
     aggregates: List[Tuple[str, Optional[str], str]] = field(default_factory=list)
+    #: Shapes the strategy gave the statement on purpose (``range_pairs``).
+    drawn: Set[str] = field(default_factory=set)
 
     def sql(self, select: Optional[List[str]] = None) -> str:
         items = list(self.group_by)
@@ -111,7 +117,7 @@ class Statement:
         """Which of the shapes the generator must reach this one has."""
         read = self.read_above()
         if read is None:
-            return {"select_star"}
+            return {"select_star"} | self.drawn
         keys = {c for _, lcol, _, rcol in self.joins for c in (lcol, rcol)}
         named = set().union(*(cols for _, cols in self.where)) if self.where else set()
         listed = set(self.select or self.group_by)
@@ -126,7 +132,7 @@ class Statement:
             found.add("column_in_select_and_where")
         if len(self.joins) == 2:
             found.add("three_way_join")
-        return found
+        return found | self.drawn
 
 
 # -- strategies ----------------------------------------------------------------
@@ -155,6 +161,10 @@ def tables(draw) -> List[Table]:
     return out
 
 
+def literal(value) -> str:
+    return "'%s'" % value if isinstance(value, str) else repr(value)
+
+
 @st.composite
 def comparisons(draw, table: Table) -> Tuple[str, Set[str]]:
     column, dtype = draw(st.sampled_from(table.columns))
@@ -162,9 +172,27 @@ def comparisons(draw, table: Table) -> Tuple[str, Set[str]]:
         prefix = draw(st.sampled_from(["a", "ab", "b", "z"]))
         return "%s LIKE '%s%%'" % (column, prefix), {column}
     op = draw(st.sampled_from(["=", "!=", "<>", "<", "<=", ">", ">="]))
-    value = draw(VALUES[dtype])
-    literal = "'%s'" % value if dtype is DataType.STRING else repr(value)
-    return "%s %s %s" % (column, op, literal), {column}
+    return "%s %s %s" % (column, op, literal(draw(VALUES[dtype]))), {column}
+
+
+@st.composite
+def range_pairs(draw, table: Table) -> Tuple[List[Tuple[str, Set[str]]], bool]:
+    """Top-level conjuncts that bound one column from both sides -- what
+    the planner folds into one ``Range`` -- and whether the interval they
+    spell is empty: any of the four open / closed combinations, the bounds
+    in either order or equal, sometimes a third bound that is redundant or
+    tighter, written in any order."""
+    column, dtype = draw(st.sampled_from(table.columns))
+    low, high = draw(VALUES[dtype]), draw(VALUES[dtype])
+    above, below = draw(st.sampled_from([">", ">="])), draw(st.sampled_from(["<", "<="]))
+    conjuncts = [(above, low), (below, high)]
+    if draw(st.booleans()):
+        conjuncts.append((draw(st.sampled_from([">", ">=", "<", "<="])), draw(VALUES[dtype])))
+    empty = low > high or (low == high and (above, below) != (">=", "<="))
+    return [
+        ("%s %s %s" % (column, op, literal(value)), {column})
+        for op, value in draw(st.permutations(conjuncts))
+    ], empty
 
 
 @st.composite
@@ -195,24 +223,35 @@ def statements(draw, db: List[Table]) -> Statement:
         draw(predicates(draw(st.sampled_from(used))))
         for _ in range(draw(st.integers(0, 3)))
     ]
+    drawn = set()
+    if draw(st.booleans()):
+        pair, empty = draw(range_pairs(draw(st.sampled_from(used))))
+        where += pair
+        drawn = {"range_pair", "empty_range"} if empty else {"range_pair"}
     every = [column for table in used for column in table.columns]
     kind = draw(st.sampled_from(["select", "star", "distinct", "group", "count"]))
     if kind == "star":
-        return Statement(used, joins, where, None)
+        return Statement(used, joins, where, None, drawn=drawn)
     if kind == "count":
-        return Statement(used, joins, where, [], aggregates=[("COUNT", None, "n")])
+        return Statement(
+            used, joins, where, [], aggregates=[("COUNT", None, "n")], drawn=drawn
+        )
     listed = draw(st.lists(
         st.sampled_from([c for c, _ in every]), min_size=1, max_size=3, unique=True
     ))
     if kind != "group":
-        return Statement(used, joins, where, listed, distinct=kind == "distinct")
+        return Statement(
+            used, joins, where, listed, distinct=kind == "distinct", drawn=drawn
+        )
     numeric = [c for c, d in every if d is not DataType.STRING]
     aggregates = [("COUNT", None, "n")]
     for i in range(draw(st.integers(0, 2))):
         fn = draw(st.sampled_from(["COUNT", "SUM", "MIN", "MAX"]))
         pool = numeric if fn == "SUM" else [c for c, _ in every]
         aggregates.append((fn, draw(st.sampled_from(pool)), "g%d" % i))
-    return Statement(used, joins, where, [], group_by=listed, aggregates=aggregates)
+    return Statement(
+        used, joins, where, [], group_by=listed, aggregates=aggregates, drawn=drawn
+    )
 
 
 @st.composite
@@ -309,6 +348,9 @@ SHAPES = {
     "select_star",
     "empty_result",
     "index_scan",
+    "range_pair",
+    "range_index_scan",
+    "empty_range",
 }
 
 
@@ -325,6 +367,8 @@ def run_case(case) -> Set[str]:
                 seen.add("empty_result")
             if "IndexScan" in plan.explain():
                 seen.add("index_scan")
+            if re.search(r"IndexScan\(\w+\.\w+ in [\[(]", plan.explain()):
+                seen.add("range_index_scan")  # both bounds in one probe
     finally:
         theirs.close()
     return seen

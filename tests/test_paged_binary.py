@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.access.paged_binary import PagedBinaryTree
+from tests.test_btree import check_probe_on_every_interval, loaded
 
 
 @pytest.fixture
@@ -99,3 +102,18 @@ class TestPaging:
         for k in range(256):  # sorted insertion: a right spine
             tree.insert(k, k)
         assert tree.height() == 256
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(0, 40), max_size=120),
+    st.lists(st.integers(0, 40), max_size=60),
+)
+def test_property_range_tids_is_the_filtered_range_scan(keys, deletes):
+    """The bulk probe every ordered index inherits (tests/test_btree.py
+    holds the property)."""
+    tree = loaded(PagedBinaryTree(nodes_per_page=8), keys)
+    check_probe_on_every_interval(tree, keys)
+    for k in deletes:
+        tree.delete(k)
+    check_probe_on_every_interval(tree, [k for k in keys if k not in deletes])
