@@ -17,7 +17,11 @@ from __future__ import annotations
 
 from repro.access.hash_index import HashIndex
 from repro.join.base import JoinAlgorithm, JoinSpec
-from repro.join.partition import partition_relation, read_bucket
+from repro.join.partition import (
+    partition_relation,
+    read_bucket,
+    read_bucket_columns,
+)
 from repro.join.vectorized import join_bucket_columnar
 from repro.storage.relation import Relation
 
@@ -78,7 +82,8 @@ class GraceHashJoin(JoinAlgorithm):
             self.disk.delete(s_file)
 
     def _execute_batch(self, spec: JoinSpec, output: Relation) -> None:
-        """Page-at-a-time variant: same disk accesses in the same order."""
+        """Whole-column variant: the same files, page for page, written a
+        bucket's slice at a time and read back as columnar pages."""
         buckets = self._bucket_count(spec)
         r_ki, s_ki = spec.r_key_index, spec.s_key_index
 
@@ -103,16 +108,13 @@ class GraceHashJoin(JoinAlgorithm):
             key_index=s_ki,
         )
 
-        fudge = spec.params.fudge
         for r_file, s_file in zip(r_files, s_files):
             self.checkpoint()
-            r_rows = read_bucket(self.disk, r_file)
-            s_rows = read_bucket(self.disk, s_file)
+            r_bucket = read_bucket_columns(self.disk, r_file)
+            s_bucket = read_bucket_columns(self.disk, s_file)
             self.disk.delete(r_file)
             self.disk.delete(s_file)
-            join_bucket_columnar(
-                r_rows, s_rows, r_ki, s_ki, fudge, self.counters, output
-            )
+            join_bucket_columnar(r_bucket, s_bucket, spec, self.counters, output)
 
 
 __all__ = ["GraceHashJoin"]

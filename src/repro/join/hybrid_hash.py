@@ -35,30 +35,46 @@ overflow pair is processed exactly like a spill bucket, including the
 recursion check against the *shrunken* capacity -- the degradation ladder
 of docs/ROBUSTNESS.md.
 
-Execution comes in two arms with identical results and counters: the
-tuple-at-a-time specification (``batch=False``) and the production batch
-arm (default; the resident side is a
-:class:`~repro.join.vectorized.JoinTable`: rows staged column-wise, the
-table mapping keys to their indices, probes answered once per phase and
-matches group-gathered buffer-to-buffer).  Each level is one loop per
-phase: partition R, partition S, then one pass over the spilled bucket
-pairs.
+Execution comes in two arms with identical results, counters and spill
+files: the tuple-at-a-time specification (``batch=False``) and the
+production batch arm (default), which never leaves the columnar world.
+It takes each relation a block of pages at a time as whole columns
+(:func:`~repro.join.vectorized.column_blocks`), runs the block's per-page
+checks -- ``checkpoint()`` and the demotion test, with the exact resident
+count before each page -- and then classifies the block's key column in
+array arithmetic (:func:`~repro.join.partition.hybrid_classes`), groups
+row positions by class with one stable sort and hands every class its
+rows as one gathered slice: the resident class to a
+:class:`~repro.join.vectorized.JoinTable`, each spill class to
+:meth:`~repro.join.partition.SpillWriter.write_columns`.  Phase 2 reads a
+bucket back as one columnar page.  Each level is one loop per phase:
+partition R, partition S, then one pass over the spilled bucket pairs.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sized, Tuple
+from bisect import bisect_left
+from typing import Any, List, Optional, Sequence, Sized, Tuple
 
 from repro.access.hash_index import HashIndex
 from repro.join.base import JoinAlgorithm, JoinSpec
 from repro.join.partition import (
     SpillWriter,
     hybrid_class,
+    hybrid_classes,
     partition_fan_out,
     read_bucket,
+    read_bucket_columns,
+    scatter,
 )
-from repro.join.vectorized import JoinTable, join_bucket_columnar
-from repro.storage.relation import Relation, Row
+from repro.join.vectorized import (
+    JoinTable,
+    column_blocks,
+    join_bucket_columnar,
+    take_rows,
+)
+from repro.storage.page import Page
+from repro.storage.relation import Relation
 
 
 class HybridHashJoin(JoinAlgorithm):
@@ -88,27 +104,39 @@ class HybridHashJoin(JoinAlgorithm):
         pages = self.guard.effective_pages(spec.memory_pages)
         return max(1, int(pages * spec.r.tuples_per_page / spec.params.fudge))
 
+    def _grant_cut(self, memory: int) -> bool:
+        """Whether a revocation has cut the grant below the ``memory`` the
+        level planned against.  The happy path (no guard, no grant, or a
+        grant that still covers the budget) is two attribute loads and a
+        compare."""
+        guard = self.guard
+        return (
+            guard is not None
+            and guard.grant is not None
+            and guard.grant.pages < memory
+        )
+
+    def _over_budget(self, resident_rows: int, buckets: int, spec: JoinSpec) -> bool:
+        """Whether the cut grant can no longer hold R0's live table of
+        ``resident_rows`` tuples: the live footprint (table pages plus B
+        output buffers -- the Section 3.7 memory layout) also feeds the
+        grant's high-water accounting."""
+        grant = self.guard.grant
+        used = spec.table_pages(resident_rows, spec.r.tuples_per_page) + buckets
+        grant.charge(used)
+        return grant.over_budget(used)
+
     def _degrade_now(
         self, memory: int, buckets: int, resident: Sized, spec: JoinSpec
     ) -> bool:
         """Whether a revoked grant can no longer hold R0's live table.
 
-        Checked at page boundaries during phase 1.  The happy path (no
-        revocation: the grant still covers the planned budget) is two
-        attribute loads and a compare; only a constrained grant pays for
-        the live footprint computation (table pages plus B output
-        buffers -- the Section 3.7 memory layout), which also feeds the
-        grant's high-water accounting.
+        Checked at page boundaries during phase 1; only a constrained
+        grant pays for the live footprint computation.
         """
-        guard = self.guard
-        if guard is None or guard.grant is None:
-            return False
-        grant = guard.grant
-        if grant.pages >= memory:
-            return False
-        used = spec.table_pages(len(resident), spec.r.tuples_per_page) + buckets
-        grant.charge(used)
-        return grant.over_budget(used)
+        return self._grant_cut(memory) and self._over_budget(
+            len(resident), buckets, spec
+        )
 
     def _demote_resident(
         self, resident: Any, spec: JoinSpec, depth: int
@@ -119,8 +147,9 @@ class HybridHashJoin(JoinAlgorithm):
         price of giving the memory back.  The caller replaces ``resident``
         with an empty table and routes all later class-0 tuples to the
         returned writers; phase 2 then joins the pair like any spilled
-        bucket.  ``resident.items()`` yields ``(key, row)`` in the chained
-        table's order in both arms (same order, same charges).
+        bucket.  Both arms dump in the chained table's order (same rows,
+        same order, same charges): the specification row by row, the
+        production arm as one gathered column slice.
         """
         base = self.scratch_name(spec, "ovf")
         ovf_r = SpillWriter(
@@ -135,8 +164,11 @@ class HybridHashJoin(JoinAlgorithm):
             spec.s.tuples_per_page,
             self.counters,
         )
-        for _, row in resident.items():
-            ovf_r.write(0, row)
+        if self.batch:
+            ovf_r.write_columns(0, *resident.dump())
+        else:
+            for _, row in resident.items():
+                ovf_r.write(0, row)
         return ovf_r, ovf_s
 
     # -- tuple-at-a-time path ----------------------------------------------------
@@ -266,176 +298,134 @@ class HybridHashJoin(JoinAlgorithm):
         buckets, q = partition_fan_out(
             spec.r.page_count, memory, params.fudge
         )
-        r_ki, s_ki = spec.r_key_index, spec.s_key_index
+        key_indexes = spec.r_key_index, spec.s_key_index
 
-        # R0 staged column-wise under a table from keys to row indices.
+        # R0 staged column-wise under a table from keys to row indices;
+        # ``overflow`` is the spill pair its class goes to once demoted.
         resident = JoinTable(spec, self.counters)
-        demoted = False
-        ovf_r: Optional[SpillWriter] = None
-        ovf_s: Optional[SpillWriter] = None
+        overflow: Optional[Tuple[SpillWriter, SpillWriter]] = None
 
-        # ---- Phase 1a: partition R, building R0's table page by page. ----
-        # Per page the resident class is collected as slots and the spill
-        # classes as rows; ``demoted`` only changes where the resident
-        # class goes -- the overflow writer instead of the table.
-        r_writer = None
-        if buckets > 0:
-            r_names = [
-                "%s.d%d.%d" % (self.scratch_name(spec, "r"), depth, i)
-                for i in range(buckets)
-            ]
-            r_writer = SpillWriter(
-                self.disk, r_names, spec.r.tuples_per_page, self.counters
-            )
-        for page in spec.r.pages:
-            self.checkpoint()
-            if not demoted and self._degrade_now(memory, buckets, resident, spec):
-                ovf_r, ovf_s = self._demote_resident(resident, spec, depth)
-                resident = JoinTable(spec, self.counters)
-                demoted = True
-            n = len(page)
-            if not n:
-                continue
-            if buckets == 0:
-                # Everything is resident (q == 1): no classification and
-                # no spill; the key column is indexed and the page's
-                # buffers staged without touching a row tuple.
-                if demoted:
-                    self.counters.hash_key(n)
-                    ovf_r.write_many(0, page.tuples)
-                else:
-                    resident.insert(page)
-                continue
-            pending: List[List[Row]] = [[] for _ in range(buckets)]
-            spilled = 0
-            rows: Optional[List[Row]] = None
-            res_pos: List[int] = []
-            for i, k in enumerate(page.column(r_ki)):
-                cls = hybrid_class(k, q, buckets, depth)
-                if cls == 0:
-                    res_pos.append(i)
-                else:
-                    if rows is None:
-                        rows = page.tuples
-                    pending[cls - 1].append(rows[i])
-                    spilled += 1
-            if res_pos:
-                if demoted:
-                    self.counters.hash_key(len(res_pos))
-                    rows = page.tuples
-                    ovf_r.write_many(0, [rows[i] for i in res_pos])
-                else:
-                    resident.insert(page, res_pos)
-            if spilled:
-                self.counters.hash_key(spilled)
-                for b, bucket_rows in enumerate(pending):
-                    r_writer.write_many(b, bucket_rows)
-        r_files = r_writer.close() if r_writer is not None else []
+        def classify(block: Page) -> List[Sequence[int]]:
+            """The block's row positions by class, each in input order."""
+            if buckets == 0:  # q == 1: everything is resident
+                return [range(len(block))]
+            keys = block.column(key_indexes[side])
+            return scatter(hybrid_classes(keys, q, buckets, depth), buckets + 1)
 
-        # ---- Phase 1b: partition S, probing R0 page by page. ----
-        s_writer = None
-        if buckets > 0:
-            s_names = [
-                "%s.d%d.%d" % (self.scratch_name(spec, "s"), depth, i)
-                for i in range(buckets)
-            ]
-            s_writer = SpillWriter(
-                self.disk, s_names, spec.s.tuples_per_page, self.counters
-            )
-        for page in spec.s.pages:
-            self.checkpoint()
-            if not demoted and self._degrade_now(memory, buckets, resident, spec):
-                # Matches found so far precede what phase 2 re-reads.
-                resident.flush(output)
-                ovf_r, ovf_s = self._demote_resident(resident, spec, depth)
-                resident = JoinTable(spec, self.counters)
-                demoted = True
-            n = len(page)
-            if not n:
-                continue
-            if buckets == 0:
-                if demoted:
-                    self.counters.hash_key(n)
-                    ovf_s.write_many(0, page.tuples)
+        def meet(block: Page, positions: Sequence[int]) -> None:
+            """Class-0 rows meet the live table: R builds it, S probes it."""
+            if len(positions):
+                columns = take_rows(block, positions)
+                if side == 0:
+                    resident.insert_columns(columns, len(positions))
                 else:
-                    resident.probe(page, output)
-                continue
-            pending = [[] for _ in range(buckets)]
-            spilled = 0
-            rows = None
-            probe_pos: List[int] = []
-            for i, k in enumerate(page.column(s_ki)):
-                cls = hybrid_class(k, q, buckets, depth)
-                if cls == 0:
-                    probe_pos.append(i)
-                else:
-                    if rows is None:
-                        rows = page.tuples
-                    pending[cls - 1].append(rows[i])
-                    spilled += 1
-            if probe_pos:
-                if demoted:
-                    self.counters.hash_key(len(probe_pos))
-                    rows = page.tuples
-                    ovf_s.write_many(0, [rows[i] for i in probe_pos])
-                else:
-                    resident.probe(page, output, probe_pos)
-            if spilled:
-                self.counters.hash_key(spilled)
-                for b, bucket_rows in enumerate(pending):
-                    s_writer.write_many(b, bucket_rows)
+                    resident.probe_columns(columns, output)
 
-        # The resident class is probed once per phase, not per page.
-        resident.flush(output)
-        s_files = s_writer.close() if s_writer is not None else []
+        # ---- Phase 1a (side 0): partition R, building R0's table; phase
+        # 1b (side 1): partition S, probing it -- a block of whole columns
+        # at a time.  Per block the page loop's checks run first, then the
+        # array work: classify the key column, group positions by class,
+        # hand every class its rows as one gathered slice. ----
+        files: List[List[str]] = []
+        for side, relation in enumerate((spec.r, spec.s)):
+            writer = None
+            if buckets > 0:
+                names = [
+                    "%s.d%d.%d" % (self.scratch_name(spec, "rs"[side]), depth, i)
+                    for i in range(buckets)
+                ]
+                writer = SpillWriter(
+                    self.disk, names, relation.tuples_per_page, self.counters
+                )
+            for block, starts in column_blocks(relation):
+                groups: Optional[List[Sequence[int]]] = None
+                met = 0  # class-0 rows that met the table before a demotion
+                for start in starts:
+                    self.checkpoint()
+                    if overflow is None and self._grant_cut(memory):
+                        # The exact resident count before this page: the
+                        # class-0 positions are in input order.
+                        groups = groups or classify(block)
+                        before = bisect_left(groups[0], start)
+                        held = len(resident) + (before if side == 0 else 0)
+                        if self._over_budget(held, buckets, spec):
+                            # Class-0 rows before the page meet the table
+                            # first: a build row is dumped with it, a probe
+                            # row's matches precede what phase 2 re-reads.
+                            met = before
+                            meet(block, groups[0][:met])
+                            overflow = self._demote_resident(resident, spec, depth)
+                            resident = JoinTable(spec, self.counters)
+                groups = groups or classify(block)
+                mine = groups[0][met:]
+                if overflow is None:
+                    meet(block, mine)
+                elif len(mine):
+                    self.counters.hash_key(len(mine))
+                    overflow[side].write_columns(
+                        0, take_rows(block, mine), len(mine)
+                    )
+                spilled = len(block) - len(groups[0])
+                if spilled:
+                    self.counters.hash_key(spilled)
+                    for bucket, positions in enumerate(groups[1:]):
+                        if len(positions):
+                            writer.write_columns(
+                                bucket, take_rows(block, positions), len(positions)
+                            )
+            files.append(writer.close() if writer is not None else [])
+        # A build nothing probed has still paid for its inserts.
+        resident.settle()
 
-        pairs = list(zip(r_files, s_files))
-        if demoted:
-            pairs.extend(zip(ovf_r.close(), ovf_s.close()))
+        pairs = list(zip(*files))
+        if overflow is not None:
+            pairs.extend(zip(overflow[0].close(), overflow[1].close()))
 
-        # ---- Phase 2: join the spilled bucket pairs. ----
+        # ---- Phase 2: join the spilled bucket pairs, read back as columns. ----
         bucket_capacity = self._bucket_capacity(spec)
-        r_key = spec.r_key
         for r_file, s_file in pairs:
             self.checkpoint()
-            r_rows = read_bucket(self.disk, r_file)
-            s_rows = read_bucket(self.disk, s_file)
+            r_bucket = read_bucket_columns(self.disk, r_file)
+            s_bucket = read_bucket_columns(self.disk, s_file)
             self.disk.delete(r_file)
             self.disk.delete(s_file)
 
             if (
-                len(r_rows) > bucket_capacity
+                len(r_bucket) > bucket_capacity
                 and depth < self.MAX_RECURSION
-                and len({r_key(row) for row in r_rows}) > 1
+                and len(set(r_bucket.column(key_indexes[0]))) > 1
             ):
-                self._recurse_on_bucket(spec, output, r_rows, s_rows, depth)
+                self._recurse_on_bucket(spec, output, r_bucket, s_bucket, depth)
                 continue
 
-            join_bucket_columnar(
-                r_rows, s_rows, r_ki, s_ki, params.fudge, self.counters, output
-            )
+            join_bucket_columnar(r_bucket, s_bucket, spec, self.counters, output)
 
     def _recurse_on_bucket(
         self,
         spec: JoinSpec,
         output: Relation,
-        r_rows: List[Row],
-        s_rows: List[Row],
+        r_bucket: Any,
+        s_bucket: Any,
         depth: int,
     ) -> None:
         """Re-join one overflowing bucket pair one level deeper.
 
-        The sub-level plans against the *current* effective grant, so a
-        revoked budget keeps shrinking the recursive fan-outs.
+        A bucket is a row list (specification arm) or one columnar page
+        (production arm).  The sub-level plans against the *current*
+        effective grant, so a revoked budget keeps shrinking the recursive
+        fan-outs.
         """
         sub_r = Relation(
             "%s~%d" % (spec.r.name, depth + 1), spec.r.schema, spec.r.page_bytes
         )
-        sub_r.extend_rows(r_rows)
         sub_s = Relation(
             "%s~%d" % (spec.s.name, depth + 1), spec.s.schema, spec.s.page_bytes
         )
-        sub_s.extend_rows(s_rows)
+        for sub, bucket in ((sub_r, r_bucket), (sub_s, s_bucket)):
+            if isinstance(bucket, Page):
+                sub.extend_columns(bucket.columns, len(bucket))
+            else:
+                sub.extend_rows(bucket)
         sub_spec = JoinSpec(
             r=sub_r,
             s=sub_s,

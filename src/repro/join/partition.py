@@ -10,18 +10,35 @@ Spilled buckets stage through one output-buffer page each (that is where
 the GRACE/hybrid fan-out limit ``B < |M|`` comes from), and flushing a
 buffer is a *random* IO unless there is only one spill bucket -- the source
 of the hybrid discontinuity in Figure 1.
+
+The partition function is defined once, per key (:func:`partition_hash`,
+:func:`hybrid_class` -- what the specification arm calls), and computed a
+second way over whole packed int64 key columns (:func:`hybrid_classes`,
+:func:`partition_residues`): CPython's tuple hash is a fixed recurrence
+over its items' hashes, so array arithmetic reproduces it bit for bit.
+The array form is checked against the per-key one once per process and is
+not used if they disagree; any other key column is classified key by key.
+Either way :func:`scatter` groups the row positions by class and the
+production arms spill and read back column slices
+(:meth:`SpillWriter.write_columns`, :func:`read_bucket_columns`), so the
+files are the same page for page.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.cost.counters import OperationCounters
+from repro.errors import ConfigurationError
+from repro.join.vectorized import column_blocks, int_hashes, take_rows
+from repro.operators.columnar import int_key_views, stable_argsort
+from repro.storage import codecs
+from repro.storage.codecs import Column, np
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import Page
 from repro.storage.relation import Relation, Row
-from repro.errors import ConfigurationError
 
 #: Salt so partition hashing is independent of Python's string hashing and
 #: of the bucket hashing inside HashIndex.
@@ -50,6 +67,109 @@ def hybrid_class(key: Any, q: float, buckets: int, depth: int = 0) -> int:
     return 1 + min(buckets - 1, int((u - q) / (1.0 - q) * buckets))
 
 
+# -- the same functions over whole key columns ---------------------------------
+
+#: The constants of CPython's tuple hash (``Objects/tupleobject.c``, an
+#: xxHash-style recurrence over the items' hashes) and the value it
+#: returns in place of -1, the C error code.
+_P1, _P2, _P5 = 11400714785074694791, 14029467366897019727, 2870177450012600261
+_MINUS_ONE = 1546275796
+_MASK64 = (1 << 64) - 1
+
+
+def _pair_hashes(first: int, lanes: Any) -> Any:
+    """``hash((first, k))`` as uint64 bits for every ``k`` whose hash is
+    in the uint64 array ``lanes``: per lane ``acc += lane * P2; acc =
+    rotl(acc, 31); acc *= P1`` from ``P5``, then ``+ (len ^ P5 ^
+    3527539)``.  The first lane is folded in Python integers, the second
+    in wrapping array arithmetic."""
+    acc = (_P5 + (hash(first) & _MASK64) * _P2) & _MASK64
+    acc = ((acc << 31) | (acc >> 33)) & _MASK64
+    acc = np.uint64(acc * _P1 & _MASK64) + lanes * np.uint64(_P2)
+    acc = (acc << np.uint64(31)) | (acc >> np.uint64(33))
+    acc *= np.uint64(_P1)
+    acc += np.uint64(2 ^ _P5 ^ 3527539)
+    acc[acc == np.uint64(_MASK64)] = _MINUS_ONE
+    return acc
+
+
+def _key_lanes(keys: Column) -> Optional[Any]:
+    """The hashes of a packed int64 key column as uint64 lanes, or
+    ``None`` when the per-key functions must classify it: another key
+    kind, a demoted column, no numpy, a recurrence that failed its
+    self-check."""
+    views = int_key_views([keys])
+    if views is None or not _recurrence_holds():
+        return None
+    return int_hashes(views[0]).view(np.uint64)
+
+
+def _vector_classes(lanes: Any, q: float, buckets: int, depth: int) -> Any:
+    hashes = _pair_hashes(_PARTITION_SALT, _pair_hashes(depth, lanes))
+    # ``% 2**20`` of the signed hash is the low 20 bits of its
+    # two's-complement value; the float steps are IEEE-identical.
+    u = (hashes & np.uint64(_HASH_SPACE - 1)).astype(np.float64) / _HASH_SPACE
+    classes = np.zeros(len(lanes), dtype=np.int64)
+    if buckets:
+        spilled = u >= q
+        share = ((u[spilled] - q) / (1.0 - q) * buckets).astype(np.int64)
+        classes[spilled] = 1 + np.minimum(buckets - 1, share)
+    return classes
+
+
+def _vector_residues(lanes: Any, classes: int) -> Any:
+    return _pair_hashes(_PARTITION_SALT, lanes).view(np.int64) % classes
+
+
+@lru_cache(maxsize=None)
+def _recurrence_holds() -> bool:
+    """Whether the array recurrence is this interpreter's tuple hash:
+    compared once per process, on keys that reach every special case,
+    with the per-key functions it stands for."""
+    probe = [0, 1, -1, -2, 2**61 - 1, -(2**63), 0x3A5F_19C4_77D2_E86B]
+    lanes = int_hashes(np.array(probe, dtype=np.int64)).view(np.uint64)
+    return _vector_residues(lanes, 13).tolist() == [
+        partition_hash(k) % 13 for k in probe
+    ] and all(
+        _vector_classes(lanes, q, buckets, depth).tolist()
+        == [hybrid_class(k, q, buckets, depth) for k in probe]
+        for q, buckets, depth in ((0.0, 1, 0), (0.3, 3, 1), (0.9, 64, 8))
+    )
+
+
+def hybrid_classes(keys: Column, q: float, buckets: int, depth: int = 0) -> Any:
+    """:func:`hybrid_class` of every key of a column: an int64 array
+    computed in array arithmetic for a packed int64 column, else a list
+    computed key by key -- the same classes either way."""
+    lanes = _key_lanes(keys)
+    if lanes is None:
+        return [hybrid_class(k, q, buckets, depth) for k in keys]
+    return _vector_classes(lanes, q, buckets, depth)
+
+
+def partition_residues(keys: Column, classes: int) -> Any:
+    """``partition_hash(k) % classes`` of every key of a column (array or
+    list, as :func:`hybrid_classes`)."""
+    lanes = _key_lanes(keys)
+    if lanes is None:
+        return [partition_hash(k) % classes for k in keys]
+    return _vector_residues(lanes, classes)
+
+
+def scatter(classes: Any, count: int) -> List[Any]:
+    """Group row positions by class: entry ``c`` of the result lists, in
+    input order, the positions whose class is ``c`` (of ``count``
+    classes) -- one stable sort, or one pass over a list without numpy."""
+    if codecs.np is None:
+        groups: List[List[int]] = [[] for _ in range(count)]
+        for position, cls in enumerate(classes):
+            groups[cls].append(position)
+        return groups
+    classes = np.asarray(classes, dtype=np.int64)
+    ends = np.bincount(classes, minlength=count).cumsum()
+    return np.split(stable_argsort(classes), ends[:-1])
+
+
 def partition_fan_out(
     r_pages: int, memory_pages: int, fudge: float
 ) -> Tuple[int, float]:
@@ -69,7 +189,12 @@ def partition_fan_out(
 
 
 class SpillWriter:
-    """Per-bucket output buffering with the paper's IO accounting."""
+    """Per-bucket output buffering with the paper's IO accounting.
+
+    A bucket's buffer is the :class:`Page` its next flush writes, so rows
+    written one at a time (:meth:`write`) and whole column slices
+    (:meth:`write_columns`) fill the same pages in the same order.
+    """
 
     def __init__(
         self,
@@ -82,7 +207,7 @@ class SpillWriter:
         self.file_names = list(file_names)
         self.tuples_per_page = tuples_per_page
         self.counters = counters
-        self._buffers: List[List[Row]] = [[] for _ in file_names]
+        self._buffers = [Page(0, tuples_per_page) for _ in file_names]
         self._single_bucket = len(file_names) == 1
         for name in self.file_names:
             if disk.exists(name):
@@ -92,46 +217,46 @@ class SpillWriter:
     def write(self, bucket: int, row: Row) -> None:
         """Buffer ``row`` for ``bucket``, flushing a full page to disk."""
         self.counters.move_tuple()
-        buf = self._buffers[bucket]
-        buf.append(row)
-        if len(buf) >= self.tuples_per_page:
+        page = self._buffers[bucket]
+        page.add(row)
+        if page.is_full:
             self._flush(bucket)
 
-    def write_many(self, bucket: int, rows: Sequence[Row]) -> None:
-        """Buffer many rows for ``bucket`` with one bulk move charge.
+    def write_columns(
+        self, bucket: int, columns: Sequence[Column], count: int
+    ) -> None:
+        """Buffer ``count`` rows for ``bucket``, given as parallel column
+        slices, with one bulk move charge.
 
         Page contents and per-file page order are identical to calling
         :meth:`write` per row; flush IO classification is forced (single
         vs many buckets), so grouping rows per bucket cannot change the
         sequential/random tallies either.
         """
-        if not rows:
-            return
-        self.counters.move_tuple(len(rows))
-        buf = self._buffers[bucket]
-        buf.extend(rows)
-        tpp = self.tuples_per_page
-        while len(buf) >= tpp:
-            page = Page(0, tpp)
-            page.extend_rows(buf[:tpp])
-            self.disk.append(
-                self.file_names[bucket], page, sequential=self._single_bucket
+        self.counters.move_tuple(count)
+        start = 0
+        while start < count:
+            page = self._buffers[bucket]
+            room = min(page.free_slots, count - start)
+            page.extend_columns(
+                columns if room == count
+                else [c[start:start + room] for c in columns],
+                room,
             )
-            del buf[:tpp]
+            start += room
+            if page.is_full:
+                self._flush(bucket)
 
     def _flush(self, bucket: int) -> None:
-        buf = self._buffers[bucket]
-        if not buf:
+        page = self._buffers[bucket]
+        if not len(page):
             return
-        page = Page(0, self.tuples_per_page)
-        for row in buf:
-            page.add(row)
         # One spill bucket => the file grows contiguously (sequential);
         # many buckets => the disk head jumps between them (random).
         self.disk.append(
             self.file_names[bucket], page, sequential=self._single_bucket
         )
-        buf.clear()
+        self._buffers[bucket] = Page(0, self.tuples_per_page)
 
     def close(self) -> List[str]:
         """Flush every partial buffer; return the bucket file names."""
@@ -164,18 +289,21 @@ def partition_relation(
     one ``move`` into the output buffer (inside :class:`SpillWriter`).
     Returns the spill file names (empty when everything stayed resident).
 
-    The default ``batch`` path walks pages, charges hashes in bulk, and
-    groups spill writes per bucket per page -- identical files, charges,
-    and resident-callback order.
+    The default ``batch`` path takes the relation a block of pages at a
+    time (:func:`~repro.join.vectorized.column_blocks`): it classifies the
+    block's whole key column, groups row positions by residue with one
+    stable sort and hands each bucket one gathered column slice --
+    identical files, charges, and resident-callback order.
 
     ``checkpoint`` (the governor's cooperative cancellation hook) is
-    called once per input page in both execution modes, so a cancelled or
-    timed-out query stops partitioning within one page of work.
+    called once per input page in both execution modes, before a block
+    writes anything, so a cancelled or timed-out query stops partitioning
+    within one block of work.
 
     ``key_index`` (batch path only) names the join-key column position:
-    keys are then read straight off each page's packed column buffer
-    instead of calling ``key`` once per row.  Key extraction is uncharged
-    in both forms, so the counters cannot differ.
+    keys are then the block's column buffer instead of ``key`` called
+    once per row.  Key extraction is uncharged in both forms, so the
+    counters cannot differ.
     """
     if buckets < 0:
         raise ConfigurationError("bucket count cannot be negative")
@@ -189,37 +317,30 @@ def partition_relation(
         writer = SpillWriter(disk, names, relation.tuples_per_page, counters)
 
     if batch:
-        for page in relation.pages:
+        for block, starts in column_blocks(relation):
             if checkpoint is not None:
-                checkpoint()
-            rows = page.tuples
-            if not rows:
+                for _ in starts:
+                    checkpoint()
+            if not len(block):
                 continue
-            counters.hash_key(len(rows))
+            counters.hash_key(len(block))
             keys = (
-                page.column(key_index)
+                block.column(key_index)
                 if key_index is not None
-                else [key(row) for row in rows]
+                else [key(row) for row in block.tuples]
             )
-            residues = [partition_hash(k) % total_classes for k in keys]
-            if writer is None:
-                assert on_resident is not None, "resident bucket needs a consumer"
-                for k, row in zip(keys, rows):
-                    on_resident(k, row)
-                continue
-            pending: List[List[Row]] = [[] for _ in range(buckets)]
+            groups = scatter(partition_residues(keys, total_classes), total_classes)
             if resident_bucket:
-                for k, row, residue in zip(keys, rows, residues):
-                    if residue == 0:
-                        assert on_resident is not None
-                        on_resident(k, row)
-                    else:
-                        pending[residue - 1].append(row)
-            else:
-                for row, residue in zip(rows, residues):
-                    pending[residue].append(row)
-            for b, bucket_rows in enumerate(pending):
-                writer.write_many(b, bucket_rows)
+                assert on_resident is not None, "resident bucket needs a consumer"
+                rows = block.tuples
+                for position in groups.pop(0):
+                    on_resident(keys[position], rows[position])
+            for bucket, positions in enumerate(groups):
+                if len(positions):
+                    assert writer is not None
+                    writer.write_columns(
+                        bucket, take_rows(block, positions), len(positions)
+                    )
         return writer.close() if writer is not None else []
 
     tpp = max(1, relation.tuples_per_page)
@@ -248,11 +369,26 @@ def read_bucket(
     return rows
 
 
+def read_bucket_columns(disk: SimulatedDisk, file_name: str) -> Page:
+    """Read a spilled bucket back as one oversized columnar page -- the
+    same IO as :func:`read_bucket`, no row tuple.  An empty bucket has no
+    columns."""
+    pages = list(disk.scan(file_name))
+    bucket = Page(0, max(1, sum(map(len, pages))))
+    for page in pages:
+        bucket.extend_columns(page.columns, len(page))
+    return bucket
+
+
 __all__ = [
     "SpillWriter",
     "hybrid_class",
+    "hybrid_classes",
     "partition_fan_out",
     "partition_hash",
     "partition_relation",
+    "partition_residues",
     "read_bucket",
+    "read_bucket_columns",
+    "scatter",
 ]

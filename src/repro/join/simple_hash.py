@@ -16,7 +16,7 @@ from typing import Any, List, Optional, Tuple
 from repro.access.hash_index import HashIndex
 from repro.join.base import JoinAlgorithm, JoinSpec
 from repro.join.partition import partition_hash
-from repro.join.vectorized import JoinTable
+from repro.join.vectorized import JoinTable, column_blocks
 from repro.storage.relation import Relation, Row
 from repro.errors import StateError
 
@@ -106,16 +106,18 @@ class SimpleHashJoin(JoinAlgorithm):
         """
         table = JoinTable(spec, self.counters)
         self.counters.hash_key(spec.r.cardinality)
-        for page in spec.r.pages:
-            self.checkpoint()
-            if len(page):
-                table.insert(page)
+        for block, starts in column_blocks(spec.r):
+            for _ in starts:
+                self.checkpoint()
+            if len(block):
+                table.insert_columns(block.columns, len(block))
         self.counters.hash_key(spec.s.cardinality)
-        for page in spec.s.pages:
-            self.checkpoint()
-            if len(page):
-                table.probe(page, output)
-        table.flush(output)
+        for block, starts in column_blocks(spec.s):
+            for _ in starts:
+                self.checkpoint()
+            if len(block):
+                table.probe_columns(block.columns, output)
+        table.settle()
 
     def _execute_tuple(self, spec: JoinSpec, output: Relation) -> None:
         params = spec.params

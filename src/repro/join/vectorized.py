@@ -9,12 +9,15 @@ stores **row indices** instead of row tuples; a probe yields parallel
 build/probe index sequences, and both sides' survivor columns are
 group-gathered straight into ``Relation.extend_columns``.
 
-:class:`JoinTable` is that build side.  It forks by what it observes:
-when every page holds both join-key columns as packed int64 buffers and
-numpy imports, the table is a :class:`PackedHashTable` -- build keys are
-only appended, one stable sort builds it, and a whole phase's probe keys
-are looked up at once.  Any other input (strings, floats,
-a page that demoted its key column, no numpy) keeps the chained
+:class:`JoinTable` is that build side, built and probed with whole
+columns: a phase takes its relation a block of pages at a time
+(:func:`column_blocks`), so numpy's fixed cost is paid per block and not
+per page.  The table forks by what it observes: while every key column
+it is handed is a packed int64 buffer and numpy imports, it is a
+:class:`PackedHashTable` -- build keys are only appended, one stable sort
+builds it, and a block's probe keys are looked up at once.  The first key
+column of another kind (strings, floats, a page that demoted its key
+column) trades it for the chained
 :class:`~repro.access.hash_index.HashIndex`, which is also the
 specification arm's table and what the packed one is tested against.
 
@@ -52,11 +55,13 @@ from repro.operators.columnar import gather_columns, group_rows, stable_argsort
 from repro.storage import codecs
 from repro.storage.codecs import Column, column_kinds, np, packed_view
 from repro.storage.page import Page
-from repro.storage.relation import Relation, Row
+from repro.storage.relation import Relation
 
-#: Probe rows a :class:`JoinTable` stages before it probes them: large
-#: enough that numpy's fixed cost per call is paid per phase and not per
-#: page, small enough that the staged copies do not grow with ``|S|``.
+#: Rows a join phase takes as one block of whole columns
+#: (:func:`column_blocks`): large enough that numpy's fixed cost per call
+#: is paid per phase and not per page, small enough that the staged
+#: copies, and the work between two cancellation checks, do not grow
+#: with ``|S|``.
 PROBE_FLUSH_ROWS = 1 << 16
 
 
@@ -92,9 +97,33 @@ class ColumnStore:
         """Stage a pre-gathered subset of an input page."""
         self._page.extend_columns(columns, count)
 
-    def row(self, index: int) -> Row:
-        """One staged row as a tuple (the demotion/overflow slow paths)."""
-        return self._page.tuples[index]
+
+def column_blocks(relation: Relation) -> Iterator[Tuple[Page, List[int]]]:
+    """``relation`` as whole columns, a block of consecutive pages at a
+    time: yields ``(block, starts)``, the pages' rows concatenated into
+    one oversized page of at most :data:`PROBE_FLUSH_ROWS` rows (a single
+    page may exceed it) and the block row at which each page begins --
+    every page has its entry, so per-page checks keep their count."""
+    kinds = column_kinds(relation.schema)
+    limit = PROBE_FLUSH_ROWS
+    capacity = max(limit, relation.tuples_per_page, 1)
+    block, starts = Page(0, capacity, kinds), []
+    for page in relation.pages:
+        if starts and len(block) + len(page) > limit:
+            yield block, starts
+            block, starts = Page(0, capacity, kinds), []
+        starts.append(len(block))
+        block.extend_columns(page.columns, len(page))
+    if starts:
+        yield block, starts
+
+
+def take_rows(block: Page, positions: Sequence[int]) -> List[Column]:
+    """The columns of ``block``'s rows at the ascending ``positions`` --
+    the block's own buffers (do not mutate) when that is every row."""
+    if len(positions) == len(block):
+        return block.columns
+    return gather_columns(block.columns, positions)
 
 
 def _kernel_usable() -> bool:
@@ -318,61 +347,54 @@ def flatten_chains(
     return build_idx, probe_idx
 
 
-def _packed_keys(relation: Relation, index: int) -> bool:
-    """Whether every page of ``relation`` holds column ``index`` as a
-    packed int64 buffer (a page that demoted it says no)."""
-    for page in relation.pages:
-        if len(page):
-            column = page.column(index)
-            if type(column) is not array or column.typecode != "q":
-                return False
-    return True
-
-
 class JoinTable:
     """A hash join's memory-resident build side, and the probes against it.
 
     Holds R's resident rows column-wise (:class:`ColumnStore`) under a
-    hash table from join key to store index.  With packed int64 keys on
-    every page of both inputs the table is a :class:`PackedHashTable`
-    and probe pages are only *staged* -- :meth:`flush` looks a whole
-    phase's keys up at once and emits the matches, so numpy's fixed cost
-    is paid per phase, not per page; otherwise it is a chained
-    :class:`HashIndex`, probed page by page.  Rows out, their order and
-    every charge are the same either way.
+    hash table from join key to store index, built and probed with whole
+    key columns.  While every key column it is handed is a packed int64
+    buffer (and the kernel is usable) the table is a
+    :class:`PackedHashTable`; the first column of another kind -- strings,
+    floats, a demoted page -- trades it for the chained
+    :class:`HashIndex` those keys would have built.  Rows out, their
+    order and every charge are the same either way.
     """
 
     def __init__(self, spec: JoinSpec, counters: OperationCounters) -> None:
-        self._s = spec.s
+        self._counters = counters
         self._r_ki, self._s_ki = spec.r_key_index, spec.s_key_index
         self._store = ColumnStore(spec.r)
-        self._packed = (
-            _kernel_usable()
-            and _packed_keys(spec.r, self._r_ki)
-            and _packed_keys(spec.s, self._s_ki)
-        )
+        self._packed = _kernel_usable()
         self._table: Any = (
             PackedHashTable(counters, spec.params.fudge)
             if self._packed
             else HashIndex(counters, max_load=spec.params.fudge)
         )
-        #: Staged probe pages, and the staged rows that probe (None: all).
-        self._probes = ColumnStore(spec.s)
-        self._probe_rows: Optional[array] = None
 
     def __len__(self) -> int:
         return len(self._store)
 
-    def insert(self, page: Page, slots: Optional[List[int]] = None) -> None:
-        """Build step for one page of R (``slots``: only those rows).
+    def _keys(self, keys: Column) -> Column:
+        """``keys`` as the table takes them, unpacking the table first if
+        they are not a packed int64 buffer."""
+        if self._packed and not (type(keys) is array and keys.typecode == "q"):
+            # The inserts so far are settled; the chained table that
+            # replays them is charged to a throwaway.
+            self._table.settle()
+            chained = HashIndex(max_load=self._table.max_load)
+            stored = self._store.columns[self._r_ki]
+            chained.insert_batch(zip(stored, range(len(stored))))
+            chained.counters = self._counters
+            self._table, self._packed = chained, False
+        return keys
+
+    def insert_columns(self, columns: Sequence[Column], count: int) -> None:
+        """Build step for ``count`` rows of R given as whole columns.
 
         Charges what inserting ``(key, row)`` pairs charges -- the table
         stores the rows' store indices instead.
         """
-        columns, count = page.columns, len(page)
-        if slots is not None:
-            columns, count = gather_columns(columns, slots), len(slots)
-        keys = columns[self._r_ki]
+        keys = self._keys(columns[self._r_ki])
         if self._packed:
             self._table.append(keys)
         else:
@@ -380,130 +402,58 @@ class JoinTable:
             self._table.insert_batch(zip(keys, range(base, base + count)))
         self._store.add_columns(columns, count)
 
-    def probe(
-        self, page: Page, output: Relation, slots: Optional[List[int]] = None
-    ) -> None:
-        """Probe step for one page of S (``slots``: only those rows)."""
-        if not self._packed:
-            keys = page.column(self._s_ki)
-            if slots is not None:
-                keys = list(map(keys.__getitem__, slots))
+    def probe_columns(self, columns: Sequence[Column], output: Relation) -> None:
+        """Probe step for rows of S given as whole columns: the matches
+        go to ``output`` in probe order, each row's in insertion order."""
+        keys = self._keys(columns[self._s_ki])
+        if self._packed:
+            build_idx, probe_idx = self._table.probe(packed_view(keys))
+        else:
             build_idx, probe_idx = flatten_chains(self._table.probe_batch(keys))
-            if slots is not None:
-                probe_idx = [slots[i] for i in probe_idx]
-            self._emit(output, build_idx, page.columns, probe_idx)
-            return
-        base = len(self._probes)
-        if slots is not None and self._probe_rows is None:
-            self._probe_rows = array("q", range(base))
-        if self._probe_rows is not None:
-            self._probe_rows.extend(
-                range(base, base + len(page))
-                if slots is None
-                else map(base.__add__, slots)
-            )
-        self._probes.add_page(page)
-        if len(self._probes) >= PROBE_FLUSH_ROWS:
-            self.flush(output)
-
-    def flush(self, output: Relation) -> None:
-        """Probe every staged key at once and emit the matches.
-
-        Call at the end of a probe phase, and before :meth:`items` --
-        matches found against the table precede whatever re-reads it.
-        With nothing staged it still settles the build's charges.
-        """
-        if not len(self._probes):
-            if self._packed:
-                self._table.settle()
-            return
-        columns = self._probes.columns
-        keys = packed_view(columns[self._s_ki])
-        rows = None
-        if self._probe_rows is not None:
-            rows = packed_view(self._probe_rows)
-            keys = keys[rows]
-        build_idx, probe_idx = self._table.probe(keys)
-        if rows is not None:
-            probe_idx = rows[probe_idx]
-        self._emit(output, build_idx, columns, probe_idx)
-        self._probes = ColumnStore(self._s)
-        self._probe_rows = None
-
-    def _emit(
-        self,
-        output: Relation,
-        build_idx: Sequence[int],
-        s_columns: Sequence[Column],
-        probe_idx: Sequence[int],
-    ) -> None:
         if len(build_idx):
             out_cols = gather_columns(self._store.columns, build_idx)
-            out_cols.extend(gather_columns(s_columns, probe_idx))
+            out_cols.extend(gather_columns(columns, probe_idx))
             output.extend_columns(out_cols, len(build_idx))
 
-    def items(self) -> Iterator[Tuple[Any, Row]]:
-        """``(key, row)`` pairs in the chained table's dump order (bucket,
-        chain, insertion) -- what a demotion writes out and phase 2
-        re-reads, so the output row order depends on it."""
-        if not self._packed:
-            for key, index in self._table.items():
-                yield key, self._store.row(index)
-            return
-        key = self._r_ki
-        for index in self._table.values().tolist():
-            row = self._store.row(index)
-            yield row[key], row
+    def settle(self) -> None:
+        """Charge the inserts a packed table has not charged yet: call at
+        the end of a probe phase, for a build nothing probed."""
+        if self._packed:
+            self._table.settle()
 
-
-def _packed_pair(
-    r_keys: List[Any], s_keys: List[Any]
-) -> Optional[Tuple[array, array]]:
-    """Both key lists as packed int64 buffers, or ``None`` when a key is
-    no such integer (or the kernel is unusable)."""
-    if not _kernel_usable():
-        return None
-    try:
-        return array("q", r_keys), array("q", s_keys)
-    except (TypeError, OverflowError):
-        return None
+    def dump(self) -> Tuple[List[Column], int]:
+        """The resident rows, as columns and their count, in the chained
+        table's dump order (bucket, chain, insertion) -- what a demotion
+        writes out and phase 2 re-reads, so the output row order depends
+        on it."""
+        if self._packed:
+            order = self._table.values()
+        else:
+            order = [index for _, index in self._table.items()]
+        return gather_columns(self._store.columns, order), len(order)
 
 
 def join_bucket_columnar(
-    r_rows: List[Row],
-    s_rows: List[Row],
-    r_key_index: int,
-    s_key_index: int,
-    fudge: float,
+    r_bucket: Page,
+    s_bucket: Page,
+    spec: JoinSpec,
     counters: OperationCounters,
     output: Relation,
-) -> int:
-    """Build-and-probe one spilled bucket pair into ``output``.
+) -> None:
+    """Build-and-probe one spilled bucket pair, read back as whole
+    columns, into ``output``.
 
     Same hash-table build and probe as the specification arm's
     :class:`~repro.access.hash_index.HashIndex` loop (hence identical
-    charges) -- through the packed kernel when both buckets' keys pack as
-    int64 -- but the matched pairs are emitted by transposing the bucket
-    rows once and group-gathering survivor columns instead of
-    concatenating one tuple per match.  Returns the match count.
+    charges), and the matched pairs are group-gathered out of the
+    buckets' columns instead of concatenating one tuple per match.
     """
-    r_keys = [row[r_key_index] for row in r_rows]
-    s_keys = [row[s_key_index] for row in s_rows]
-    packed = _packed_pair(r_keys, s_keys)
-    if packed is not None:
-        packed_table = PackedHashTable(counters, fudge)
-        packed_table.append(packed[0])
-        build_idx, probe_idx = packed_table.probe(packed_view(packed[1]))
-    else:
-        table = HashIndex(counters, max_load=fudge)
-        table.insert_batch(zip(r_keys, range(len(r_keys))))
-        build_idx, probe_idx = flatten_chains(table.probe_batch(s_keys))
-    if not len(build_idx):
-        return 0
-    out_cols = gather_columns(list(zip(*r_rows)), build_idx)
-    out_cols.extend(gather_columns(list(zip(*s_rows)), probe_idx))
-    output.extend_columns(out_cols, len(build_idx))
-    return len(build_idx)
+    table = JoinTable(spec, counters)
+    if len(r_bucket):
+        table.insert_columns(r_bucket.columns, len(r_bucket))
+    if len(s_bucket):
+        table.probe_columns(s_bucket.columns, output)
+    table.settle()
 
 
 __all__ = [
@@ -511,7 +461,9 @@ __all__ = [
     "JoinTable",
     "PROBE_FLUSH_ROWS",
     "PackedHashTable",
+    "column_blocks",
     "flatten_chains",
     "int_hashes",
     "join_bucket_columnar",
+    "take_rows",
 ]

@@ -23,7 +23,11 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cost.counters import OperationCounters, heap_push_charges
-from repro.join.partition import SpillWriter, partition_hash, read_bucket
+from repro.join.partition import (
+    SpillWriter,
+    partition_hash,
+    read_bucket_columns,
+)
 from repro.operators.columnar import (
     charge_page_group,
     column_of,
@@ -438,14 +442,14 @@ def hash_aggregate(
     if writer is not None:
         writer.close()
         for file_name in spill_files:
-            rows = read_bucket(disk, file_name)
+            bucket = read_bucket_columns(disk, file_name)
             disk.delete(file_name)
-            if not rows:
+            if not len(bucket):
                 continue
             bucket_rel = Relation(
                 "%s.bucket" % relation.name, relation.schema, relation.page_bytes
             )
-            bucket_rel.extend_rows(rows)
+            bucket_rel.extend_columns(bucket.columns, len(bucket))
             partial = hash_aggregate(
                 bucket_rel,
                 group_by,
@@ -459,7 +463,7 @@ def hash_aggregate(
                 _depth=_depth + 1,
             )
             for page in partial.pages:
-                out.extend_rows(page.tuples)
+                out.extend_columns(page.columns, len(page))
     return out
 
 

@@ -2,7 +2,8 @@
 
 A ``hypothesis`` strategy draws a small random database (two or three
 tables, mixed column types, random indexes, a memory grant that may or
-may not make joins spill) and a handful of select / project / distinct /
+may not make joins spill -- the two-page one spills any build side of
+more than a page -- ) and a handful of select / project / distinct /
 join (2- and 3-way) / group-by statements over it, a lower and an upper
 bound on one column -- the pair the planner folds into one ``Range`` and
 probes an ordered index with -- among their predicates.  Every statement
@@ -50,6 +51,11 @@ VALUES = {
     DataType.INTEGER: st.integers(-2, 9),
     DataType.FLOAT: st.integers(-2, 9).map(lambda k: k * 0.5),
     DataType.STRING: st.sampled_from(["a", "ab", "abc", "b", "ba", "c"]),
+}
+FILLER = {
+    DataType.INTEGER: int,
+    DataType.FLOAT: lambda i: i * 0.5,
+    DataType.STRING: lambda i: "abc"[i % 3] * (1 + i % 2),
 }
 INDEX_KINDS = ("btree", "avl", "hash", "paged-binary")
 
@@ -150,6 +156,11 @@ def tables(draw) -> List[Table]:
         rows = draw(
             st.lists(st.tuples(*(VALUES[d] for d in dtypes)), max_size=25)
         )
+        # Sometimes a table of many pages, so that a hash join is planned
+        # and a small grant makes it spill: rows beyond the small domains
+        # that any integer join matches one to one.
+        for i in range(10, 10 + draw(st.sampled_from([0, 120]))):
+            rows.append(tuple(FILLER[d](i) for d in dtypes))
         indexes = draw(st.lists(
             st.tuples(
                 st.sampled_from([c for c, _ in columns]),
@@ -260,7 +271,7 @@ def cases(draw):
     return (
         db,
         # Page bytes (the widest row is 68) and the memory grant in pages.
-        draw(st.sampled_from([(128, 3), (128, 6), (256, 1000)])),
+        draw(st.sampled_from([(128, 2), (128, 3), (128, 6), (256, 1000)])),
         draw(st.lists(statements(db), min_size=1, max_size=6)),
     )
 
@@ -312,7 +323,7 @@ def execute(ours, plan, batch: bool):
 
 def check(ours, theirs, statement: Statement):
     """Assert the four properties of the module docstring; return the
-    statement's rows and its plan."""
+    statement's rows, its plan and its charges."""
     plan = ours.plan(parse_sql(statement.sql(), ours.catalog))
     names, rows, charged, checks = execute(ours, plan, batch=True)
     assert (names, rows, charged, checks) == execute(ours, plan, batch=False)
@@ -334,7 +345,7 @@ def check(ours, theirs, statement: Statement):
         assert (
             other.explain().split("\n", 1)[1] == plan.explain().split("\n", 1)[1]
         )
-    return rows, plan
+    return rows, plan, charged
 
 
 # -- tests ------------------------------------------------------------------------
@@ -351,6 +362,8 @@ SHAPES = {
     "range_pair",
     "range_index_scan",
     "empty_range",
+    "two_way_join_spills",
+    "three_way_join_spills",
 }
 
 
@@ -361,8 +374,15 @@ def run_case(case) -> Set[str]:
     seen: Set[str] = set()
     try:
         for statement in drawn:
-            rows, plan = check(ours, theirs, statement)
+            rows, plan, charged = check(ours, theirs, statement)
             seen |= statement.shapes()
+            # Only a partitioning join writes a page at random.
+            if charged["random_ios"] and not statement.group_by:
+                seen.add(
+                    "three_way_join_spills"
+                    if len(statement.joins) == 2
+                    else "two_way_join_spills"
+                )
             if not rows and all(len(t.rows) > 3 for t in statement.tables):
                 seen.add("empty_result")
             if "IndexScan" in plan.explain():

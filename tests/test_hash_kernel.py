@@ -30,8 +30,10 @@ from repro.join.partition import hybrid_class, partition_fan_out
 from repro.join.vectorized import (
     JoinTable,
     PackedHashTable,
+    column_blocks,
     flatten_chains,
     int_hashes,
+    take_rows,
 )
 from repro.operators import aggregate
 from repro.operators.aggregate import (
@@ -239,8 +241,8 @@ class TestGrowthSchedule:
 
 class TestJoinTable:
     def run(self, r_rows, s_rows, slots_of=None, probe=True):
-        """Insert R, probe S page by page unless ``probe`` is false
-        (``slots_of(page)`` picks the rows that take part); return rows
+        """Insert R, probe S block by block unless ``probe`` is false
+        (``slots_of(block)`` picks the rows that take part); return rows
         out, dump order, charges."""
         r = equivalence.kv_relation("r", r_rows)
         s = equivalence.kv_relation("s", s_rows, columns=("skey", "spay"))
@@ -250,15 +252,22 @@ class TestJoinTable:
             [Field(c, DataType.INTEGER) for c in ("key", "payload", "skey", "spay")]
         ), 64)
         table = JoinTable(spec, counters)
-        for page in spec.r.pages:
-            table.insert(page, slots_of(page) if slots_of else None)
-        for page in spec.s.pages if probe else ():
-            table.probe(page, output, slots_of(page) if slots_of else None)
-        table.flush(output)
-        # Read before the dump: ``flush`` alone settles every charge.
+
+        def blocks(relation):
+            for block, _ in column_blocks(relation):
+                slots = slots_of(block) if slots_of else range(len(block))
+                yield take_rows(block, slots), len(slots)
+
+        for columns, count in blocks(spec.r):
+            table.insert_columns(columns, count)
+        for columns, _ in blocks(spec.s) if probe else ():
+            table.probe_columns(columns, output)
+        table.settle()
+        # Read before the dump: ``settle`` alone settles every charge.
         charges = counters.as_dict()
+        columns, count = table.dump()
         return (
-            list(output), [row for _, row in table.items()], charges, len(table),
+            list(output), list(zip(*columns)), charges, len(table), count,
         ), table
 
     @pytest.mark.parametrize("slots", ["whole pages", "some slots"])
@@ -271,7 +280,7 @@ class TestJoinTable:
         slots_of = None
         if slots == "some slots":
             slots_of = lambda page: [i for i in range(len(page)) if i % 3]
-        # Several flushes per phase, and a final partial one.
+        # Several blocks per phase, and a final partial one.
         monkeypatch.setattr(vectorized, "PROBE_FLUSH_ROWS", 64)
         packed, table = self.run(r_rows, s_rows, slots_of)
         assert table._packed
@@ -281,8 +290,8 @@ class TestJoinTable:
         assert packed == chained and packed[0]
 
     def test_a_table_nothing_probes_still_pays_for_its_build(self, monkeypatch):
-        """S brings no row of the resident class: ``flush`` with nothing
-        staged settles the inserts all the same."""
+        """S brings no row of the resident class: ``settle`` charges the
+        inserts all the same."""
         if codecs.np is None:
             pytest.skip("numpy is not installed")
         r_rows = [(i % 90, i) for i in range(200)]
@@ -292,18 +301,29 @@ class TestJoinTable:
         chained, _ = self.run(r_rows, r_rows, probe=False)
         assert packed == chained and packed[2]["moves"] == len(r_rows)
 
-    def test_a_demoted_key_page_keeps_the_chained_table(self):
+    def test_a_demoted_key_page_unpacks_the_table(self, monkeypatch):
+        """A probe block whose key column demoted trades the packed table
+        for the chained one its inserts would have built: rows, dump
+        order and charges as if it had been chained from the start."""
         r_rows = [(i % 7, i) for i in range(40)]
         s_rows = [(i % 9, i) for i in range(40)] + [(2**70, 0)]
-        _, table = self.run(r_rows, s_rows)
+        monkeypatch.setattr(vectorized, "PROBE_FLUSH_ROWS", 16)
+        unpacked, table = self.run(r_rows, s_rows)
         assert not table._packed
+        monkeypatch.setattr(codecs, "np", None)
+        chained, _ = self.run(r_rows, s_rows)
+        assert unpacked == chained and unpacked[0]
 
-    def test_whole_pages_then_slots(self, engine):
-        """Staging copes with both forms of probe in one phase."""
+    def test_whole_pages_then_slots(self, engine, monkeypatch):
+        """Whole blocks (the block's own buffers) and gathered subsets
+        build and probe one table in one phase."""
         r_rows = [(i % 5, i) for i in range(24)]
         s_rows = [(i % 6, i) for i in range(32)]
+        monkeypatch.setattr(vectorized, "PROBE_FLUSH_ROWS", 8)  # = one page
         # Odd pages take part whole, even ones with three of their rows.
-        mixed = lambda page: None if page.page_id % 2 else [0, 3, 4]
+        mixed = lambda block: (
+            range(len(block)) if block.column(1)[0] // 8 % 2 else [0, 3, 4]
+        )
 
         def taking_part(rows):
             pages = [rows[i:i + 8] for i in range(0, len(rows), 8)]

@@ -6,6 +6,7 @@ instead of at the user's site.
 """
 
 import importlib
+import re
 
 import pytest
 
@@ -119,3 +120,41 @@ def test_batch_is_the_only_execution_arm_option():
                     check(member, names)
     assert not offenders, "removed execution options are back: %s" % offenders
     assert "batch" in inspect.signature(PlanContext).parameters
+
+
+def test_spilling_joins_have_one_production_path():
+    """PR 21 replaced the row-list partitioning of hybrid hash and GRACE
+    with whole columns and kept nothing beside it: the helpers only the
+    old path used are gone, the new names are exported, and
+    ``PROBE_FLUSH_ROWS`` is still the join package's one block-size
+    constant."""
+    import inspect
+
+    from repro.join import grace_hash, hybrid_hash, partition, vectorized
+
+    assert not hasattr(partition.SpillWriter, "write_many")
+    for gone in ("insert", "probe", "flush", "items"):
+        assert not hasattr(vectorized.JoinTable, gone), gone
+    for gone in ("_packed_keys", "_packed_pair"):
+        assert not hasattr(vectorized, gone), gone
+    assert not hasattr(vectorized.ColumnStore, "row")
+    assert {"hybrid_classes", "partition_residues", "scatter",
+            "read_bucket_columns"} <= set(partition.__all__)
+    assert {"column_blocks", "take_rows"} <= set(vectorized.__all__)
+    # The production level functions read buckets back as columns.
+    for fn in (
+        hybrid_hash.HybridHashJoin._execute_level_batch,
+        grace_hash.GraceHashJoin._execute_batch,
+    ):
+        source = inspect.getsource(fn)
+        assert "read_bucket_columns(" in source
+        assert "read_bucket(" not in source
+        assert not re.search(r"\.tuples\b", source)
+    tunables = [
+        name for module in (partition, vectorized, hybrid_hash, grace_hash)
+        for name, value in vars(module).items()
+        if name.isupper() and not name.startswith("_")
+        and isinstance(value, (int, float)) and not isinstance(value, bool)
+        and re.search(r"^%s\b.*=" % name, inspect.getsource(module), re.M)
+    ]
+    assert tunables == ["PROBE_FLUSH_ROWS"], tunables
