@@ -9,15 +9,17 @@ BEGIN / ADD debit / ADD credit / COMMIT round-trip; COMMIT blocks until
 the transaction's commit group is durable.
 
 The paper's claim under test is the Section 5 pre-commit + group-commit
-design: a single session pays the full group-commit delay per
-transaction, but concurrent sessions share flushes -- committed
-transactions per flush grows with the session count, so aggregate tps
-scales until admission control (the PR-3 governor's concurrency gate) and
-the flush pipeline saturate.  The PR-8 admission-aware lock waits add a
-second claim: **past** the saturation knee throughput must *plateau*,
-not collapse -- a statement blocked in the lock table parks its
-admission slot, so contention no longer eats admission capacity and the
-overloaded rungs keep committing.  The emitted numbers
+design: a commit waits for its *peers*, not for a clock.  A session with
+nobody else running has no peer to wait for and commits at once (a group
+of one, well under the ``GROUP_DELAY`` bound); concurrent sessions share
+flushes -- committed transactions per flush grows with the session
+count, because under load someone is always still running and the open
+group keeps filling.  The PR-8 admission-aware lock waits add a second
+claim: **past** the saturation knee (the governor's ``max_concurrent``)
+throughput must *plateau*, not collapse -- a statement blocked in the
+lock table parks its admission slot, so contention no longer eats
+admission capacity and the overloaded rungs keep committing.  The
+emitted numbers
 (``benchmarks/out/bench_server.json``, with the pre-parking
 ``BENCH_PR6.json`` run embedded as ``before``; ``BENCH_PR8.json`` is the
 frozen PR-8 run) record tps, p50/p99 latency, group sizes, parks,
@@ -27,13 +29,30 @@ Assertions:
 
 * every rung commits transactions (nonzero tps) and conserves the total
   balance (transfers never create money);
-* aggregate tps at the best rung beats the single-session rung (group
-  commit earns its keep) -- at full scale by at least 1.5x;
-* the mean durable group size grows from ~1 at S=1 to >1 when sessions
-  pile up;
-* **overload robustness**: the busiest (past-knee) rung keeps at least
-  ``MIN_PLATEAU`` (0.7) of the peak rung's tps;
+* a lone session does not wait out the timer: the 1-session rung's p50
+  (four round trips, commit included) is below ``GROUP_DELAY`` and its
+  mean durable group size is exactly 1;
+* group commit batches under load: the mean durable group size is > 2
+  from ``max_concurrent`` sessions up, the busiest rung included;
+* **overload robustness**: the busiest rung keeps at least
+  ``MIN_PLATEAU`` (0.7) of the best tps *at or past the knee* (rungs of
+  ``max_concurrent`` sessions or more) -- the collapse this guards
+  against read 0.12;
 * shutdown is clean (no crashed store, no stuck workers).
+
+(Until PR 22 the scaling assertion was ``peak >= 1.5 x single``: it
+encoded "a lone session pays the full group-commit delay", which is what
+quiescent sealing removed, and the plateau was taken against the peak
+over all rungs.  Both old-style ratios are still emitted, under
+``ratios``, so runs stay comparable with ``BENCH_PR8.json``.)
+
+The ladder runs on **one CPU** (``sched_setaffinity``, restored
+afterwards; the ledger does the same, ``benchmarks/ledger/machine.py``):
+client workers and server threads are one process under one interpreter
+lock, so a second core buys them nothing but lock hand-offs between
+cores, and with 130 threads on a 2-vCPU guest those cost the 64-session
+rung two thirds of its throughput, parent and change alike (docs/PERF.md,
+"Commit path").
 
 Knobs: ``REPRO_BENCH_SCALE`` scales connection and transaction counts
 (CI smoke runs 0.25).
@@ -73,8 +92,7 @@ GROUP_SIZE = 32
 GROUP_DELAY = 0.002
 SEED = 1984
 
-MIN_SCALING = 1.5 if SCALE >= 1.0 else 1.0
-#: Past the knee, the busiest rung must keep this share of peak tps.
+#: The busiest rung must keep this share of the best past-knee tps.
 MIN_PLATEAU = 0.7
 
 
@@ -159,6 +177,9 @@ def run_rung(server: DatabaseServer, sessions: int) -> Dict[str, Any]:
     elapsed = time.perf_counter() - started
     stats = bank.bank_stats()
     governor = server.manager.db.governor_stats()
+    assert (
+        governor["active"] == governor["parked"] == governor["pages_in_use"] == 0
+    ), "admission capacity leaked at %d sessions: %r" % (sessions, governor)
     commits = stats["commits"] - before_commits
     groups = stats["groups_flushed"] - before_groups
     with ServerClient(host, port) as probe:
@@ -189,6 +210,18 @@ def run_rung(server: DatabaseServer, sessions: int) -> Dict[str, Any]:
 
 
 def test_server_throughput_ladder():
+    pinned = hasattr(os, "sched_setaffinity")
+    if pinned:
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {max(cpus)})
+    try:
+        run_ladder()
+    finally:
+        if pinned:
+            os.sched_setaffinity(0, cpus)
+
+
+def run_ladder():
     server = DatabaseServer(
         n_accounts=N_ACCOUNTS,
         initial_balance=INITIAL_BALANCE,
@@ -196,9 +229,9 @@ def test_server_throughput_ladder():
         group_delay=GROUP_DELAY,
         lock_wait_timeout=10.0,
         statement_timeout=30.0,
-        workers=max(SESSION_LADDER) + 8,
     )
     server.start_in_thread()
+    knee = server.manager.db.governor.config.max_concurrent
     try:
         rungs = [run_rung(server, sessions) for sessions in SESSION_LADDER]
         wire = server.wire_stats()
@@ -231,6 +264,17 @@ def test_server_throughput_ladder():
         )
     )
     emit("bench_server", lines)
+    busiest = max(rungs, key=lambda r: r["sessions"])
+    peak = max(r["tps"] for r in rungs)
+    past_knee = max(r["tps"] for r in rungs if r["sessions"] >= knee)
+    ratios = {
+        "knee_sessions": knee,
+        "peak_past_knee_tps": past_knee,
+        "plateau": busiest["tps"] / past_knee,
+        # As asserted until PR 22, kept for comparison with BENCH_PR8.json.
+        "old_peak_over_single": peak / rungs[0]["tps"],
+        "old_busiest_over_peak": busiest["tps"] / peak,
+    }
     payload: Dict[str, Any] = {
         "experiment": "E21",
         "scale": SCALE,
@@ -243,6 +287,7 @@ def test_server_throughput_ladder():
             "txns_per_connection": TXNS_PER_CONNECTION,
         },
         "rungs": rungs,
+        "ratios": ratios,
         "wire": wire,
         "governor": governor,
     }
@@ -260,25 +305,25 @@ def test_server_throughput_ladder():
         }
     emit_json("bench_server", payload)
 
-    # Nonzero throughput everywhere; scaling up to saturation.
+    # Nonzero throughput everywhere.
     for rung in rungs:
         assert rung["committed"] > 0, rung
         assert rung["tps"] > 0, rung
-    single = rungs[0]["tps"]
-    peak = max(r["tps"] for r in rungs)
-    assert peak >= MIN_SCALING * single, (
-        "group commit failed to scale: single=%.0f tps, peak=%.0f tps"
-        % (single, peak)
-    )
-    # Group commit batches under load: the best rung's durable groups
-    # must average more than one transaction.
-    busiest = max(rungs, key=lambda r: r["sessions"])
-    assert busiest["mean_group_size"] > 1.0, busiest
+    # A lone session has no peer to wait for: it must not pay the timer.
+    lone = rungs[0]
+    assert lone["sessions"] == 1
+    assert lone["p50_ms"] < GROUP_DELAY * 1000, lone
+    assert lone["mean_group_size"] == 1.0, lone
+    # Group commit batches under load: someone is always still running,
+    # so the open group keeps filling.
+    for rung in rungs:
+        if rung["sessions"] >= knee:
+            assert rung["mean_group_size"] > 2.0, rung
     # Overload robustness (PR 8): past the saturation knee, parked lock
     # waits keep admission capacity flowing -- the busiest rung must hold
     # a plateau, not collapse (pre-parking this ratio was ~0.12).
-    assert busiest["tps"] >= MIN_PLATEAU * peak, (
-        "throughput collapsed past the knee: peak=%.0f tps, "
-        "busiest=%.0f tps (floor %.0f%%)"
-        % (peak, busiest["tps"], MIN_PLATEAU * 100)
+    assert ratios["plateau"] >= MIN_PLATEAU, (
+        "throughput collapsed past the knee: best past-knee rung %.0f tps, "
+        "busiest %.0f tps (floor %.0f%%)"
+        % (ratios["peak_past_knee_tps"], busiest["tps"], MIN_PLATEAU * 100)
     )

@@ -13,8 +13,8 @@ Layers, bottom up:
   :class:`~repro.server.retry.RetryPolicy` the sessions retry under.
 * :mod:`repro.server.protocol` -- length-prefixed JSON frames and the
   typed-error wire mapping.
-* :mod:`repro.server.net` / :mod:`repro.server.client` -- the asyncio
-  server and the blocking client.
+* :mod:`repro.server.net` / :mod:`repro.server.client` -- the
+  thread-per-connection server and the blocking client.
 
 ``python -m repro.server`` starts a standalone server.
 """

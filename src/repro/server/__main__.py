@@ -3,9 +3,9 @@
 Usage::
 
     python -m repro.server [--host H] [--port P] [--accounts N]
-                           [--balance B] [--workers W]
+                           [--balance B]
 
-Starts the asyncio statement server on a demo engine (the banking record
+Starts the statement server on a demo engine (the banking record
 store plus an empty relational catalog) and serves until interrupted.
 Port 0 picks a free port; the bound address is printed either way.
 """
@@ -13,7 +13,6 @@ Port 0 picks a free port; the bound address is printed either way.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import sys
 from typing import List, Optional
 
@@ -29,13 +28,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--port", type=int, default=0)
     parser.add_argument("--accounts", type=int, default=64)
     parser.add_argument("--balance", type=int, default=100)
-    parser.add_argument("--workers", type=int, default=32)
     args = parser.parse_args(argv)
 
     server = DatabaseServer(
         host=args.host,
         port=args.port,
-        workers=args.workers,
         n_accounts=args.accounts,
         initial_balance=args.balance,
     )

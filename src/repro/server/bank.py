@@ -15,11 +15,15 @@ A transaction's life here follows the paper's pre-commit protocol:
    pre-commit dependencies) to the log *buffer*, releases its locks into
    the pre-committed sets -- waking waiters, who inherit the dependency
    edge -- and joins the open **commit group**;
-3. a background flusher seals the group when it fills
-   (``group_size``) or ages out (``group_delay`` seconds), moving the
-   whole log buffer to the durable log in one write and finalizing the
-   group's locks with one batched
-   :meth:`~repro.recovery.lock_table.LockTable.finalize_batch` pass.
+3. the group is sealed -- the whole log buffer moved to the durable log
+   in one write, the group's locks finalized with one batched
+   :meth:`~repro.recovery.lock_table.LockTable.finalize_batch` pass --
+   by whoever makes it sealable: the committer that fills it
+   (``group_size``, reason ``"fill"``), the transaction whose leaving
+   ACTIVE (commit, rollback, abort) means nobody is still running who
+   could join it (``"quiet"``), a ``FLUSH`` (``"barrier"``), or, as the
+   upper bound on the wait, the flusher thread once the group is
+   ``group_delay`` seconds old (``"timer"``).
 
 Because the buffer is strictly append-ordered and flushes are whole-buffer
 prefixes, a flushed dependent commit always implies its dependencies are
@@ -127,7 +131,9 @@ class BankStore:
         #: Pre-committed tids riding in the open (unsealed) commit group.
         self._group: List[int] = []
         self._group_opened_at = 0.0
-        self.durable_tids: Set[int] = set()
+        #: Transactions between BEGIN and pre-commit: the ones that could
+        #: still join the open group, so the ones it is worth waiting for.
+        self._active = 0
 
         # Statistics (all guarded by _mu).
         self.commits = 0
@@ -137,7 +143,9 @@ class BankStore:
         self.lock_timeouts = 0
         self.groups_flushed = 0
         self.group_txns_flushed = 0
-        self.flush_reasons: Dict[str, int] = {"fill": 0, "timer": 0, "barrier": 0}
+        self.flush_reasons: Dict[str, int] = {
+            "fill": 0, "quiet": 0, "timer": 0, "barrier": 0
+        }
 
         self._crashed = False
         self._stop = False
@@ -154,6 +162,7 @@ class BankStore:
             self._check_up()
             tid = next(self._tids)
             self._txns[tid] = BankTxn(tid=tid, session_id=session_id)
+            self._active += 1
             self._log_buffer.append(("begin", tid))
             return tid
 
@@ -202,10 +211,10 @@ class BankStore:
                     "transaction %d cannot commit with a queued lock "
                     "request outstanding" % tid
                 )
-            # Dependencies that already reached the durable log impose no
-            # ordering constraint (the paper: committed transactions are
+            # A dependency imposes an order only while it still rides in
+            # the open group (the paper: committed transactions are
             # removed from the dependency list).
-            deps = tuple(sorted(txn.dependencies - self.durable_tids))
+            deps = tuple(sorted(txn.dependencies.intersection(self._group)))
             if not txn.undo and not deps:
                 # Read-only, and everything it read is already durable:
                 # there is nothing to log, so the commit completes
@@ -216,26 +225,29 @@ class BankStore:
                 self._route_notices(notices)
                 self.locks.finalize_batch([tid])
                 self.commits += 1
+                self._retire_active_locked(txn)
                 return {"tid": tid, "group_size": 0, "dependencies": []}
             self._log_buffer.append(("commit", tid, deps))
             txn.state = TxnState.PRECOMMITTED
             notices = self.locks.precommit(tid)
             self._route_notices(notices)
-            if not self._group:
-                self._group_opened_at = time.monotonic()
             self._group.append(tid)
-            self._cond.notify_all()
+            self._active -= 1
+            if len(self._group) >= self.group_size:
+                self._flush_locked("fill")
+            elif self._active == 0:
+                # Nobody is running who could still join: waiting would
+                # buy nothing but the timer.
+                self._flush_locked("quiet")
+            elif len(self._group) == 1:
+                self._group_opened_at = time.monotonic()
+                self._cond.notify_all()  # the flusher arms its deadline
             while txn.state is TxnState.PRECOMMITTED:
-                if self._crashed:
-                    raise TransactionAborted(
-                        "transaction %d pre-committed but its commit group "
-                        "was lost in a crash" % tid,
-                        reason="crash",
-                    )
-                self._cond.wait(0.05)
+                self._cond.wait()
             if txn.state is not TxnState.COMMITTED:
                 raise TransactionAborted(
-                    "transaction %d lost before its group flushed" % tid,
+                    "transaction %d pre-committed but its commit group "
+                    "was lost in a crash" % tid,
                     reason=txn.abort_reason or "crash",
                 )
             self.commits += 1
@@ -427,6 +439,16 @@ class BankStore:
         notices = self.locks.abort(txn.tid)
         self._route_notices(notices)
         self._cond.notify_all()
+        self._retire_active_locked(txn)
+
+    def _retire_active_locked(self, txn: BankTxn) -> None:
+        """``txn`` left ACTIVE without joining the group: its outcome is
+        known, so its descriptor goes, and if it was the last one the
+        open group could have been waiting for, it seals that group."""
+        del self._txns[txn.tid]
+        self._active -= 1
+        if self._active == 0 and self._group:
+            self._flush_locked("quiet")
 
     def _route_notices(self, notices) -> None:
         """Deliver grant notices: the grantee inherits the pre-committed
@@ -441,27 +463,21 @@ class BankStore:
     # -- the group-commit flusher ----------------------------------------------
 
     def _flusher_loop(self) -> None:
-        while True:
-            with self._cond:
-                while not self._stop and (self._crashed or not self._group):
-                    self._cond.wait(0.05)
-                if self._stop:
-                    return
-                deadline = self._group_opened_at + self.group_delay
-                while (
-                    not self._stop
-                    and not self._crashed
-                    and self._group
-                    and len(self._group) < self.group_size
-                    and time.monotonic() < deadline
-                ):
-                    self._cond.wait(max(0.0005, deadline - time.monotonic()))
-                if self._stop:
-                    return
-                if self._crashed or not self._group:
+        """The upper bound on a commit's wait, nothing else: sleep until
+        a group opens, then until exactly its deadline, and seal it if
+        nobody else has by then."""
+        with self._cond:
+            while not self._stop:
+                if not self._group:
+                    self._cond.wait()
                     continue
-                reason = "fill" if len(self._group) >= self.group_size else "timer"
-                self._flush_locked(reason)
+                remaining = (
+                    self._group_opened_at + self.group_delay - time.monotonic()
+                )
+                if remaining > 0:
+                    self._cond.wait(remaining)
+                else:
+                    self._flush_locked("timer")
 
     def _flush_locked(self, reason: str) -> None:
         """Seal the open group: one durable log write, one batched lock
@@ -472,15 +488,14 @@ class BankStore:
         self._group = []
         self.log_durable.extend(self._log_buffer)
         self._log_buffer = []
-        self.durable_tids.update(group)
         self.locks.finalize_batch(group)
         for tid in group:
-            txn = self._txns[tid]
+            txn = self._txns.pop(tid)
             txn.state = TxnState.COMMITTED
             txn.group_size = len(group)
         self.groups_flushed += 1
         self.group_txns_flushed += len(group)
-        self.flush_reasons[reason] = self.flush_reasons.get(reason, 0) + 1
+        self.flush_reasons[reason] += 1
         self._cond.notify_all()
 
     def flush_now(self) -> int:
@@ -504,13 +519,13 @@ class BankStore:
             lost_group = len(self._group)
             self._log_buffer = []
             self._group = []
-            killed = 0
+            killed = len(self._txns)
             for txn in self._txns.values():
-                if txn.state in (TxnState.ACTIVE, TxnState.PRECOMMITTED):
-                    txn.state = TxnState.ABORTED
-                    txn.abort_reason = "crash"
-                    txn.waiting_for = None
-                    killed += 1
+                txn.state = TxnState.ABORTED
+                txn.abort_reason = "crash"
+                txn.waiting_for = None
+            self._txns.clear()
+            self._active = 0
             self.locks = LockTable()
             self._crashed = True
             self._cond.notify_all()
@@ -538,7 +553,6 @@ class BankStore:
                     values[rec[2]] = rec[4]
                     redone += 1
             self.values = values
-            self.durable_tids = committed
             self._crashed = False
             self._cond.notify_all()
             return {

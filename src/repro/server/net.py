@@ -1,16 +1,18 @@
-"""The asyncio socket server: N concurrent connections, one session each.
+"""The socket server: one thread per connection, one session each.
 
-The event loop owns the sockets; statement execution happens on a thread
-pool (statements block -- on record locks, on governor admission, on the
-group-commit flush -- and must not stall the loop).  Each accepted
-connection gets a fresh :class:`~repro.server.session.Session`; the
-server greets it with a ``hello`` frame carrying the session id, then
-answers every request frame with exactly one response frame.
+An accept thread hands every connection to a thread of its own, which
+runs the whole conversation blocking -- ``recv``, decode, execute, send
+-- so a statement that blocks (on a record lock, on governor admission,
+on its commit group) blocks only its own connection, and a frame crosses
+no thread on its way to the engine or back.  Each accepted connection
+gets a fresh :class:`~repro.server.session.Session`; the server greets
+it with a ``hello`` frame carrying the session id, then answers every
+request frame with exactly one response frame, in order.
 
 Failure semantics (the chaos tests drive all three):
 
-* **Client disconnect** (EOF or reset) mid-transaction: the connection
-  handler closes the session, which rolls the open transaction back with
+* **Client disconnect** (EOF or reset) mid-transaction: the connection's
+  thread closes the session, which rolls the open transaction back with
   reason ``"disconnect"`` and releases its locks.
 * **Typed errors** never kill the connection: they are encoded with
   :func:`~repro.server.protocol.error_payload` (including the
@@ -18,22 +20,33 @@ Failure semantics (the chaos tests drive all three):
   session's transaction back) and the conversation continues.
 * **Server crash** (:meth:`DatabaseServer.crash`): the store loses its
   volatile state mid-commit, every session dies, every connection is
-  severed; :meth:`DatabaseServer.recover` restores the durable image and
-  new connections proceed.
+  severed (``shutdown`` on its socket: a thread blocked in ``recv`` or
+  about to send finds the connection gone and ends);
+  :meth:`DatabaseServer.recover` restores the durable image and new
+  connections proceed.
 """
 
 from __future__ import annotations
 
-import asyncio
+import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ProtocolError, ReproError, StateError
+from repro.lint.runtime import tracked_lock
 from repro.server.protocol import FrameDecoder, encode_frame, error_payload
 from repro.server.session import Session, SessionManager
 
 _READ_CHUNK = 64 * 1024
+
+
+def _sever(sock: socket.socket) -> None:
+    """Wake whichever thread is blocked on ``sock`` (in ``accept`` or
+    ``recv``) and fail its next send; that thread closes the socket."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # the peer got there first
 
 
 class DatabaseServer:
@@ -44,9 +57,13 @@ class DatabaseServer:
         manager: Optional[SessionManager] = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        workers: int = 32,
         **manager_kwargs: Any,
     ) -> None:
+        if manager is not None and manager_kwargs:
+            raise TypeError(
+                "DatabaseServer got a manager and also %s for building one"
+                % ", ".join(sorted(manager_kwargs))
+            )
         self.manager = (
             manager if manager is not None else SessionManager(**manager_kwargs)
         )
@@ -54,90 +71,89 @@ class DatabaseServer:
         self.port = port
         #: (host, port) actually bound, available once serving starts.
         self.address: Optional[Tuple[str, int]] = None
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="stmt"
-        )
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_event: Optional[asyncio.Event] = None
+        self._listener: Optional[socket.socket] = None
         self._thread: Optional[threading.Thread] = None
-        self._writers: Set[asyncio.StreamWriter] = set()
-        # Wire statistics (loop-thread only, no lock needed).
-        self.connections_accepted = 0
-        self.frames_in = 0
-        self.frames_out = 0
-        self.errors_returned = 0
-        self.disconnects = 0
+        #: Guards the connection registry and the wire statistics; no
+        #: socket call is ever made under it.
+        self._mu = tracked_lock("repro.server.DatabaseServer._mu")
+        self._connections: Dict[socket.socket, threading.Thread] = {}
+        self._wire = {
+            "connections_accepted": 0, "frames_in": 0, "frames_out": 0,
+            "errors_returned": 0, "disconnects": 0,
+        }
 
     # -- connection handling -----------------------------------------------------
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.connections_accepted += 1
-        self._writers.add(writer)
+    def _accept_loop(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                conn, _peer = listener.accept()
+            except OSError:
+                break  # stop() severed the listener
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            thread = threading.Thread(
+                target=self._handle, args=(conn,), name="db-conn", daemon=True
+            )
+            with self._mu:
+                self._wire["connections_accepted"] += 1
+                self._connections[conn] = thread
+            thread.start()
+        listener.close()
+
+    def _handle(self, conn: socket.socket) -> None:
         session = self.manager.open_session()
         decoder = FrameDecoder()
         try:
-            await self._send(
-                writer,
-                {"ok": True, "kind": "hello", "session": session.session_id},
+            self._send(
+                conn, {"ok": True, "kind": "hello", "session": session.session_id}
             )
             while True:
-                data = await reader.read(_READ_CHUNK)
+                data = conn.recv(_READ_CHUNK)
                 if not data:
                     break
                 try:
                     messages = decoder.feed(data)
                 except ProtocolError as exc:
                     # Framing is broken; report once and hang up.
-                    await self._send(
-                        writer, {"ok": False, "error": error_payload(exc)}
-                    )
-                    self.errors_returned += 1
+                    self._count("errors_returned")
+                    self._send(conn, {"ok": False, "error": error_payload(exc)})
                     break
                 for message in messages:
-                    self.frames_in += 1
-                    response = await self._respond(session, message)
-                    await self._send(writer, response)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            # Event-loop teardown (stop()): finish cleanly so the session
-            # still gets closed below.
-            pass
+                    self._count("frames_in")
+                    self._send(conn, self._respond(session, message))
+        except OSError:
+            pass  # reset by the peer, or severed by crash() / stop()
         finally:
-            self.disconnects += 1
-            self._writers.discard(writer)
+            with self._mu:
+                self._wire["disconnects"] += 1
+                del self._connections[conn]
             self.manager.close_session(session.session_id, "disconnect")
-            writer.close()
+            conn.close()
 
-    async def _send(
-        self, writer: asyncio.StreamWriter, payload: Dict[str, Any]
-    ) -> None:
-        writer.write(encode_frame(payload))
-        self.frames_out += 1
-        await writer.drain()
+    def _count(self, counter: str) -> None:
+        with self._mu:
+            self._wire[counter] += 1
 
-    async def _respond(
+    def _send(self, conn: socket.socket, payload: Dict[str, Any]) -> None:
+        conn.sendall(encode_frame(payload))
+        self._count("frames_out")
+
+    def _respond(
         self, session: Session, message: Dict[str, Any]
     ) -> Dict[str, Any]:
         msg_id = message.get("id")
         stmt = message.get("stmt")
         if not isinstance(stmt, str):
-            self.errors_returned += 1
+            self._count("errors_returned")
             error = error_payload(
                 ProtocolError("request frame needs a string 'stmt' field")
             )
             return {"id": msg_id, "ok": False, "error": error}
         had_txn = session.txn is not None
-        loop = asyncio.get_running_loop()
         try:
-            result = await loop.run_in_executor(
-                self._pool, session.execute, stmt
-            )
-            return result.payload(msg_id)
+            return session.execute(stmt).payload(msg_id)
         except ReproError as exc:
-            self.errors_returned += 1
+            self._count("errors_returned")
             aborted = had_txn and session.txn is None
             return {
                 "id": msg_id,
@@ -147,50 +163,41 @@ class DatabaseServer:
 
     # -- serving -----------------------------------------------------------------
 
-    async def serve(self, started: Optional[threading.Event] = None) -> None:
-        """Bind and serve until :meth:`stop` is called."""
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        server = await asyncio.start_server(self._handle, self.host, self.port)
-        self.address = server.sockets[0].getsockname()[:2]
-        if started is not None:
-            started.set()
-        try:
-            async with server:
-                await self._stop_event.wait()
-        finally:
-            for writer in list(self._writers):
-                writer.close()
-            self._writers.clear()
-
-    def start_in_thread(self, timeout: float = 10.0) -> Tuple[str, int]:
-        """Run the event loop on a background thread; returns the bound
-        (host, port) once the server is accepting connections."""
+    def start_in_thread(self) -> Tuple[str, int]:
+        """Bind, start accepting on a background thread, and return the
+        bound (host, port)."""
         if self._thread is not None:
             raise StateError("the server is already running")
-        started = threading.Event()
+        self._listener = socket.create_server((self.host, self.port))
+        self.address = self._listener.getsockname()[:2]
         self._thread = threading.Thread(
-            target=lambda: asyncio.run(self.serve(started)),
+            target=self._accept_loop,
+            args=(self._listener,),
             name="db-server",
             daemon=True,
         )
         self._thread.start()
-        if not started.wait(timeout):
-            raise StateError("server failed to start within %.3gs" % timeout)
-        if self.address is None:
-            raise StateError("server started but never bound an address")
         return self.address
+
+    def _sever_connections(self) -> Tuple[threading.Thread, ...]:
+        with self._mu:
+            connections = dict(self._connections)
+        for conn in connections:
+            _sever(conn)
+        return tuple(connections.values())
 
     def stop(self) -> None:
         """Stop serving, sever connections, shut the engine down."""
-        loop, event = self._loop, self._stop_event
-        if loop is not None and event is not None:
-            loop.call_soon_threadsafe(event.set)
         if self._thread is not None:
+            _sever(self._listener)
             self._thread.join(timeout=10.0)
-            self._thread = None
-        self._pool.shutdown(wait=False)
+            self._thread = self._listener = None
+        threads = self._sever_connections()
+        # Closing the engine is what releases a connection parked in it:
+        # the open commit group is flushed, a lock waiter rolled back.
         self.manager.close()
+        for thread in threads:
+            thread.join(timeout=10.0)
 
     # -- fault injection ----------------------------------------------------------
 
@@ -198,15 +205,7 @@ class DatabaseServer:
         """Crash the store (volatile state lost, sessions severed) and
         drop every connection, as a power cut would."""
         report = self.manager.crash()
-        loop = self._loop
-        if loop is not None:
-
-            def _sever() -> None:
-                for writer in list(self._writers):
-                    writer.close()
-                self._writers.clear()
-
-            loop.call_soon_threadsafe(_sever)
+        self._sever_connections()
         return report
 
     def recover(self) -> Dict[str, Any]:
@@ -217,18 +216,13 @@ class DatabaseServer:
     # -- reporting ----------------------------------------------------------------
 
     def wire_stats(self) -> Dict[str, int]:
-        return {
-            "connections_accepted": self.connections_accepted,
-            "frames_in": self.frames_in,
-            "frames_out": self.frames_out,
-            "errors_returned": self.errors_returned,
-            "disconnects": self.disconnects,
-        }
+        with self._mu:
+            return dict(self._wire)
 
     def __repr__(self) -> str:
         return "DatabaseServer(%s, %d connections)" % (
             self.address,
-            self.connections_accepted,
+            self.wire_stats()["connections_accepted"],
         )
 
 

@@ -306,6 +306,13 @@ class Session:
                 # The store already rolled the transaction back.
                 self.txn = None
                 raise
+            except ReproError:
+                if auto:
+                    # Nobody else will end the implicit transaction, and
+                    # left open it is a peer every commit waits for.
+                    self.txn = None
+                    mgr.bank.rollback(tid, "statement-failed")
+                raise
             if auto:
                 try:
                     mgr.bank.commit(tid)

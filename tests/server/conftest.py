@@ -8,10 +8,12 @@ database every call (same rows, same insertion order, same analyze).
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro import DataType, MainMemoryDatabase
-from repro.server import DatabaseServer, ServerClient
+from repro.server import DatabaseServer, ServerClient, TxnState
 
 EMP_ROWS = [
     (1, "Jones", 52_000, 1),
@@ -22,6 +24,26 @@ EMP_ROWS = [
     (6, "Joyce", 44_000, 3),
 ]
 DEPT_ROWS = [(1, "toys"), (2, "tools"), (3, "books")]
+
+
+def wait_until(predicate, timeout=5.0, interval=0.01):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval)
+    return False
+
+
+def assert_seal_invariants(bank) -> None:
+    """What quiescent sealing rests on: the active count is the number of
+    ACTIVE descriptors (the store keeps no finished ones), and a commit
+    group is only ever open while somebody is still running."""
+    with bank._mu:
+        states = [txn.state for txn in bank._txns.values()]
+        assert bank._active == states.count(TxnState.ACTIVE), states
+        assert len(states) == bank._active + len(bank._group), states
+        assert bank._active or not bank._group
 
 
 def build_corpus_db() -> MainMemoryDatabase:

@@ -23,16 +23,7 @@ from repro.chaos import ShadowDatabase
 from repro.errors import SessionError, TransactionAborted
 from repro.server import BankStore, DatabaseServer, ServerClient
 
-from tests.server.conftest import build_corpus_db
-
-
-def wait_until(predicate, timeout=5.0, interval=0.01):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return False
+from tests.server.conftest import build_corpus_db, wait_until
 
 
 class TestDisconnectMidTransaction:
@@ -104,8 +95,10 @@ class TestReadOnlyCommit:
 
 class TestCrashMidCommit:
     def test_in_flight_commit_fails_typed_and_recovers_to_oracle(self):
-        # A huge group size and a long delay pin the commit in the open
-        # group, so the crash reliably lands mid-commit.
+        # A huge group size, a long delay and a bystander that stays in
+        # its transaction pin the commit in the open group (a commit
+        # waits for its peers, and this peer never finishes), so the
+        # crash reliably lands mid-commit.
         server = DatabaseServer(
             db=build_corpus_db(),
             n_accounts=8,
@@ -117,6 +110,9 @@ class TestCrashMidCommit:
         server.start_in_thread()
         try:
             bank = server.manager.bank
+            bystander = ServerClient(*server.address)
+            bystander.execute("BEGIN")
+            bystander.execute("ADD 7 1")
 
             # One transfer made durable before the crash.
             setup = ServerClient(*server.address)

@@ -17,7 +17,10 @@ Invariants checked on every schedule (200+ seeds):
 * **no deadlock hangs** -- every schedule terminates under a step bound;
   wait-for cycles end in a typed deadlock abort, never a stuck session;
 * **accounting** -- commits + aborts == transactions started; a victim's
-  effects never reach the balances.
+  effects never reach the balances;
+* **sealing state** -- after every step the store's active count equals
+  its number of ACTIVE descriptors, no commit group is open while that
+  count is zero, and no finished transaction keeps a descriptor.
 
 A final real-thread stress run checks the same conservation and oracle
 invariants under true preemption (blocking waits, group commit batching).
@@ -33,6 +36,8 @@ import pytest
 from repro.chaos import ShadowDatabase
 from repro.errors import QueryTimeout, TransactionAborted, WouldBlock
 from repro.server import BankStore
+
+from tests.server.conftest import assert_seal_invariants
 
 N_ACCOUNTS = 6
 INITIAL = 100
@@ -121,7 +126,9 @@ def run_schedule(seed, n_sessions=4, txns_per_session=3):
             )
             candidates = [p for p in plans if not p.done]
             drive(bank, rng.choice(candidates), committed_scripts)
+            assert_seal_invariants(bank)
         bank.flush_now()
+        assert not bank._txns, "a finished transaction left its descriptor"
 
         # Conservation: transfers never create or destroy money.
         assert bank.audit_total() == N_ACCOUNTS * INITIAL, "seed %d" % seed
@@ -211,6 +218,8 @@ def test_real_threads_conserve_and_match_oracle():
             t.join(timeout=60)
         assert not errors
         bank.flush_now()
+        assert_seal_invariants(bank)
+        assert not bank._txns
         assert bank.audit_total() == N_ACCOUNTS * INITIAL
         shadow = ShadowDatabase(N_ACCOUNTS, initial_value=INITIAL)
         shadow.replay(committed, bank.commit_order())

@@ -38,7 +38,7 @@ from repro.governor import GovernorConfig
 from repro.server import BankStore, RetryPolicy, SessionManager
 from repro.server.protocol import error_payload, raise_error
 
-from tests.server.conftest import build_corpus_db
+from tests.server.conftest import assert_seal_invariants, build_corpus_db
 
 
 def make_manager(**kwargs) -> SessionManager:
@@ -485,10 +485,12 @@ class TestChaosWhileParked:
                     assert outcome.get("value") == 105
                 # The hard guarantee: zero leaked admission slots.
                 assert_no_slot_leak(mgr)
+                assert_seal_invariants(mgr.bank)
                 # And the store itself recovers oracle-clean: the
                 # writer's committed +5 survives, nothing else changed.
                 mgr.crash()
                 mgr.recover()
+                assert_seal_invariants(mgr.bank)
                 assert mgr.bank.audit_total() == 8 * 100 + 5
             finally:
                 mgr.close()
@@ -559,7 +561,9 @@ class TestChaosWhileParked:
                         pass
                     finally:
                         mgr.close_session(session.session_id)
+                    assert_seal_invariants(mgr.bank)
                 assert_no_slot_leak(mgr)
+                assert not mgr.bank._txns
                 mgr.crash()
                 outcome = mgr.recover()
                 # Transfers are balanced and half-done ones rolled back,

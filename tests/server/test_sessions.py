@@ -10,6 +10,7 @@ import pytest
 from repro import MainMemoryDatabase
 from repro.errors import (
     AdmissionRejected,
+    ConfigurationError,
     SessionError,
     StateError,
     TransactionAborted,
@@ -66,6 +67,29 @@ class TestTransactions:
             assert result.meta["autocommit"] is True
             assert s.txn is None
             assert mgr.bank.bank_stats()["commits"] == 1
+        finally:
+            mgr.close()
+
+    def test_failed_autocommit_statement_leaves_no_transaction_open(self):
+        """An implicit transaction is the statement's to end, however it
+        ends: left open it would hold the session in a transaction the
+        client never began -- and be a peer every other commit on the
+        store waits ``group_delay`` for."""
+        mgr = make_manager()
+        try:
+            s = mgr.open_session()
+            with pytest.raises(ConfigurationError):
+                s.execute("GET 99")  # out of range
+            assert s.txn is None
+            assert mgr.bank._active == 0 and not mgr.bank._txns
+            # Inside an explicit transaction the same error is only the
+            # statement's: the transaction stays the client's to finish.
+            s.execute("BEGIN")
+            with pytest.raises(ConfigurationError):
+                s.execute("ADD 99 1")
+            assert s.txn is not None
+            s.execute("ROLLBACK")
+            assert mgr.bank.bank_stats()["aborts"] == 2
         finally:
             mgr.close()
 
