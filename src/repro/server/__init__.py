@@ -11,8 +11,8 @@ Layers, bottom up:
   statements, and the SQL bridge.
 * :mod:`repro.server.retry` -- the capped-jitter
   :class:`~repro.server.retry.RetryPolicy` the sessions retry under.
-* :mod:`repro.server.protocol` -- length-prefixed JSON frames and the
-  typed-error wire mapping.
+* :mod:`repro.server.protocol` -- length-prefixed frames (JSON, and
+  binary column frames for SQL results) and the typed-error wire mapping.
 * :mod:`repro.server.net` / :mod:`repro.server.client` -- the
   thread-per-connection server and the blocking client.
 
@@ -25,6 +25,7 @@ from repro.server.net import DatabaseServer
 from repro.server.protocol import (
     FrameDecoder,
     MAX_FRAME_BYTES,
+    ResultColumns,
     decode_body,
     encode_frame,
     error_payload,
@@ -40,6 +41,7 @@ __all__ = [
     "DatabaseServer",
     "FrameDecoder",
     "MAX_FRAME_BYTES",
+    "ResultColumns",
     "RetryPolicy",
     "ServerClient",
     "Session",

@@ -104,9 +104,8 @@ class DatabaseServer:
         session = self.manager.open_session()
         decoder = FrameDecoder()
         try:
-            self._send(
-                conn, {"ok": True, "kind": "hello", "session": session.session_id}
-            )
+            hello = {"ok": True, "kind": "hello", "session": session.session_id}
+            self._send(conn, encode_frame(hello))
             while True:
                 data = conn.recv(_READ_CHUNK)
                 if not data:
@@ -115,8 +114,7 @@ class DatabaseServer:
                     messages = decoder.feed(data)
                 except ProtocolError as exc:
                     # Framing is broken; report once and hang up.
-                    self._count("errors_returned")
-                    self._send(conn, {"ok": False, "error": error_payload(exc)})
+                    self._send(conn, self._error_frame(None, exc))
                     break
                 for message in messages:
                     self._count("frames_in")
@@ -134,32 +132,34 @@ class DatabaseServer:
         with self._mu:
             self._wire[counter] += 1
 
-    def _send(self, conn: socket.socket, payload: Dict[str, Any]) -> None:
-        conn.sendall(encode_frame(payload))
+    def _send(self, conn: socket.socket, frame: bytes) -> None:
+        conn.sendall(frame)
         self._count("frames_out")
 
-    def _respond(
-        self, session: Session, message: Dict[str, Any]
-    ) -> Dict[str, Any]:
+    def _error_frame(
+        self, msg_id: Any, exc: ReproError, txn_aborted: bool = False
+    ) -> bytes:
+        self._count("errors_returned")
+        error = error_payload(exc, txn_aborted=txn_aborted)
+        return encode_frame({"id": msg_id, "ok": False, "error": error})
+
+    def _respond(self, session: Session, message: Dict[str, Any]) -> bytes:
+        """Run one request and encode its reply frame.  Encoding happens
+        here so that a result too large for one frame becomes a typed
+        error reply like any other, and the connection keeps serving."""
         msg_id = message.get("id")
         stmt = message.get("stmt")
         if not isinstance(stmt, str):
-            self._count("errors_returned")
-            error = error_payload(
-                ProtocolError("request frame needs a string 'stmt' field")
+            return self._error_frame(
+                msg_id, ProtocolError("request frame needs a string 'stmt' field")
             )
-            return {"id": msg_id, "ok": False, "error": error}
         had_txn = session.txn is not None
         try:
-            return session.execute(stmt).payload(msg_id)
+            return encode_frame(session.execute(stmt).payload(msg_id))
         except ReproError as exc:
-            self._count("errors_returned")
-            aborted = had_txn and session.txn is None
-            return {
-                "id": msg_id,
-                "ok": False,
-                "error": error_payload(exc, txn_aborted=aborted),
-            }
+            return self._error_frame(
+                msg_id, exc, txn_aborted=had_txn and session.txn is None
+            )
 
     # -- serving -----------------------------------------------------------------
 

@@ -88,7 +88,11 @@ from repro.errors import (
 from repro.lint.runtime import tracked_lock
 from repro.planner.sql import SqlError
 from repro.server.bank import BankStore
+from repro.server.protocol import ResultColumns
 from repro.server.retry import RetryPolicy
+from repro.storage.codecs import column_kinds
+from repro.storage.page import Page
+from repro.storage.relation import Relation
 
 #: Reuse-cache statistic keys a session's view accumulates.
 _REUSE_KEYS = ("hits", "misses", "invalidations", "evictions")
@@ -100,25 +104,34 @@ _TOKEN = re.compile(r"\S+")
 class StatementResult:
     """One statement's outcome, ready for the wire or direct use.
 
-    ``kind`` is ``"rows"`` (SQL result set), ``"value"`` (a scalar from a
-    bank statement), or ``"ok"`` (an acknowledgement).
+    ``kind`` is ``"rows"`` (SQL result set, its columns in ``data``),
+    ``"value"`` (a scalar from a bank statement), or ``"ok"``.
     """
 
     kind: str
     columns: Optional[List[str]] = None
-    rows: Optional[List[List[Any]]] = None
+    data: Optional[ResultColumns] = None
     value: Any = None
     counters: Optional[Dict[str, int]] = None
     meta: Dict[str, Any] = field(default_factory=dict)
 
+    @property
+    def rows(self) -> Optional[List[List[Any]]]:
+        """The result set as row lists, built on each call (the wire
+        sends ``data`` and never builds them)."""
+        if self.data is None:
+            return None
+        return list(map(list, zip(*self.data.buffers)))
+
     def payload(self, msg_id: Optional[int] = None) -> Dict[str, Any]:
-        """The JSON-serialisable response body."""
+        """The response body :func:`~repro.server.protocol.encode_frame`
+        takes: JSON-serialisable, except ``rows``, which is ``data``."""
         out: Dict[str, Any] = {"ok": True, "kind": self.kind}
         if msg_id is not None:
             out["id"] = msg_id
         if self.columns is not None:
             out["columns"] = self.columns
-            out["rows"] = self.rows if self.rows is not None else []
+            out["rows"] = self.data if self.data is not None else []
         if self.kind == "value":
             out["value"] = self.value
         if self.counters is not None:
@@ -126,6 +139,19 @@ class StatementResult:
         if self.meta:
             out["meta"] = self.meta
         return out
+
+
+def _snapshot(rel: Relation) -> ResultColumns:
+    """``rel`` as one buffer per column: its pages' buffers joined by
+    :meth:`~repro.storage.page.Page.extend_columns` (a memcpy where the
+    pages pack a column alike, a list where they do not).  The copy is
+    the reply's consistency point -- a bare ``SELECT *`` hands back the
+    live base relation."""
+    pages = list(rel.pages)
+    block = Page(0, max(1, sum(map(len, pages))), column_kinds(rel.schema))
+    for page in pages:
+        block.extend_columns(page.columns, len(page))
+    return ResultColumns(block.columns, len(block))
 
 
 def _tokenize(stmt: str) -> List[Tuple[str, int]]:
@@ -434,7 +460,7 @@ class Session:
         return StatementResult(
             kind="rows",
             columns=list(rel.schema.names),
-            rows=[list(row) for _, row in rel.scan()],
+            data=_snapshot(rel),
             counters=delta.as_dict(),
         )
 

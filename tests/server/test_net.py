@@ -5,7 +5,8 @@ pin what that design must not cost -- threads or sessions left behind by
 clients that come and go, a ``stop()`` or ``crash()`` that waits on a
 connection parked in the engine -- and the wire contract that must not
 have moved: one reply per request in order, one typed error and a
-hang-up for broken framing.
+hang-up for broken framing, one typed error and no hang-up for a result
+too large for a frame.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ReproError, TransactionAborted
+from repro import DataType, MainMemoryDatabase
+from repro.errors import ProtocolError, ReproError, TransactionAborted
 from repro.server import (
     DatabaseServer,
     FrameDecoder,
@@ -195,6 +197,28 @@ class TestWireContract:
             sock.close()
         with ServerClient(*server.address) as probe:  # the server is fine
             assert probe.execute("PING")["ok"] is True
+
+    def test_a_result_too_large_for_a_frame_is_a_typed_error(self):
+        """60,000 rows of nine int64 columns are 4.3 MB of column frame,
+        over the 4 MiB limit: the reply is one typed ProtocolError, and
+        the connection and its session keep serving."""
+        db = MainMemoryDatabase()
+        db.create_table("wide", [("c%d" % i, DataType.INTEGER) for i in range(9)])
+        db.insert_many("wide", [(k,) * 9 for k in range(60_000)])
+        server = DatabaseServer(db=db, n_accounts=4)
+        server.start_in_thread()
+        try:
+            with ServerClient(*server.address) as client:
+                session = client.session_id
+                with pytest.raises(ProtocolError, match="exceeds"):
+                    client.execute("SELECT * FROM wide")
+                assert server.wire_stats()["errors_returned"] == 1
+                assert client.execute("PING")["meta"]["session"] == session
+                assert client.rows("SELECT c8 FROM wide WHERE c0 < 2") == [
+                    [0], [1]
+                ]
+        finally:
+            server.stop()
 
 
 class TestTheWorkerPoolIsGone:

@@ -22,6 +22,7 @@ PACKAGES = [
     "repro.storage",
     "repro.workload",
     "repro.core",
+    "repro.server",
 ]
 
 
@@ -158,3 +159,35 @@ def test_spilling_joins_have_one_production_path():
         and re.search(r"^%s\b.*=" % name, inspect.getsource(module), re.M)
     ]
     assert tunables == ["PROBE_FLUSH_ROWS"], tunables
+
+
+def test_a_result_crosses_the_wire_as_columns():
+    """A SQL reply's rows travel as a ``ResultColumns`` snapshot in one
+    binary column frame; in-process callers still read ``rows`` as lists
+    of lists, and the codec keeps its two entry points and signatures."""
+    import inspect
+
+    from repro import DataType, MainMemoryDatabase
+    from repro.server import FrameDecoder, ResultColumns, decode_body, encode_frame
+    from repro.server.session import Session, SessionManager
+
+    db = MainMemoryDatabase()
+    db.create_table("t", [("x", DataType.INTEGER), ("s", DataType.STRING)])
+    db.insert_many("t", [(1, "a"), (2, "b")])
+    manager = SessionManager(db=db, n_accounts=4)
+    try:
+        session = manager.open_session()
+        result = session.execute("SELECT * FROM t")
+        assert type(result.data) is ResultColumns
+        assert result.rows == [[1, "a"], [2, "b"]]
+        assert session.execute("PING").rows is None
+        frame = encode_frame(result.payload(5))
+        assert decode_body(frame[4:])["rows"] == result.rows
+    finally:
+        manager.close()
+    assert "rel.scan()" not in inspect.getsource(Session._sql)
+    assert list(inspect.signature(encode_frame).parameters) == ["payload"]
+    assert list(inspect.signature(decode_body).parameters) == ["body"]
+    assert list(inspect.signature(FrameDecoder.feed).parameters) == [
+        "self", "data"
+    ]
