@@ -300,10 +300,9 @@ class MainMemoryDatabase:
     def _load_index(index: Any, relation: Relation, column: str) -> Any:
         """Insert every row's ``(key, TID)`` into ``index`` in physical
         order, keys read from the column buffers; returns ``index``."""
-        col = relation.schema.index_of(column)
-        for page_no, page in enumerate(relation.pages):
-            for slot, key in enumerate(page.column(col)):
-                index.insert(key, (page_no, slot))
+        keys = relation.column(relation.schema.index_of(column))
+        for key, tid in zip(keys, relation.tid_range(0, len(keys))):
+            index.insert(key, tid)
         return index
 
     # -- introspection ------------------------------------------------------------------

@@ -23,7 +23,6 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cost.counters import heap_push_charges
 from repro.join.base import JoinAlgorithm, JoinSpec
-from repro.join.vectorized import ColumnStore
 from repro.operators.columnar import gather_columns
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import Page
@@ -261,49 +260,33 @@ class SortMergeJoin(JoinAlgorithm):
         favouring the first equals concatenation plus a stable sort.  Heap
         charges are computed arithmetically; identical totals.
 
-        The sorted triples carry a global row index into a
-        :class:`~repro.join.vectorized.ColumnStore` instead of the row
-        tuple, and the merge loop group-gathers survivor columns straight
-        into ``Relation.extend_columns``.
+        The sorted triples carry the row's position in its relation
+        instead of the row tuple, and the merge loop group-gathers
+        survivor columns out of the relations' buffers straight into
+        ``Relation.extend_columns``.
         """
 
         def sorted_entries(
             relation: Relation, field: str, source: int
-        ) -> Tuple[ColumnStore, List[Tuple[Any, int, int]]]:
-            ki = relation.schema.index_of(field)
-            store = ColumnStore(relation)
-            items: List[Tuple[Any, int, int]] = []
-            base = 0
-            for page in relation.pages:
-                n = len(page)
-                if not n:
-                    continue
-                items.extend(
-                    zip(
-                        page.column(ki),
-                        itertools.repeat(source),
-                        range(base, base + n),
-                    )
-                )
-                store.add_page(page)
-                base += n
+        ) -> List[Tuple[Any, int, int]]:
+            keys = relation.column(relation.schema.index_of(field))
+            items = list(zip(keys, itertools.repeat(source), range(len(keys))))
             charges = heap_push_charges(len(items))
             self.counters.compare(charges)
             self.counters.swap_tuples(charges)
             items.sort(key=operator.itemgetter(0))
-            return store, items
+            return items
 
-        r_store, merged = sorted_entries(spec.r, spec.r_field, 0)
-        s_store, s_items = sorted_entries(spec.s, spec.s_field, 1)
-        merged.extend(s_items)
+        merged = sorted_entries(spec.r, spec.r_field, 0)
+        merged.extend(sorted_entries(spec.s, spec.s_field, 1))
         merged.sort(key=operator.itemgetter(0))
-        self._merge_join_batch(merged, r_store, s_store, output)
+        self._merge_join_batch(merged, spec.r, spec.s, output)
 
     def _merge_join_batch(
         self,
         merged: Sequence[Tuple[Any, int, int]],
-        r_store: ColumnStore,
-        s_store: ColumnStore,
+        r_store: Relation,
+        s_store: Relation,
         output: Relation,
     ) -> None:
         """Group the sorted index stream and emit matches buffer-to-buffer."""

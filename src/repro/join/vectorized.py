@@ -3,21 +3,22 @@
 A row-at-a-time hash join materialises every tuple twice: once when a
 page's row view is built for the build/probe loops, and once more when
 each match concatenates ``r_row + s_row``.  The kernels here never touch
-a row tuple on the happy path.  The build side stages its pages into a
-:class:`ColumnStore` (one oversized columnar page) and the hash table
-stores **row indices** instead of row tuples; a probe yields parallel
+a row tuple on the happy path.  The build side stages its rows into a
+relation of its own (one buffer per column) and the hash table stores
+**row indices** instead of row tuples; a probe yields parallel
 build/probe index sequences, and both sides' survivor columns are
 group-gathered straight into ``Relation.extend_columns``.
 
 :class:`JoinTable` is that build side, built and probed with whole
-columns: a phase takes its relation a block of pages at a time
-(:func:`column_blocks`), so numpy's fixed cost is paid per block and not
-per page.  The table forks by what it observes: while every key column
-it is handed is a packed int64 buffer and numpy imports, it is a
-:class:`PackedHashTable` -- build keys are only appended, one stable sort
-builds it, and a block's probe keys are looked up at once.  The first key
-column of another kind (strings, floats, a page that demoted its key
-column) trades it for the chained
+columns: a phase takes its relation a block of pages at a time, sliced
+out of the relation's column buffers (:func:`column_blocks`), so numpy's
+fixed cost is paid per block and not per page.  The table forks by what
+it observes: while every key column it is handed is a packed int64
+buffer and numpy imports, it is a :class:`PackedHashTable` -- build keys
+are only appended, one stable sort builds it, and a block's probe keys
+are looked up at once.  The first key column of another kind (strings,
+floats, a column demoted by one value that would not pack) trades it
+for the chained
 :class:`~repro.access.hash_index.HashIndex`, which is also the
 specification arm's table and what the packed one is tested against.
 
@@ -53,7 +54,7 @@ from repro.cost.counters import OperationCounters
 from repro.join.base import JoinSpec
 from repro.operators.columnar import gather_columns, group_rows, stable_argsort
 from repro.storage import codecs
-from repro.storage.codecs import Column, column_kinds, np, packed_view
+from repro.storage.codecs import Column, np, packed_view
 from repro.storage.page import Page
 from repro.storage.relation import Relation
 
@@ -65,57 +66,19 @@ from repro.storage.relation import Relation
 PROBE_FLUSH_ROWS = 1 << 16
 
 
-class ColumnStore:
-    """Append-only columnar staging area for build-side rows.
-
-    One oversized :class:`~repro.storage.page.Page` sized for the whole
-    relation: ``Page._extend_column`` keeps packed buffers packed and
-    demotes exactly like the relation's own pages, so stored values
-    round-trip with their exact types.  Rows are addressed by their
-    global append index -- the values the columnar hash table stores.
-    """
-
-    __slots__ = ("_page",)
-
-    def __init__(self, relation: Relation) -> None:
-        self._page = Page(
-            0, max(1, relation.cardinality), column_kinds(relation.schema)
-        )
-
-    def __len__(self) -> int:
-        return len(self._page)
-
-    @property
-    def columns(self) -> List[Column]:
-        return self._page.columns
-
-    def add_page(self, page: Page) -> None:
-        """Stage a whole input page (buffer-to-buffer column extends)."""
-        self._page.extend_columns(page.columns, len(page))
-
-    def add_columns(self, columns: Sequence[Column], count: int) -> None:
-        """Stage a pre-gathered subset of an input page."""
-        self._page.extend_columns(columns, count)
-
-
 def column_blocks(relation: Relation) -> Iterator[Tuple[Page, List[int]]]:
     """``relation`` as whole columns, a block of consecutive pages at a
-    time: yields ``(block, starts)``, the pages' rows concatenated into
-    one oversized page of at most :data:`PROBE_FLUSH_ROWS` rows (a single
-    page may exceed it) and the block row at which each page begins --
-    every page has its entry, so per-page checks keep their count."""
-    kinds = column_kinds(relation.schema)
-    limit = PROBE_FLUSH_ROWS
-    capacity = max(limit, relation.tuples_per_page, 1)
-    block, starts = Page(0, capacity, kinds), []
-    for page in relation.pages:
-        if starts and len(block) + len(page) > limit:
-            yield block, starts
-            block, starts = Page(0, capacity, kinds), []
-        starts.append(len(block))
-        block.extend_columns(page.columns, len(page))
-    if starts:
-        yield block, starts
+    time: yields ``(block, starts)`` -- a page holding slices of the
+    relation's column buffers, as many whole pages as fit in
+    :data:`PROBE_FLUSH_ROWS` rows (at least one), and the block row at
+    which each page begins -- every page has its entry, so per-page
+    checks keep their count."""
+    per_page = relation.tuples_per_page
+    step = max(1, PROBE_FLUSH_ROWS // per_page) * per_page
+    count = relation.cardinality
+    for start in range(0, count, step):
+        stop = min(start + step, count)
+        yield relation.block(start, stop), list(range(0, stop - start, per_page))
 
 
 def take_rows(block: Page, positions: Sequence[int]) -> List[Column]:
@@ -350,12 +313,13 @@ def flatten_chains(
 class JoinTable:
     """A hash join's memory-resident build side, and the probes against it.
 
-    Holds R's resident rows column-wise (:class:`ColumnStore`) under a
+    Holds R's resident rows column-wise (a relation of R's schema: its
+    buffers keep packed keys packed and demote exactly like R's) under a
     hash table from join key to store index, built and probed with whole
     key columns.  While every key column it is handed is a packed int64
     buffer (and the kernel is usable) the table is a
     :class:`PackedHashTable`; the first column of another kind -- strings,
-    floats, a demoted page -- trades it for the chained
+    floats, a demoted column -- trades it for the chained
     :class:`HashIndex` those keys would have built.  Rows out, their
     order and every charge are the same either way.
     """
@@ -363,7 +327,7 @@ class JoinTable:
     def __init__(self, spec: JoinSpec, counters: OperationCounters) -> None:
         self._counters = counters
         self._r_ki, self._s_ki = spec.r_key_index, spec.s_key_index
-        self._store = ColumnStore(spec.r)
+        self._store = Relation(spec.r.name, spec.r.schema, spec.r.page_bytes)
         self._packed = _kernel_usable()
         self._table: Any = (
             PackedHashTable(counters, spec.params.fudge)
@@ -400,7 +364,7 @@ class JoinTable:
         else:
             base = len(self._store)
             self._table.insert_batch(zip(keys, range(base, base + count)))
-        self._store.add_columns(columns, count)
+        self._store.extend_columns(columns, count)
 
     def probe_columns(self, columns: Sequence[Column], output: Relation) -> None:
         """Probe step for rows of S given as whole columns: the matches
@@ -457,7 +421,6 @@ def join_bucket_columnar(
 
 
 __all__ = [
-    "ColumnStore",
     "JoinTable",
     "PROBE_FLUSH_ROWS",
     "PackedHashTable",

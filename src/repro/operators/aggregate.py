@@ -33,7 +33,6 @@ from repro.operators.columnar import (
     column_of,
     group_rows,
     int_key_views,
-    page_keys,
 )
 from repro.storage.codecs import Column, np, packed_column, packed_view
 from repro.storage.disk import SimulatedDisk
@@ -257,7 +256,7 @@ def _hash_aggregate_columnar(
     (:func:`~repro.operators.columnar.group_rows`) and each aggregate
     folds its whole packed value column in a few array operations
     (:func:`_fold_packed`); any other input -- string or float keys, a
-    float column to MIN/MAX, a demoted page, no numpy -- numbers its
+    float column to MIN/MAX, a demoted column, no numpy -- numbers its
     keys through a dict and folds in a tight loop (:func:`_fold_loop`).
     An ungrouped aggregate groups by a constant.
 
@@ -274,6 +273,7 @@ def _hash_aggregate_columnar(
     columns = dict(zip(group_indexes, keys))
     limit = rows if capacity is None else capacity
     views = int_key_views(keys) if rows else None
+    packed = views is not None
     loop_gid: Optional[List[int]] = None
     if views is not None:
         order, starts, first_seen, gid, fresh = group_rows(views)
@@ -293,11 +293,14 @@ def _hash_aggregate_columnar(
                 return None
         groups = len(numbers)
         out = [list(numbers)] if len(keys) == 1 else list(zip(*numbers))
+    # A numpy view pins the size of the relation buffer it shows, and a
+    # cancelled check below keeps this frame alive in its traceback.
+    views = None
 
-    for page in relation.pages:
-        if token is not None:
+    if token is not None:
+        for _ in range(relation.page_count):
             token.check()
-        charge_page_group(counters, len(page))
+    charge_page_group(counters, rows)
 
     del out[len(group_indexes):]  # the constant an ungrouped fold grouped by
     for spec, idx in zip(aggregates, agg_indexes):
@@ -305,7 +308,7 @@ def _hash_aggregate_columnar(
             columns[idx] = column_of(relation, idx)
         values = columns[idx] if idx is not None else None
         folded = None
-        if views is not None:
+        if packed:
             folded = _fold_packed(
                 spec.function,
                 packed_view(values) if idx is not None else None,
@@ -343,7 +346,7 @@ def hash_aggregate(
     the paper recommends when the result exceeds memory.
 
     The default ``batch`` path charges the hash/compare counters in
-    page-sized bulk; spill order, results, and counter totals are
+    bulk; spill order, results, and counter totals are
     identical to ``batch=False``.  It counts the distinct groups before
     charging anything: when they fit the grant (or there is none) no
     tuple can spill, and it folds whole columns
@@ -352,7 +355,8 @@ def hash_aggregate(
     overflowing tuple spills as a row.
 
     ``token`` is a :class:`repro.governor.CancellationToken` checked once
-    per page of input (and through every overflow recursion level).
+    per page of input -- on the column paths in one run before the work
+    -- and through every overflow recursion level.
     """
     counters = counters if counters is not None else OperationCounters()
     out_schema = _output_schema(relation.schema, group_by, aggregates)
@@ -462,8 +466,7 @@ def hash_aggregate(
                 token=token,
                 _depth=_depth + 1,
             )
-            for page in partial.pages:
-                out.extend_columns(page.columns, len(page))
+            out.extend_columns(partial.columns, len(partial))
     return out
 
 
@@ -493,26 +496,20 @@ def _sort_aggregate_columnar(
     * Charges are the heap-operation totals computed arithmetically
       (:func:`heap_push_charges`) plus one neighbour check per tuple.
     """
-    single = len(group_indexes) == 1
-    keys: List[Any] = []
-    acols: List[Optional[List[Any]]] = [
-        None if idx is None else [] for idx in agg_indexes
-    ]
-    for page in relation.pages:
-        if token is not None:
+    if token is not None:
+        for _ in range(relation.page_count):
             token.check()
-        if not len(page):
-            continue
-        if single:
-            keys.extend(page.column(group_indexes[0]))
-        elif group_indexes:
-            keys.extend(page_keys(page, group_indexes))
-        else:
-            # Ungrouped: every row belongs to the one () group.
-            keys.extend([()] * len(page))
-        for vals, idx in zip(acols, agg_indexes):
-            if vals is not None:
-                vals.extend(page.column(idx))
+    single = len(group_indexes) == 1
+    if single:
+        keys: List[Any] = list(relation.column(group_indexes[0]))
+    elif group_indexes:
+        keys = list(zip(*(relation.column(i) for i in group_indexes)))
+    else:
+        # Ungrouped: every row belongs to the one () group.
+        keys = [()] * len(relation)
+    acols: List[Optional[List[Any]]] = [
+        None if idx is None else list(relation.column(idx)) for idx in agg_indexes
+    ]
 
     charges = heap_push_charges(len(keys))
     counters.compare(charges)

@@ -1,9 +1,8 @@
 """Columnar batch-execution kernels and their counter charge helpers.
 
-The production arm's hot path: batch operators scan the packed column
-buffers of :class:`~repro.storage.page.Page` directly instead of
-materialising row tuples, and copy survivors column-to-column into the
-output relation.
+The production arm's hot path: batch operators scan a relation's packed
+column buffers directly instead of materialising row tuples, and copy
+survivors column-to-column into the output relation.
 
 Charging discipline: the helpers below are the *only* way the columnar
 kernels touch :class:`~repro.cost.counters.OperationCounters`, and each
@@ -17,7 +16,7 @@ totals stay byte-identical between the specification arm
 from __future__ import annotations
 
 from array import array
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro.cost.counters import OperationCounters
 from repro.storage.codecs import (
@@ -77,9 +76,11 @@ def page_keys(page: Page, indexes: Sequence[int]) -> List[Tuple[Any, ...]]:
     return list(zip(*cols))
 
 
-def kept_columns(page: Page, indexes: Optional[Sequence[int]]) -> List[Column]:
-    """``page``'s column buffers at ``indexes`` (``None`` = all of them)."""
-    columns = page.columns
+def kept_columns(
+    source: Union[Page, Relation], indexes: Optional[Sequence[int]]
+) -> List[Column]:
+    """``source``'s column buffers at ``indexes`` (``None`` = all of them)."""
+    columns = source.columns
     return columns if indexes is None else [columns[i] for i in indexes]
 
 
@@ -220,16 +221,8 @@ def group_rows(keys: Sequence[Any]) -> Tuple[Any, Any, Any, Any, Any]:
 
 
 def column_of(relation: Relation, index: int) -> Column:
-    """Column ``index`` of every page of ``relation`` as one buffer --
-    packed when every page holds it packed, an object list otherwise."""
-    parts = [page.column(index) for page in relation.pages if len(page)]
-    if parts and all(type(part) is array for part in parts):
-        out: Column = array(parts[0].typecode)
-    else:
-        out = []
-    for part in parts:
-        out.extend(part)
-    return out
+    """Column ``index`` of ``relation``: its buffer (do not mutate)."""
+    return relation.column(index)
 
 
 def copy_columns(
@@ -241,22 +234,21 @@ def copy_columns(
 ) -> Relation:
     """``relation`` repacked onto ``columns``, charging nothing.
 
-    Kept columns flow buffer-to-buffer into pages of the projected
-    schema (more rows per page); dropped ones are never touched and no
-    row tuple exists on the batch path.  ``batch=False`` is the
-    tuple-at-a-time specification; both check ``token`` once per input
-    page.  What the copy costs on the paper's clock is the caller's to
-    say: a projection charges a move per row, a pruned scan stages
-    whole column buffers as ``ColumnStore.add_page`` would one step
-    later and charges nothing.
+    The batch path appends each kept column buffer to the projected
+    relation in one copy; dropped ones are never touched and no row tuple
+    exists.  ``batch=False`` is the tuple-at-a-time specification; both
+    check ``token`` once per input page (the batch path in one run before
+    the copy).  What the copy costs on the paper's clock is the caller's
+    to say: a projection charges a move per row, a pruned scan stages
+    whole column buffers as a join's build side would one step later and
+    charges nothing.
     """
     out, indexes = narrowed(relation, output_name, columns)
     if batch:
-        for page in relation.pages:
-            if token is not None:
+        if token is not None:
+            for _ in range(relation.page_count):
                 token.check()
-            if len(page):
-                out.extend_columns(kept_columns(page, indexes), len(page))
+        out.extend_columns(kept_columns(relation, indexes), len(relation))
         return out
     project = tuple_projector(indexes)
     tpp = max(1, relation.tuples_per_page)

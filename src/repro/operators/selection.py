@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import abc
 import operator
-from itertools import compress, repeat
+from itertools import compress, groupby
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -24,6 +24,7 @@ from typing import (
 
 from repro.access.interface import Index
 from repro.cost.counters import OperationCounters
+from repro.join.vectorized import column_blocks
 from repro.operators.columnar import (
     append_selected,
     charge_page_compares,
@@ -417,15 +418,16 @@ def select(
 ) -> Relation:
     """Full-scan selection, charging the predicate's comparisons per tuple.
 
-    The default batch path evaluates the predicate's mask over each page's
-    packed buffers and copies survivors column-to-column; ``batch=False``
+    The default batch path evaluates the predicate's mask over a block of
+    pages' packed buffers at a time (:func:`~repro.join.vectorized.column_blocks`)
+    and copies survivors column-to-column; ``batch=False``
     is the tuple-at-a-time specification.  Both produce identical outputs
     and identical counter totals (asserted by
     tests/test_batch_equivalence.py).
 
     ``token`` is a :class:`repro.governor.CancellationToken` checked once
-    per page, so a cancelled or timed-out query stops scanning within one
-    page of work.
+    per page (the batch path in one run before each block), so a
+    cancelled or timed-out query stops scanning within one block of work.
 
     ``columns`` names the columns the output keeps (``None`` = all): the
     predicate still reads whatever it names, but the copy-out touches
@@ -439,12 +441,12 @@ def select(
     per_tuple = predicate.comparisons()
     if batch:
         masker = predicate.compile_mask(relation.schema)
-        for page in relation.pages:
+        for block, starts in column_blocks(relation):
             if token is not None:
-                token.check()
-            charge_page_compares(counters, per_tuple * len(page))
-            if len(page):
-                append_selected(out, page, masker(page), indexes)
+                for _ in starts:
+                    token.check()
+            charge_page_compares(counters, per_tuple * len(block))
+            append_selected(out, block, masker(block), indexes)
         return out
     project = _row_projector(indexes)
     tpp = max(1, relation.tuples_per_page)
@@ -476,17 +478,20 @@ def select_tids(
     counters = counters if counters is not None else OperationCounters()
     per_tuple = predicate.comparisons()
     masker = predicate.compile_mask(relation.schema)
+    cap = relation.tuples_per_page
     tids: List[Tid] = []
-    for page_no, page in enumerate(relation.pages):
-        charge_page_compares(counters, per_tuple * len(page))
-        if len(page):
-            mask = masker(page)
-            slots = (
-                mask.nonzero()[0].tolist()
-                if hasattr(mask, "nonzero")
-                else compress(range(len(mask)), mask)
+    base = 0
+    for block, _ in column_blocks(relation):
+        charge_page_compares(counters, per_tuple * len(block))
+        mask = masker(block)
+        if hasattr(mask, "nonzero"):
+            pages, slots = codecs.np.divmod(mask.nonzero()[0] + base, cap)
+            tids.extend(zip(pages.tolist(), slots.tolist()))
+        else:
+            tids.extend(
+                divmod(base + i, cap) for i in compress(range(len(mask)), mask)
             )
-            tids.extend(zip(repeat(page_no), slots))
+        base += len(block)
     return tids
 
 
@@ -500,41 +505,41 @@ def _gather_tid_runs(
 ) -> None:
     """Materialise an index scan's TIDs buffer-to-buffer.
 
-    ``tids`` are in index order; consecutive TIDs on the same page form a
-    run that is charged in bulk (one compare plus one move per TID for
-    range scans, one move for equality -- the same totals as the per-TID
-    fetch loop) and appended column-to-column through
+    ``tids`` are in index order and charged in bulk (one compare plus one
+    move per TID for range scans, one move for equality -- the same
+    totals as the per-TID fetch loop).  Consecutive TIDs on the same page
+    form a run, appended column-to-column through
     :meth:`~repro.storage.relation.Relation.extend_columns`, so no row
-    tuple is ever built for the qualifying slice: a buffer slice when the
-    run's slots count up one by one (a clustered index), a gather
-    otherwise.  Only the columns at ``indexes`` (``None`` = all) are read.
+    tuple is ever built for the qualifying slice: a run whose slots count
+    up one by one (a clustered index) is a slice of the column buffers --
+    adjacent such runs one slice -- and any other run a gather.  Only the
+    columns at ``indexes`` (``None`` = all) are read.
     """
-    pages = relation.pages
     charge = charge_page_moves if equality else charge_page_fetch
-    run_page = -1
-    run_slots: List[int] = []
+    charge(counters, len(tids))
+    columns = kept_columns(relation, indexes)
+    cap = relation.tuples_per_page
+    low = high = 0  # the clustered slice not yet appended
 
     def flush() -> None:
-        n = len(run_slots)
-        charge(counters, n)
-        page = pages[run_page]
-        columns = kept_columns(page, indexes)
-        first = run_slots[0]
-        if run_slots != list(range(first, first + n)):
-            columns = gather_columns(columns, run_slots)
-        elif n < len(page):
-            columns = [col[first:first + n] for col in columns]
-        out.extend_columns(columns, n)
+        if high > low:
+            out.extend_columns([col[low:high] for col in columns], high - low)
 
-    for page_no, slot in tids:
-        if page_no != run_page:
-            if run_slots:
+    for page_no, run in groupby(tids, key=operator.itemgetter(0)):
+        slots = [slot for _, slot in run]
+        first, n = slots[0], len(slots)
+        start = page_no * cap + first
+        if slots == list(range(first, first + n)):
+            if start != high:
                 flush()
-                run_slots = []
-            run_page = page_no
-        run_slots.append(slot)
-    if run_slots:
-        flush()
+                low = start
+            high = start + n
+        else:
+            flush()
+            low = high = 0
+            positions = [page_no * cap + slot for slot in slots]
+            out.extend_columns(gather_columns(columns, positions), n)
+    flush()
 
 
 def _key_interval(predicate: Predicate) -> Tuple[Any, Any, bool, bool]:

@@ -221,8 +221,8 @@ class ScanNode(PlanNode):
         relation = ctx.catalog.relation(self.table)
         if self.columns is None:
             return relation
-        # Staging whole column buffers is what ColumnStore.add_page does
-        # one step later: no charge, like the live relation it replaces.
+        # Copying whole column buffers is what staging a join's build side
+        # does one step later: no charge, like the live relation it replaces.
         return copy_columns(
             relation,
             self.columns,

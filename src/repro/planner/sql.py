@@ -38,6 +38,7 @@ from repro.operators.aggregate import AggregateFunction, AggregateSpec
 from repro.operators.selection import And, Comparison, Not, Or, Predicate, Prefix
 from repro.planner.query import JoinClause, Query
 from repro.storage.catalog import Catalog
+from repro.storage.tuples import DataType
 
 
 class SqlError(PlannerError):
@@ -120,17 +121,26 @@ def _tokenize(text: str) -> List[_Token]:
 
 
 class _Parser:
+    #: Deepest nesting of NOT and parentheses a predicate may have: the
+    #: parser and the predicate algebra recurse once per level.
+    max_depth = 100
+
     def __init__(self, text: str, catalog: Catalog) -> None:
         self.text = text
         self.catalog = catalog
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
         self.tables: List[str] = []
 
     # -- token plumbing -----------------------------------------------------------
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
+
+    def ahead(self, k: int) -> _Token:
+        """The token ``k`` places on; the end token past the end."""
+        return self.tokens[min(self.i + k, len(self.tokens) - 1)]
 
     def next(self) -> _Token:
         tok = self.tokens[self.i]
@@ -223,7 +233,7 @@ class _Parser:
         while True:
             tok = self.peek()
             if tok.kind == "name" and tok.value.lower() in _AGGREGATES:
-                nxt = self.tokens[self.i + 1]
+                nxt = self.ahead(1)
                 if nxt.kind == "punct" and nxt.value == "(":
                     items.append(("agg", self._aggregate(), tok.pos))
                 else:
@@ -315,16 +325,10 @@ class _Parser:
                 return joins
 
     def _where_term(self, predicates, joins) -> None:
-        if self.accept("punct", "("):
-            table, pred = self._or_expression()
-            self.expect("punct", ")")
-            predicates.append((table, pred))
-            return
         # Lookahead: column op column (both names) is an equijoin.
         tok = self.peek()
         if tok.kind == "name":
-            nxt = self.tokens[self.i + 1]
-            after = self.tokens[self.i + 2]
+            nxt, after = self.ahead(1), self.ahead(2)
             if (
                 nxt.kind == "op"
                 and nxt.value == "="
@@ -360,16 +364,34 @@ class _Parser:
             pred = combine(pred, pred2)
 
     def _predicate(self) -> Tuple[str, Predicate]:
-        if self.accept("keyword", "not"):
-            table, inner = self._predicate()
-            return table, Not(inner)
-        if self.accept("punct", "("):
-            table, pred = self._or_expression()
-            self.expect("punct", ")")
+        tok = self.peek()
+        if (tok.kind, tok.value) in (("keyword", "not"), ("punct", "(")):
+            self.next()
+            self.depth += 1
+            if self.depth > self.max_depth:
+                raise SqlError(
+                    "predicate nested deeper than %d levels" % self.max_depth,
+                    position=tok.pos,
+                )
+            if tok.value == "not":
+                table, pred = self._predicate()
+                pred = Not(pred)
+            else:
+                table, pred = self._or_expression()
+                self.expect("punct", ")")
+            self.depth -= 1
             return table, pred
         name_tok = self.expect("name")
         table, column = self.resolve_column(name_tok.value, pos=name_tok.pos)
-        if self.accept("keyword", "like"):
+        dtype = self.catalog.relation(table).schema.field(column).dtype
+        like_tok = self.accept("keyword", "like")
+        if like_tok is not None:
+            if dtype is not DataType.STRING:
+                raise SqlError(
+                    "LIKE needs a string column; %r is %s"
+                    % (name_tok.value, dtype.value),
+                    position=like_tok.pos,
+                )
             pattern_tok = self.expect("string")
             pattern = pattern_tok.value[1:-1].replace("''", "'")
             if not pattern.endswith("%") or "%" in pattern[:-1] or not pattern[:-1]:
@@ -381,7 +403,16 @@ class _Parser:
             return table, Prefix(column, pattern[:-1])
         op_tok = self.expect("op")
         op = "!=" if op_tok.value == "<>" else op_tok.value
+        literal_pos = self.peek().pos
         value = self._literal()
+        if isinstance(value, str) != (dtype is DataType.STRING):
+            # A string never compares with a number: an ordered index
+            # would raise where a scan finds nothing.
+            raise SqlError(
+                "cannot compare %s column %r with %r"
+                % (dtype.value, name_tok.value, value),
+                position=literal_pos,
+            )
         return table, Comparison(column, op, value)
 
     def _literal(self) -> Any:
@@ -426,6 +457,16 @@ class _Parser:
         ]
         columns = [name for name, _ in column_items]
         is_star = any(kind == "star" for kind, _, _ in items)
+        agg_positions = [p for k, _, p in items if k == "agg"]
+        taken = set()
+        for name, pos in sorted(
+            column_items
+            + [(a.output_name, p) for a, p in zip(aggregates, agg_positions)],
+            key=lambda item: item[1],
+        ):
+            if name in taken:
+                raise SqlError("output column %r named twice" % name, position=pos)
+            taken.add(name)
 
         if aggregates:
             if is_star:

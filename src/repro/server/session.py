@@ -90,8 +90,6 @@ from repro.planner.sql import SqlError
 from repro.server.bank import BankStore
 from repro.server.protocol import ResultColumns
 from repro.server.retry import RetryPolicy
-from repro.storage.codecs import column_kinds
-from repro.storage.page import Page
 from repro.storage.relation import Relation
 
 #: Reuse-cache statistic keys a session's view accumulates.
@@ -142,16 +140,10 @@ class StatementResult:
 
 
 def _snapshot(rel: Relation) -> ResultColumns:
-    """``rel`` as one buffer per column: its pages' buffers joined by
-    :meth:`~repro.storage.page.Page.extend_columns` (a memcpy where the
-    pages pack a column alike, a list where they do not).  The copy is
-    the reply's consistency point -- a bare ``SELECT *`` hands back the
-    live base relation."""
-    pages = list(rel.pages)
-    block = Page(0, max(1, sum(map(len, pages))), column_kinds(rel.schema))
-    for page in pages:
-        block.extend_columns(page.columns, len(page))
-    return ResultColumns(block.columns, len(block))
+    """``rel`` as one buffer per column: a copy of each of its column
+    buffers.  The copy is the reply's consistency point -- a bare
+    ``SELECT *`` hands back the live base relation."""
+    return ResultColumns([col[:] for col in rel.columns], len(rel))
 
 
 def _tokenize(stmt: str) -> List[Tuple[str, int]]:

@@ -2,7 +2,8 @@
 
 The paper assumes a conventional paged storage engine under its algorithms;
 this package supplies one.  Data lives in :class:`~repro.storage.relation.
-Relation` objects (paged heaps of fixed-width tuples), spills go through a
+Relation` objects (heaps of fixed-width tuples held as one buffer per
+column, whose pages are arithmetic), spills go through a
 :class:`~repro.storage.disk.SimulatedDisk` that charges sequential/random IO
 to operation counters, and partially-resident structures are exercised with
 :class:`~repro.storage.buffer.BufferPool` (random replacement, as assumed by

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.storage import codecs
 from repro.storage.histogram import EquiDepthHistogram
@@ -66,17 +66,15 @@ class RelationStats:
         return self.columns.get(name, ColumnStats())
 
 
-def _packed_int_stats(parts: Sequence[codecs.Column]) -> Optional[ColumnStats]:
-    """Distinct count and extremes of a column every page holds as a packed
-    int64 buffer, in numpy: by counting when the values span little more
-    than their number, by sorting otherwise.  ``None`` (the caller boxes
-    the values into a set) for any other column, or without numpy."""
+def _packed_int_stats(column: codecs.Column) -> Optional[ColumnStats]:
+    """Distinct count and extremes of a non-empty packed int64 column, in
+    numpy: by counting when the values span little more than their
+    number, by sorting otherwise.  ``None`` (the caller boxes the values
+    into a set) for any other column, or without numpy."""
     np = codecs.np
-    if np is None or not parts or not all(
-        type(part) is array and part.typecode == codecs.INT_KIND for part in parts
-    ):
+    if np is None or type(column) is not array or column.typecode != codecs.INT_KIND:
         return None
-    values = np.frombuffer(b"".join(parts), dtype=np.int64)  # 'q' is 8 native bytes
+    values = codecs.packed_view(column)
     low, high = int(values.min()), int(values.max())
     if high - low < 4 * len(values):
         distinct = np.count_nonzero(np.bincount(values - low))
@@ -196,14 +194,13 @@ class Catalog:
         rel = self.relation(name)
         columns: Dict[str, ColumnStats] = {}
         for i, f in enumerate(rel.schema.fields):
-            parts = [page.column(i) for page in rel.pages if len(page)]
-            packed = None if histogram_buckets > 0 else _packed_int_stats(parts)
+            values = rel.column(i)
+            packed = (
+                _packed_int_stats(values) if values and histogram_buckets <= 0 else None
+            )
             if packed is not None:
                 columns[f.name] = packed
                 continue
-            values: List[Any] = []
-            for part in parts:
-                values.extend(part)
             if values:
                 numeric = isinstance(values[0], (int, float))
                 histogram = None

@@ -1,18 +1,22 @@
-"""Fixed-capacity pages of tuples, stored column-wise.
+"""Pages of tuples, stored column-wise.
 
-A :class:`Page` is the unit of IO everywhere in the reproduction: relations
-are lists of pages, the simulated disk stores pages, spill files are written
-a page at a time, and the Section 2 fault model counts page reads.
+A :class:`Page` holds up to ``capacity`` tuples as one buffer per column.
+It is the unit the paper counts -- page reads in the Section 2 fault
+model, page IO on the simulated disk, spill files written a page at a
+time -- but not how a relation is stored: a
+:class:`~repro.storage.relation.Relation` keeps its rows in one unbounded
+page (one buffer per column for the whole relation), and its pages are
+arithmetic over positions, cut out as copies only for the readers that
+walk pages.
 
-Since PR 7 the primary storage is *columnar*: each column lives in a packed
-``array('q')``/``array('d')`` buffer (or an object list for strings -- see
-:mod:`repro.storage.codecs`), so batch operators can scan contiguous
-buffers instead of lists of tuple objects.  The historical row interface
-(:meth:`add`, :meth:`extend_rows`, :attr:`tuples`, indexing, iteration) is
-preserved exactly: :attr:`tuples` materialises a cached row view on demand,
-and every value round-trips with its exact type -- a column silently
-demotes itself to the object-list fallback rather than coerce (int into a
-double buffer, oversized int into int64).
+Each column lives in a packed ``array('q')``/``array('d')`` buffer (or an
+object list for strings -- see :mod:`repro.storage.codecs`), so batch
+operators scan contiguous buffers instead of lists of tuple objects.  The
+row interface (:meth:`add`, :meth:`extend_rows`, :attr:`tuples`, indexing,
+iteration) materialises a cached row view on demand, and every value
+round-trips with its exact type -- a column silently demotes itself to the
+object-list fallback rather than coerce (int into a double buffer,
+oversized int into int64).
 """
 
 from __future__ import annotations
@@ -51,6 +55,22 @@ class Page:
         #: incrementally on append, invalidated by in-place mutation.
         self._rows: Optional[List[Tuple[Any, ...]]] = None
         self._count = 0
+
+    @classmethod
+    def wrap(
+        cls,
+        page_id: int,
+        capacity: int,
+        kinds: Optional[Sequence[str]],
+        columns: Optional[List[Column]],
+        count: int,
+    ) -> "Page":
+        """A page holding ``count`` rows given as ``columns``, which it
+        takes over without copying (the caller hands it fresh buffers)."""
+        page = cls(page_id, capacity, kinds)
+        page._columns = columns
+        page._count = count
+        return page
 
     @classmethod
     def for_schema(cls, page_id: int, schema: Schema, page_bytes: int) -> "Page":
@@ -315,10 +335,11 @@ class Page:
 
     def copy(self) -> "Page":
         """Deep-enough copy (tuples are immutable) for snapshots."""
-        clone = Page(self.page_id, self.capacity, self._kinds)
-        if self._columns is not None:
-            clone._columns = [col[:] for col in self._columns]
-        clone._count = self._count
+        clone = Page.wrap(
+            self.page_id, self.capacity, self._kinds,
+            [col[:] for col in self._columns] if self._columns is not None else None,
+            self._count,
+        )
         clone.dirty = self.dirty
         return clone
 

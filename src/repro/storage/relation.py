@@ -1,9 +1,19 @@
-"""Paged heap relations.
+"""Heap relations stored as one buffer per column.
 
 A :class:`Relation` is the memory-resident representation the paper's title
-is about: a schema plus a list of pages of tuples.  It supports appends,
-scans, page-wise iteration (what the join algorithms consume), and spilling
-to / loading from a :class:`~repro.storage.disk.SimulatedDisk`.
+is about: a schema plus its tuples, held column-wise in one unbounded
+:class:`~repro.storage.page.Page` -- one buffer per column for the whole
+relation.  Pages are arithmetic: with ``c`` tuples per page, page ``p``
+holds the rows at positions ``p * c .. (p + 1) * c - 1`` (the paper's
+``|R| = ||R|| / (tuples per page)``), and the TID ``(page, slot)`` names
+position ``page * c + slot``.  Appends land at the end and deletion
+compacts from the tail, so every page but the last is full.
+
+The batch operators read whole columns (:attr:`Relation.columns`);
+:attr:`Relation.pages` cuts the relation into page copies on demand for
+the readers that walk pages -- the tuple-at-a-time specification arm, the
+spill writer and the simulated disk (:meth:`Relation.spill` /
+:meth:`Relation.load`).
 """
 
 from __future__ import annotations
@@ -25,23 +35,8 @@ Row = Tuple[Any, ...]
 Tid = Tuple[int, int]
 
 
-def _page_runs(tids: Sequence[Tid]) -> List[Tuple[int, List[int]]]:
-    """``tids`` as ``(page number, slots)`` runs of consecutive same-page
-    entries, so column-wise work touches each page buffer once per run."""
-    runs: List[Tuple[int, List[int]]] = []
-    run_page = -1
-    slots: List[int] = []
-    for page_no, slot in tids:
-        if page_no != run_page:
-            run_page = page_no
-            slots = []
-            runs.append((page_no, slots))
-        slots.append(slot)
-    return runs
-
-
 class Relation:
-    """A named, paged collection of fixed-width tuples."""
+    """A named collection of fixed-width tuples, one buffer per column."""
 
     def __init__(
         self,
@@ -55,11 +50,12 @@ class Relation:
         self.schema = schema
         self.page_bytes = page_bytes
         self._tuples_per_page = schema.tuples_per_page(page_bytes)
-        #: Schema-driven column kinds every page of this relation packs to.
+        #: Schema-driven column kinds the buffers pack to.
         self._kinds = column_kinds(schema)
-        self._pages: List[Page] = []
-        #: Incrementally maintained tuple count (``||R||``).
-        self._count = 0
+        #: Every tuple, in physical order: one unbounded page whose
+        #: ``_extend_column`` keeps packed buffers packed and demotes a
+        #: column the moment a value would not round-trip.
+        self._store = Page(0, 1 << 62, self._kinds)
         #: Monotonic mutation stamp; any change to the contents bumps it.
         #: The planner's reuse cache keys fingerprints on it so cached
         #: results of stale subplans can never be served.
@@ -74,13 +70,13 @@ class Relation:
 
     @property
     def page_count(self) -> int:
-        """``|R|`` -- the relation's size in pages."""
-        return len(self._pages)
+        """``|R|`` -- the relation's size in pages, ``ceil(||R|| / c)``."""
+        return -(-len(self._store) // self._tuples_per_page)
 
     @property
     def cardinality(self) -> int:
-        """``||R||`` -- the number of tuples (O(1), maintained on mutation)."""
-        return self._count
+        """``||R||`` -- the number of tuples."""
+        return len(self._store)
 
     @property
     def version(self) -> int:
@@ -88,12 +84,44 @@ class Relation:
         return self._version
 
     def __len__(self) -> int:
-        return self.cardinality
+        return len(self._store)
+
+    @property
+    def columns(self) -> List[Column]:
+        """The column buffers, in field order, each holding every tuple
+        (do not mutate)."""
+        return self._store.columns
+
+    def column(self, index: int) -> Column:
+        """The buffer of column ``index`` (do not mutate)."""
+        return self._store.columns[index]
+
+    def block(self, start: int, stop: int, page_id: int = 0) -> Page:
+        """A page holding copies of the rows at positions ``start .. stop
+        - 1``: one slice per column buffer."""
+        return Page.wrap(
+            page_id,
+            max(stop - start, self._tuples_per_page),
+            self._kinds,
+            [col[start:stop] for col in self._store.columns],
+            stop - start,
+        )
 
     @property
     def pages(self) -> List[Page]:
-        """The underlying pages, in order (do not mutate the list)."""
-        return self._pages
+        """The relation cut into its pages, in order -- copies built on
+        each call, so changing one does not change the relation."""
+        cap, n = self._tuples_per_page, len(self._store)
+        return [
+            self.block(start, min(start + cap, n), page_no)
+            for page_no, start in enumerate(range(0, n, cap))
+        ]
+
+    def _position(self, tid: Tid) -> int:
+        page_no, slot = tid
+        if page_no < 0 or not 0 <= slot < self._tuples_per_page:
+            raise IndexError("relation %r has no TID %r" % (self.name, tid))
+        return page_no * self._tuples_per_page + slot
 
     # -- mutation ---------------------------------------------------------------
 
@@ -104,100 +132,52 @@ class Relation:
 
     def insert_unchecked(self, row: Row) -> Tuple[int, int]:
         """Append a pre-validated tuple (hot path for generators/joins)."""
-        if not self._pages or self._pages[-1].is_full:
-            self._pages.append(
-                Page(len(self._pages), self._tuples_per_page, self._kinds)
-            )
-        slot = self._pages[-1].add(row)
-        self._count += 1
+        position = self._store.add(row)
         self._version += 1
-        return len(self._pages) - 1, slot
+        return divmod(position, self._tuples_per_page)
 
     def extend(self, rows: Iterable[Sequence[Any]]) -> int:
         """Validate and insert many tuples; return how many were added.
 
         Validation happens in a single :meth:`Schema.validate_batch` call
-        and the rows land page-at-a-time, so a bulk load costs a few
-        Python-level calls per page rather than several per row.
+        and the rows land as one append per column.
         """
         return self.extend_rows(self.schema.validate_batch(rows))
 
     def extend_rows(self, rows: Sequence[Row]) -> int:
-        """Append many pre-validated tuples page-at-a-time; return count.
+        """Append many pre-validated tuples; return how many.
 
-        The bulk analogue of :meth:`insert_unchecked` -- the batch
-        executor's only output path.  ``rows`` must already be plain
-        tuples matching the schema.
+        The bulk analogue of :meth:`insert_unchecked`: the rows are
+        transposed once and land as one append per column.  ``rows`` must
+        already be plain tuples matching the schema.
         """
         if not isinstance(rows, (list, tuple)):
             rows = list(rows)
-        n = len(rows)
-        if n == 0:
-            return 0
-        pages = self._pages
-        cap = self._tuples_per_page
-        pos = 0
-        while pos < n:
-            if not pages or pages[-1].is_full:
-                pages.append(Page(len(pages), cap, self._kinds))
-            # Slice at most one page worth per round: O(n) total copying.
-            pos += pages[-1].extend_rows(rows[pos:pos + cap])
-        self._count += n
-        self._version += 1
+        n = self._store.extend_rows(rows)
+        if n:
+            self._version += 1
         return n
 
     def extend_columns(self, columns: Sequence[Column], count: int) -> int:
         """Append ``count`` pre-validated rows given column-wise; return count.
 
-        The batch operators' columnar output path: column slices flow from
-        input pages straight into output pages without materialising a
-        single row tuple (see :meth:`Page.extend_columns`).
+        The batch operators' output path: one buffer-to-buffer append per
+        column (see :meth:`Page.extend_columns`), no row tuple built.
         """
         if count <= 0:
             return 0
-        pages = self._pages
-        cap = self._tuples_per_page
-        kinds = self._kinds
-        pos = 0
-        while pos < count:
-            if not pages or pages[-1].is_full:
-                pages.append(Page(len(pages), cap, kinds))
-            page = pages[-1]
-            room = min(cap - len(page), count - pos)
-            page.extend_columns(
-                [c[pos:pos + room] for c in columns] if pos or room < count else columns,
-                room,
-            )
-            pos += room
-        self._count += count
+        self._store.extend_columns(columns, count)
         self._version += 1
         return count
 
     def append_page(self, page: Page) -> int:
-        """Adopt a whole page of pre-validated tuples; return its count.
-
-        When the relation's last page is full (or absent) and ``page`` has
-        the native capacity, the page object is adopted directly (re-ided,
-        zero per-tuple work); otherwise its tuples are folded in through
-        :meth:`extend_rows`.
-        """
-        n = len(page)
-        if n == 0:
-            return 0
-        if page.capacity == self._tuples_per_page and (
-            not self._pages or self._pages[-1].is_full
-        ):
-            page.page_id = len(self._pages)
-            self._pages.append(page)
-            self._count += n
-            self._version += 1
-            return n
-        return self.extend_rows(page.tuples)
+        """Append a copy of ``page``'s tuples; return how many.  The page
+        itself is not kept."""
+        return self.extend_columns(page.columns, len(page))
 
     def truncate(self) -> None:
         """Drop every tuple (the schema survives)."""
-        self._pages.clear()
-        self._count = 0
+        self._store.clear()
         self._version += 1
 
     def compaction(self, victims: Sequence[Tid]) -> Tuple[List[Tid], List[Tid]]:
@@ -207,83 +187,62 @@ class Relation:
         tail are simply cut off, and the tail's survivors fill the holes
         before it -- so deleting everything, or only tail rows, moves
         nothing.  Changes nothing; :meth:`delete_at` applies the moves."""
-        keep = self._count - len(victims)
+        count = len(self._store)
+        keep = count - len(victims)
         cut = bisect_left(victims, divmod(keep, self._tuples_per_page))
         if not cut:
             return [], []
         doomed = set(victims[cut:])
-        tail = self.tid_range(keep, self._count)
+        tail = self.tid_range(keep, count)
         return [tid for tid in tail if tid not in doomed], list(victims[:cut])
 
     def delete_at(
         self, victims: Sequence[Tid], sources: Sequence[Tid], holes: Sequence[Tid]
     ) -> None:
         """Delete the rows at ``victims`` in place, given their
-        :meth:`compaction`.  Values travel column buffer to column
-        buffer, one gather and one :meth:`Page.set_cells` per touched
-        page and column; every page but the last stays full, and pages
-        outside the holes and the tail keep their cached row views."""
-        pages = self._pages
+        :meth:`compaction`: per column, one gather of the moved values and
+        one :meth:`Page.set_cells` into the holes, then the tail is cut
+        off -- every page but the last stays full."""
+        store = self._store
         if sources:
-            source_runs = _page_runs(sources)
-            hole_runs = _page_runs(holes)
-            for column in range(len(self._kinds)):
-                values = self._gather(column, source_runs)
-                done = 0
-                for page_no, slots in hole_runs:
-                    pages[page_no].set_cells(
-                        column, slots, values[done:done + len(slots)]
-                    )
-                    done += len(slots)
-        self._count -= len(victims)
-        full, rest = divmod(self._count, self._tuples_per_page)
-        if rest:
-            pages[full].truncate(rest)
-            full += 1
-        del pages[full:]
+            sources = list(map(self._position, sources))
+            holes = list(map(self._position, holes))
+            for column, col in enumerate(store.columns):
+                store.set_cells(column, holes, list(map(col.__getitem__, sources)))
+        store.truncate(len(store) - len(victims))
         self._version += 1
 
     # -- access -------------------------------------------------------------------
 
     def fetch(self, tid: Tuple[int, int]) -> Row:
         """Return the tuple at TID ``(page, slot)``."""
-        page_no, slot = tid
-        return self._pages[page_no][slot]
+        return self._store.row(self._position(tid))
 
     def tid_range(self, start: int, stop: int) -> List[Tid]:
-        """TIDs of the rows at physical positions ``start .. stop - 1``
-        (every page but the last is full, so position is arithmetic)."""
+        """TIDs of the rows at physical positions ``start .. stop - 1``."""
         cap = self._tuples_per_page
         return [divmod(position, cap) for position in range(start, stop)]
 
     def values_at(self, column: int, tids: Sequence[Tid]) -> List[Any]:
         """Column ``column`` of the rows at ``tids``, in ``tids`` order,
-        gathered straight from the page buffers."""
-        return self._gather(column, _page_runs(tids))
-
-    def _gather(self, column: int, runs: Sequence[Tuple[int, List[int]]]) -> List[Any]:
-        values: List[Any] = []
-        for page_no, slots in runs:
-            values.extend(map(self._pages[page_no].column(column).__getitem__, slots))
-        return values
+        gathered straight from its buffer."""
+        return list(map(self._store.columns[column].__getitem__, map(self._position, tids)))
 
     def update(self, tid: Tuple[int, int], values: Sequence[Any]) -> Row:
         """Overwrite the tuple at ``tid``; return the old value."""
         row = self.schema.validate(values)
-        page_no, slot = tid
+        old = self._store.replace(self._position(tid), row)
         self._version += 1
-        return self._pages[page_no].replace(slot, row)
+        return old
 
     def __iter__(self) -> Iterator[Row]:
-        for page in self._pages:
-            for row in page:
-                yield row
+        return zip(*self._store.columns)
 
     def scan(self) -> Iterator[Tuple[Tuple[int, int], Row]]:
         """Yield ``(tid, tuple)`` pairs in physical order."""
-        for page_no, page in enumerate(self._pages):
-            for slot, row in enumerate(page):
-                yield (page_no, slot), row
+        cap = self._tuples_per_page
+        for position, row in enumerate(zip(*self._store.columns)):
+            yield divmod(position, cap), row
 
     def value(self, row: Row, field: str) -> Any:
         """Field accessor by name (thin sugar over the schema index)."""
@@ -301,8 +260,8 @@ class Relation:
         if disk.exists(name):
             disk.delete(name)
         disk.create(name)
-        for i, page in enumerate(self._pages):
-            disk.append(name, page.copy(), sequential=None if i == 0 else True)
+        for i, page in enumerate(self.pages):
+            disk.append(name, page, sequential=None if i == 0 else True)
         return name
 
     @classmethod
@@ -317,9 +276,7 @@ class Relation:
         """Read a spilled relation back from ``disk`` (sequential IO)."""
         rel = cls(name, schema, page_bytes)
         for page in disk.scan(file_name):
-            # Copy before adopting: the disk hands back its stored page
-            # objects, which must not alias the relation's live pages.
-            rel.append_page(page.copy())
+            rel.append_page(page)
         return rel
 
     # -- introspection -----------------------------------------------------------
@@ -327,30 +284,26 @@ class Relation:
     def storage_stats(self) -> dict:
         """Packed-layout statistics for the ``db.storage_stats()`` facade.
 
-        Counts packed (``array``) versus object-list column buffers across
-        all pages and sums their resident bytes (exact for packed buffers,
-        pointer-estimated for object lists -- see
-        :func:`repro.storage.codecs.column_bytes`).
+        Counts packed (``array``) versus object-list column buffers (one
+        per column, none while the relation is empty) and sums their
+        resident bytes (exact for packed buffers, pointer-estimated for
+        object lists -- see :func:`repro.storage.codecs.column_bytes`).
         """
-        packed = 0
-        total = 0
-        buffer_bytes = 0
-        for page in self._pages:
-            for col in page.columns:
-                total += 1
-                if is_packed(col):
-                    packed += 1
-                buffer_bytes += column_bytes(col)
+        columns = self._store.columns if len(self._store) else []
+        packed = sum(map(is_packed, columns))
+        total = len(columns)
+        buffer_bytes = sum(map(column_bytes, columns))
+        count = len(self._store)
         return {
             "pages": self.page_count,
-            "tuples": self._count,
+            "tuples": count,
             "tuples_per_page": self._tuples_per_page,
             "columns": len(self.schema),
             "packed_columns": packed,
             "total_columns": total,
             "packed_fraction": (packed / total) if total else 1.0,
             "buffer_bytes": buffer_bytes,
-            "bytes_per_row": (buffer_bytes / self._count) if self._count else 0.0,
+            "bytes_per_row": (buffer_bytes / count) if count else 0.0,
             "schema_bytes_per_row": self.schema.tuple_bytes,
         }
 

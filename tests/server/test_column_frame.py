@@ -140,8 +140,10 @@ def test_the_snapshot_is_a_copy():
     rel.extend([(k,) for k in range(5)])
     frame = encode_frame(reply(_snapshot(rel), ["k"]))
     data = _snapshot(rel)
-    rel.pages[0].set_cells(0, [0], [99])
-    rel.pages[0].truncate(2)
+    rel.update((0, 0), (99,))
+    tail = rel.tid_range(2, 5)
+    rel.delete_at(tail, *rel.compaction(tail))
+    assert list(rel) == [(99,), (1,)]
     assert result_rows(data) == [[0], [1], [2], [3], [4]]
     assert encode_frame(reply(data, ["k"])) == frame
 

@@ -18,7 +18,6 @@ message, same statement position.
 from __future__ import annotations
 
 import threading
-from array import array
 
 import pytest
 
@@ -149,9 +148,9 @@ class TestDifferential:
         try:
             rel = server.manager.db.catalog.relation("kinds")
             assert rel.page_count == 3
-            assert [type(p.column(3)) for p in rel.pages] == [
-                array, array, list
-            ]
+            # One buffer per column: the int beyond int64 on the last page
+            # demotes the whole column, not that page's slice of it.
+            assert [type(p.column(3)) for p in rel.pages] == [list, list, list]
             assert all(type(p.column(4)) is list for p in rel.pages)
             assert_same_over_the_wire(
                 server.address, build_kinds_db(), KINDS_CORPUS

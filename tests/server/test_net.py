@@ -221,6 +221,41 @@ class TestWireContract:
             server.stop()
 
 
+    def test_each_bad_statement_is_a_positioned_error_and_ping_answers(self):
+        """A statement cut after its WHERE column, LIKE on an indexed
+        INTEGER column, a string against a number and a predicate nested
+        3,000 deep each used to end the connection thread with an untyped
+        exception; now each is one positioned ``SqlError`` reply, and the
+        same connection answers ``PING`` after it."""
+        from repro.planner.sql import SqlError
+
+        db = MainMemoryDatabase()
+        db.create_table("t", [("a", DataType.INTEGER), ("b", DataType.INTEGER)])
+        db.insert_many("t", [(k, k % 7) for k in range(100)])
+        db.create_index("t", "a", "btree")
+        bad = [
+            "SELECT b FROM t WHERE a ",
+            "SELECT a FROM t WHERE a LIKE 'x1%'",
+            "SELECT a FROM t WHERE a < 'x'",
+            "SELECT a FROM t WHERE " + "(" * 3000 + "a = 1" + ")" * 3000,
+            "SELECT a, a FROM t",
+        ]
+        server = DatabaseServer(db=db, n_accounts=4)
+        server.start_in_thread()
+        try:
+            with ServerClient(*server.address) as client:
+                session = client.session_id
+                for stmt in bad:
+                    with pytest.raises(SqlError) as caught:
+                        client.execute(stmt)
+                    assert 0 <= caught.value.position <= len(stmt), stmt
+                    assert client.execute("PING")["meta"]["session"] == session
+                assert server.wire_stats()["errors_returned"] == len(bad)
+                assert client.rows("SELECT b FROM t WHERE a = 3") == [[3]]
+        finally:
+            server.stop()
+
+
 class TestTheWorkerPoolIsGone:
     def test_stale_workers_argument_fails_loudly(self):
         with pytest.raises(TypeError):

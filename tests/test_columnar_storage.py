@@ -166,10 +166,10 @@ class TestPagePacking:
 
     def test_storage_stats_report_packing(self):
         stats = mixed_relation().storage_stats()
-        # Two of three columns pack on every page (id, score; name is
-        # the object-list fallback).
-        assert stats["total_columns"] == 3 * stats["pages"]
-        assert stats["packed_columns"] == 2 * stats["pages"]
+        # Two of three column buffers pack (id, score; name is the
+        # object-list fallback): one buffer per column, not per page.
+        assert stats["total_columns"] == 3
+        assert stats["packed_columns"] == 2
         assert stats["packed_fraction"] == pytest.approx(2 / 3)
         assert stats["buffer_bytes"] > 0
 

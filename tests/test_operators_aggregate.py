@@ -178,3 +178,23 @@ def test_property_hash_and_sort_agree(rows):
     a = sorted(hash_aggregate(rel, ["g"], aggs))
     b = sorted(sort_aggregate(rel, ["g"], aggs))
     assert a == b
+
+
+def test_a_cancelled_aggregate_leaves_its_input_writable():
+    """The column fold reads the relation's own buffers.  A cancellation
+    keeps the raising frame alive in the exception's traceback, so no
+    numpy view of those buffers may be live at a check: an ``array``
+    that exports its buffer refuses to grow."""
+    from repro.errors import ReproError
+    from repro.governor import CancellationToken
+
+    rel = Relation("t", make_schema(("g", DataType.INTEGER), ("v", DataType.INTEGER)))
+    rel.extend([(i % 5, i) for i in range(100)])
+    token = CancellationToken(qid=1)
+    token.on_check = lambda tok: tok.cancel()
+    with pytest.raises(ReproError) as caught:
+        hash_aggregate(
+            rel, ["g"], [AggregateSpec(AggregateFunction.SUM, "v")], token=token
+        )
+    rel.extend([(1, 2)] * 3)  # raised BufferError while a view was kept
+    assert caught.value is not None and len(rel) == 103

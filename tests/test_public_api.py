@@ -138,7 +138,8 @@ def test_spilling_joins_have_one_production_path():
         assert not hasattr(vectorized.JoinTable, gone), gone
     for gone in ("_packed_keys", "_packed_pair"):
         assert not hasattr(vectorized, gone), gone
-    assert not hasattr(vectorized.ColumnStore, "row")
+    # The build side stages into a Relation; its staging class is gone.
+    assert not hasattr(vectorized, "ColumnStore")
     assert {"hybrid_classes", "partition_residues", "scatter",
             "read_bucket_columns"} <= set(partition.__all__)
     assert {"column_blocks", "take_rows"} <= set(vectorized.__all__)
@@ -191,3 +192,44 @@ def test_a_result_crosses_the_wire_as_columns():
     assert list(inspect.signature(FrameDecoder.feed).parameters) == [
         "self", "data"
     ]
+
+
+def test_a_relation_is_its_column_buffers():
+    """A ``Relation`` stores one buffer per column: ``columns`` and
+    ``column(i)`` hand them out whole, ``page_count`` is arithmetic,
+    ``pages`` cuts copies whose changes do not reach the relation, and
+    ``append_page`` copies its argument rather than adopting it.  It keeps
+    no list of page objects."""
+    import inspect
+    from array import array
+
+    from repro.storage import Page, Relation, Schema
+    from repro.storage.tuples import DataType, Field
+
+    rel = Relation("r", Schema([Field("k", DataType.INTEGER)]), page_bytes=16)
+    assert rel.tuples_per_page == 4
+    rel.extend([(k,) for k in range(10)])
+    assert isinstance(rel.columns, list) and len(rel.columns) == 1
+    assert rel.column(0) is rel.columns[0]
+    assert type(rel.column(0)) is array and list(rel.column(0)) == list(range(10))
+    assert rel.page_count == 3 and [len(p) for p in rel.pages] == [4, 4, 2]
+    assert inspect.signature(Relation.column).parameters.keys() == {"self", "index"}
+
+    view = rel.pages[1]
+    view.set_cells(0, [0], [99])
+    view.truncate(1)
+    assert rel.pages[1].tuples == [(4,), (5,), (6,), (7,)]
+    assert rel.pages[1] is not rel.pages[1]
+
+    page = Page(0, 4)
+    page.extend_rows([(20,), (21,)])
+    assert rel.append_page(page) == 2
+    page.set_cells(0, [0], [-1])
+    page.page_id = 9
+    assert list(rel)[-2:] == [(20,), (21,)]
+    assert all(p is not page for p in rel.pages)
+    assert rel.pages[-1].page_id == 2
+
+    assert not hasattr(rel, "_pages")
+    assert not any(isinstance(v, list) and v and isinstance(v[0], Page)
+                   for v in vars(rel).values())
