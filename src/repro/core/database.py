@@ -27,23 +27,18 @@ from repro.access.btree import BPlusTree
 from repro.access.hash_index import HashIndex
 from repro.access.paged_binary import PagedBinaryTree
 from repro.core.rwlock import ReadWriteLock
-from repro.cost.counters import (
-    CostReport,
-    OperationCounters,
-    ShardedOperationCounters,
-)
+from repro.cost.counters import CostReport, ShardedOperationCounters
 from repro.cost.parameters import CostParameters
 from repro.governor import Governor, GovernorConfig
-from repro.operators.selection import Comparison, Predicate, Range, select, select_tids
+from repro.operators.selection import Comparison, Range, select, select_tids
 from repro.planner.plan import PlanContext, PlanNode
 from repro.planner.planner import Planner, PlannerConfig
 from repro.planner.query import Query
 from repro.planner.reuse import PlanReuseCache
-from repro.recovery.parallel_restart import validate_workers
 from repro.storage.catalog import Catalog
 from repro.storage.relation import Relation
 from repro.storage.tuples import DataType, Field, Schema
-from repro.errors import ConfigurationError, StateError
+from repro.errors import ConfigurationError
 
 _INDEX_KINDS = {
     "btree": BPlusTree,
@@ -66,26 +61,16 @@ class MainMemoryDatabase:
         batch: bool = True,
         reuse_cache: bool = True,
         governor: Optional[GovernorConfig] = None,
-        commit_policy: str = "group",
-        log_devices: int = 1,
-        group_commit_delay: Optional[float] = None,
-        log_compress: bool = False,
-        log_pipeline: bool = False,
-        recovery_workers: int = 1,
-        sharded_counters: bool = True,
     ) -> None:
         self.catalog = Catalog()
         self.params = params if params is not None else CostParameters()
         self.memory_pages = memory_pages
         self.page_bytes = page_bytes
-        #: Shared operation tallies.  Sharded by default: each thread
-        #: charges its own shard and the six fields read as merged
-        #: totals, so concurrent sessions get exact per-statement deltas
-        #: (``thread_snapshot``) without serialising.  ``False`` keeps
-        #: the plain single-threaded counter object.
-        self.counters: OperationCounters = (
-            ShardedOperationCounters() if sharded_counters else OperationCounters()
-        )
+        #: Shared operation tallies, sharded: each thread charges its own
+        #: shard and the six fields read as merged totals, so concurrent
+        #: sessions get exact per-statement deltas (``thread_snapshot``)
+        #: without serialising.
+        self.counters = ShardedOperationCounters()
         #: Catalog read-write lock: queries hold the read side (any
         #: number in parallel), DDL/DML hold the write side.  Bank
         #: statements never touch it -- only the relational engine does.
@@ -112,24 +97,6 @@ class MainMemoryDatabase:
             self.catalog,
             PlannerConfig(memory_pages=memory_pages, params=self.params),
         )
-        #: Commit-pipeline knobs for the Section 5 durability stack built
-        #: by :meth:`build_recovery`: the commit discipline
-        #: ("conventional", "group", or "stable"), the number of
-        #: partitioned-log devices, the group-commit latency bound in
-        #: seconds (None = wait for the page to fill), new-value-only log
-        #: compression (stable policy only), and stream-to-device
-        #: pipelining.
-        self.commit_policy = commit_policy
-        self.log_devices = log_devices
-        self.group_commit_delay = group_commit_delay
-        self.log_compress = log_compress
-        self.log_pipeline = log_pipeline
-        #: Recovery streams :meth:`crash_and_recover` replays the
-        #: partitioned log with (1 = the serial reference interpreter).
-        self.recovery_workers = validate_workers(recovery_workers)
-        self._recovery: Optional[Tuple[Any, ...]] = None
-        self._recovery_initial: Any = 0
-        self._last_recovery: Any = None
 
     # -- chaos ----------------------------------------------------------------------
 
@@ -142,11 +109,6 @@ class MainMemoryDatabase:
         points.  Returns ``self`` for chaining."""
         self.fault_injector = injector
         self.governor.attach_chaos(injector)
-        if self._recovery is not None:
-            queue, _, log_manager, _, checkpointer = self._recovery
-            injector.attach(
-                queue=queue, log_manager=log_manager, checkpointer=checkpointer
-            )
         return self
 
     def _chaos_point(self, label: str) -> None:
@@ -448,140 +410,6 @@ class MainMemoryDatabase:
         )
         server.start_in_thread()
         return server
-
-    # -- durability (Section 5) -----------------------------------------------------------
-
-    def build_recovery(
-        self,
-        n_records: int = 1024,
-        records_per_page: int = 64,
-        initial_value: Any = 0,
-        checkpoint_interval: Optional[float] = 0.05,
-        checkpoint_batch_pages: int = 1,
-    ):
-        """Construct the Section 5 durability stack next to the relational
-        store, configured by the facade's commit knobs (``commit_policy``,
-        ``log_devices``, ``group_commit_delay``, ``log_compress``,
-        ``log_pipeline``): a simulated clock and event queue, a
-        record-array image, the log manager, the transaction engine, and a
-        fuzzy checkpointer (``checkpoint_interval=None`` leaves it
-        stopped).  Returns the
-        :class:`~repro.recovery.transactions.TransactionEngine`; the other
-        components hang off it (``engine.queue``, ``engine.log``, ...).
-        Any injector attached via :meth:`attach_chaos` is wired into the
-        stack's crash seams.
-        """
-        from repro.recovery import (
-            Checkpointer,
-            CommitPolicy,
-            DiskSnapshot,
-            LogManager,
-            TransactionEngine,
-        )
-        from repro.recovery.state import DatabaseState
-        from repro.sim.clock import SimulatedClock
-        from repro.sim.events import EventQueue
-
-        policy = CommitPolicy(self.commit_policy)
-        queue = EventQueue(SimulatedClock())
-        state = DatabaseState(
-            n_records, records_per_page, initial_value=initial_value
-        )
-        log_manager = LogManager(
-            queue,
-            policy=policy,
-            devices=self.log_devices,
-            compress=self.log_compress,
-            max_commit_delay=self.group_commit_delay,
-            pipeline=self.log_pipeline,
-        )
-        engine = TransactionEngine(state, queue, log_manager)
-        checkpointer = Checkpointer(
-            engine,
-            DiskSnapshot(),
-            interval=checkpoint_interval if checkpoint_interval else 1.0,
-            batch_pages=checkpoint_batch_pages,
-        )
-        if checkpoint_interval is not None:
-            checkpointer.start()
-        if self.fault_injector is not None:
-            self.fault_injector.attach(
-                queue=queue, log_manager=log_manager, checkpointer=checkpointer
-            )
-        self._recovery = (queue, state, log_manager, engine, checkpointer)
-        self._recovery_initial = initial_value
-        return engine
-
-    def attach_recovery(self, engine, checkpointer=None, initial_value: Any = 0):
-        """Adopt an externally built transaction engine (and optional
-        checkpointer) as this facade's durability stack."""
-        self._recovery = (
-            engine.queue, engine.state, engine.log, engine, checkpointer,
-        )
-        self._recovery_initial = initial_value
-        return engine
-
-    def crash_and_recover(
-        self,
-        workers: Optional[int] = None,
-        use_dirty_page_table: bool = True,
-    ):
-        """Crash the durability stack *now* and rebuild its image.
-
-        ``workers`` overrides the facade's ``recovery_workers`` for this
-        restart; >1 replays the partitioned log through the parallel redo
-        path (identical image and statistics, the straggler stream's
-        share of the simulated reload time).  The rebuilt image's pages
-        are accounted against the governor's memory budget for the
-        duration of the restart.  Returns the
-        :class:`~repro.recovery.restart.RecoveryOutcome`, also summarised
-        by :meth:`recovery_stats`.
-        """
-        from repro.recovery.restart import crash, recover
-
-        if self._recovery is None:
-            raise StateError(
-                "no durability stack attached: call build_recovery() first"
-            )
-        _, _, _, engine, checkpointer = self._recovery
-        crash_state = crash(engine, checkpointer)
-        outcome = recover(
-            crash_state,
-            initial_value=self._recovery_initial,
-            use_dirty_page_table=use_dirty_page_table,
-            workers=self.recovery_workers if workers is None else workers,
-            governor=self.governor,
-        )
-        self._last_recovery = outcome
-        return outcome
-
-    def recovery_stats(self) -> Dict[str, Any]:
-        """Commit-pipeline and restart statistics, one dict.
-
-        ``log`` and ``group_commit`` report the attached log manager's
-        write-side counters (groups sealed, mean group size, flush-reason
-        histogram, compression savings); ``restart`` reports the last
-        :meth:`crash_and_recover` outcome, including per-phase wall-clock
-        timings and the clean-page bulk-skip count."""
-        stats: Dict[str, Any] = {"recovery_workers": self.recovery_workers}
-        if self._recovery is not None:
-            log_manager = self._recovery[2]
-            stats["log"] = log_manager.stats()
-            stats["group_commit"] = log_manager.group_commit_stats()
-        if self._last_recovery is not None:
-            outcome = self._last_recovery
-            stats["restart"] = {
-                "seconds": outcome.seconds,
-                "workers": outcome.workers,
-                "phase_seconds": dict(outcome.phase_seconds),
-                "log_records_scanned": outcome.log_records_scanned,
-                "updates_redone": outcome.updates_redone,
-                "updates_undone": outcome.updates_undone,
-                "pages_reloaded": outcome.pages_reloaded,
-                "pages_skipped_clean": outcome.pages_skipped_clean,
-                "committed": len(outcome.committed_tids),
-            }
-        return stats
 
     # -- instrumentation ------------------------------------------------------------------
 

@@ -365,14 +365,6 @@ class Governor:
             self.cancelled += 1
             return True
 
-    def cancel_all(self) -> int:
-        with self._lock:
-            victims = list(self._active.values()) + list(self._parked.values())
-            for handle in victims:
-                handle.token.cancel()
-            self.cancelled += len(victims)
-            return len(victims)
-
     def revoke(self, qid: int, to_pages: int) -> Optional[int]:
         """Shrink a running query's grant; returns its new page budget.
 
@@ -396,10 +388,6 @@ class Governor:
                 continue
 
     # -- reporting ---------------------------------------------------------------
-
-    def active_qids(self) -> List[int]:
-        with self._lock:
-            return sorted(self._active)
 
     def stats(self) -> Dict[str, Any]:
         with self._lock:

@@ -404,10 +404,6 @@ class ProjectAnalysis:
     def summary(self, qualname: str) -> FuncSummary:
         return self.summaries[qualname]
 
-    def held_at(self, site_held: FrozenSet[LockRef], qual: str) -> FrozenSet[LockRef]:
-        """Must-held locks at a point: local context plus entry context."""
-        return site_held | self.must_entry.get(qual, frozenset())
-
     def lock_edges(self) -> Set[Tuple[str, str]]:
         """Canonical ``(held, acquired)`` edges over every may-path.
 
@@ -573,17 +569,13 @@ class _TypeEnv:
                     return short
         return None
 
-    def class_of(self, name: str) -> Optional[ClassInfo]:
-        infos = self.analysis.classes_by_name.get(name, [])
-        return infos[0] if infos else None
-
 
 def _lock_refs(
     expr: ast.AST, env: _TypeEnv, side_hint: str = ""
 ) -> List[LockRef]:
     """Resolve an expression to the lock(s) it denotes, if any.
 
-    Handles ``self._mu``, ``mgr._sql_serial_mu`` (typed or name-based
+    Handles ``self._mu``, ``mgr._mu`` (typed or name-based
     fallback), and ``<rw>.read_locked()`` / ``<rw>.write_locked()``.
     """
     if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute):

@@ -31,7 +31,7 @@ which the planner requires anyway).  ``LIKE`` supports prefix patterns
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.errors import PlannerError
 from repro.operators.aggregate import AggregateFunction, AggregateSpec
@@ -424,10 +424,6 @@ class _Parser:
         raise SqlError(
             "expected a literal at position %d" % tok.pos, position=tok.pos
         )
-
-    def _string_literal(self) -> str:
-        tok = self.expect("string")
-        return tok.value[1:-1].replace("''", "'")
 
     def _column_list(self) -> List[str]:
         columns = [self._resolved_column_name()]

@@ -32,7 +32,6 @@ from repro.recovery.records import (
     CommitRecord,
     LogRecord,
     RecordSizing,
-    UpdateRecord,
     pack_pages,
 )
 from repro.recovery.stable_memory import StableMemory
@@ -180,10 +179,6 @@ class LogManager:
 
     def _open_for(self, tid: int) -> _CommitGroup:
         return self._open_groups[self._stream_of(tid)]
-
-    @property
-    def page_capacity_bytes(self) -> int:
-        return self.sizing.page_bytes
 
     def next_lsn(self) -> int:
         return self._next_lsn
@@ -418,15 +413,6 @@ class LogManager:
                 self.on_commit(tid)
 
     # -- stable-memory drain ------------------------------------------------------------
-
-    def _record_disk_size(self, record: LogRecord) -> int:
-        if (
-            self.compress
-            and isinstance(record, UpdateRecord)
-            and record.tid in self.durable_tids
-        ):
-            return record.compressed_size(self.sizing)
-        return record.size(self.sizing)
 
     def _maybe_drain_stable(self) -> None:
         # O(1) trigger: a full page cannot have formed while even the

@@ -14,7 +14,6 @@ disk log -- :meth:`UpdateRecord.compressed_size` is that saving.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -112,10 +111,6 @@ class GroupEncoding:
     full_bytes: int
     disk_bytes: int
     compressed_records: int
-
-    @property
-    def bytes_saved(self) -> int:
-        return self.full_bytes - self.disk_bytes
 
 
 def encode_group(

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Set
 
 from repro.errors import ReproError
 from repro.recovery.checkpoint import Checkpointer
-from repro.recovery.log_manager import LogManager
 from repro.recovery.records import (
     AbortRecord,
     CommitRecord,
@@ -41,10 +40,10 @@ from repro.recovery.state import DatabaseState, DiskSnapshot
 from repro.recovery.transactions import TransactionEngine
 
 #: Wall-clock timer behind the restart phase timings in
-#: ``db.recovery_stats()``.  The timings are observability (how long the
-#: *host* took), never charged to the analytic model, so the one escape
-#: from the determinism rule is aliased here where the justification can
-#: live next to it.
+#: ``RecoveryOutcome.phase_seconds``.  The timings are observability
+#: (how long the *host* took), never charged to the analytic model, so
+#: the one escape from the determinism rule is aliased here where the
+#: justification can live next to it.
 _wall_clock = time.perf_counter  # repro-lint: disable=determinism
 
 #: Cost model for the recovery pass itself.
@@ -218,13 +217,15 @@ def recover(
 ) -> RecoveryOutcome:
     """Rebuild a consistent database image from the crash state.
 
-    ``workers`` > 1 selects the batched parallel-redo path
-    (:mod:`repro.recovery.parallel_restart`): byte-identical image and
-    statistics, less wall-clock.  ``injector`` threads a chaos
-    :class:`~repro.chaos.FaultInjector` through the parallel path's
-    dispatch/merge seams.  ``governor`` (a
-    :class:`~repro.governor.Governor`) accounts the rebuilt image's pages
-    against the memory grant budget for the duration of the restart.
+    ``workers`` > 1 selects the batched, page-partitioned path
+    (:mod:`repro.recovery.parallel_restart`) with ``workers`` modelled
+    recovery streams: byte-identical image and statistics, and the
+    straggler stream's share of the simulated restart time.
+    ``injector`` threads a chaos :class:`~repro.chaos.FaultInjector`
+    through that path's partition-dispatch and end-of-redo seams.
+    ``governor`` (a :class:`~repro.governor.Governor`) accounts the
+    rebuilt image's pages against the memory grant budget for the
+    duration of the restart.
     """
     from repro.recovery.parallel_restart import validate_workers
 
@@ -348,7 +349,7 @@ def _recover_batched(
     winners = committed | crash_state.resolved_abort_tids
     phases["commit_resolution"] = _wall_clock() - t0
 
-    # Undo and redo are fused in the page workers (per page: undo
+    # Undo and redo are fused in the partition replay (per page: undo
     # backward, then redo forward -- the serial rules exactly); both
     # phases' wall-clock therefore lands under "redo", and "undo" is 0.
     t0 = _wall_clock()

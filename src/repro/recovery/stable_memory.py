@@ -19,9 +19,8 @@ written to disk").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.recovery.records import LogRecord, RecordSizing, DEFAULT_SIZING
 from repro.errors import ConfigurationError, StateError
@@ -80,10 +79,6 @@ class StableMemory:
     def pending_records(self) -> List[LogRecord]:
         """Records not yet drained, oldest first (crash-surviving)."""
         return list(self._records)
-
-    def pending_count(self) -> int:
-        """How many records are held, without copying the list."""
-        return len(self._records)
 
     def iter_pending(self, start: int = 0) -> Iterator[LogRecord]:
         """Iterate records from index ``start``, oldest first, without

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.recovery.lock_table import LockMode, LockTable
-from repro.recovery.log_manager import CommitPolicy, LogManager
-from repro.recovery.records import AbortRecord, BeginRecord, UpdateRecord
+from repro.recovery.log_manager import LogManager
+from repro.recovery.records import BeginRecord, UpdateRecord
 from repro.recovery.state import DatabaseState, DirtyPageTable
 from repro.sim.events import EventQueue
 from repro.errors import ConfigurationError
@@ -220,9 +220,6 @@ class TransactionEngine:
             self._early_durable.discard(txn.tid)
             self._complete_commit(txn)
         self._resume_granted(granted)
-
-    def _on_durable_commit(self, tid: int) -> None:
-        self._on_durable_commit_batch([tid])
 
     def _on_durable_commit_batch(self, tids: Sequence[int]) -> None:
         """A durable commit group: complete its transactions together.

@@ -579,10 +579,6 @@ class BankStore:
         with self._mu:
             return list(self.values)
 
-    def txn_info(self, tid: int) -> Optional[BankTxn]:
-        with self._mu:
-            return self._txns.get(tid)
-
     def bank_stats(self) -> Dict[str, Any]:
         with self._mu:
             return {

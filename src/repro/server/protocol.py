@@ -126,7 +126,9 @@ def encode_frame(payload: Dict[str, Any]) -> bytes:
 def _json_object(body: Any, what: str) -> Dict[str, Any]:
     try:
         payload = json.loads(str(body, "utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # ValueError covers bad UTF-8, bad JSON and an integer longer than
+    # the interpreter will convert (``sys.get_int_max_str_digits``).
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError("%s is not UTF-8 JSON: %s" % (what, exc)) from exc
     if not isinstance(payload, dict):
         raise ProtocolError(

@@ -45,9 +45,7 @@ Concurrency contract:
   -- byte-for-byte equal to in-process execution, which the
   differential suite asserts -- without a statement-serialising lock.
   The catalog read-write lock lets any number of SELECTs share the read
-  side while DDL/DML briefly take the write side.  (With plain
-  unsharded counters the manager falls back to serialising SQL under
-  ``_sql_serial_mu`` to keep the snapshot diffs exact.)
+  side while DDL/DML briefly take the write side.
 * **Per-session reuse views**: each session diffs its *thread's* view of
   the shared :class:`~repro.planner.reuse.PlanReuseCache` around its
   statement, accumulating what *it* contributed -- the shared cache
@@ -412,43 +410,19 @@ class Session:
     def _sql(self, stmt: str) -> StatementResult:
         mgr = self.manager
         db = mgr.db
-        thread_snapshot = getattr(db.counters, "thread_snapshot", None)
-        if thread_snapshot is None:
-            # Plain shared counters cannot attribute charges to a
-            # thread; keep the legacy serialised path so the global
-            # snapshot diff stays exact.
-            with mgr._sql_serial_mu:
-                before = db.counters.snapshot()
-                reuse_before = db.reuse_stats()
-                # Serialising the whole statement under _sql_serial_mu is
-                # the point of this fallback: without per-thread counters
-                # the snapshot diff is only exact if nothing interleaves.
-                # repro-lint: disable=blocking-under-lock
-                rel = db.sql(stmt, timeout=mgr.statement_timeout)
-                delta = db.counters.snapshot() - before
-                reuse_after = db.reuse_stats()
-                for key in _REUSE_KEYS:
-                    self.reuse_view[key] += (
-                        reuse_after[key] - reuse_before[key]
-                    )
-        else:
-            # Sharded counters: this thread's shard sees exactly this
-            # statement's charges and the reuse cache keeps per-thread
-            # tallies, so read-only SQL interleaves freely while the
-            # per-statement deltas stay byte-exact.
-            reuse = db.reuse
-            before = thread_snapshot()
-            reuse_before = (
-                reuse.thread_stats() if reuse is not None else None
-            )
-            rel = db.sql(stmt, timeout=mgr.statement_timeout)
-            delta = thread_snapshot() - before
-            if reuse is not None and reuse_before is not None:
-                reuse_after = reuse.thread_stats()
-                for key in _REUSE_KEYS:
-                    self.reuse_view[key] += (
-                        reuse_after[key] - reuse_before[key]
-                    )
+        # The facade's counters are sharded: this thread's shard sees
+        # exactly this statement's charges and the reuse cache keeps
+        # per-thread tallies, so read-only SQL interleaves freely while
+        # the per-statement deltas stay byte-exact.
+        reuse = db.reuse
+        before = db.counters.thread_snapshot()
+        reuse_before = reuse.thread_stats() if reuse is not None else None
+        rel = db.sql(stmt, timeout=mgr.statement_timeout)
+        delta = db.counters.thread_snapshot() - before
+        if reuse is not None:
+            reuse_after = reuse.thread_stats()
+            for key in _REUSE_KEYS:
+                self.reuse_view[key] += reuse_after[key] - reuse_before[key]
         return StatementResult(
             kind="rows",
             columns=list(rel.schema.names),
@@ -542,11 +516,6 @@ class SessionManager:
             else (RetryPolicy() if auto_retry else None)
         )
         self._mu = tracked_lock("repro.server.SessionManager._mu")
-        #: Fallback serialisation for SQL when the facade was built with
-        #: plain (unsharded) counters; unused with the default database.
-        self._sql_serial_mu = tracked_lock(
-            "repro.server.SessionManager._sql_serial_mu"
-        )
         self._sids = itertools.count(1)
         self._sessions: Dict[int, Session] = {}
 

@@ -85,16 +85,12 @@ class TestCanonicalisation:
 
 class TestStaticCoversRuntime:
     def test_known_nestings_predicted(self, static_edges):
-        # The three deliberate nestings in the shipped tree must be in
-        # the static graph whether or not this run exercised them.
+        # The deliberate nestings in the shipped tree must be in the
+        # static graph whether or not this run exercised them.
         assert ("Governor._lock", "PlanReuseCache._mu") in static_edges
         assert (
             "MainMemoryDatabase._catalog_rw",
             "Governor._lock",
-        ) in static_edges
-        assert (
-            "SessionManager._sql_serial_mu",
-            "MainMemoryDatabase._catalog_rw",
         ) in static_edges
 
     def test_no_runtime_edge_missing_statically(self, static_edges):

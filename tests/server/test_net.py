@@ -198,6 +198,35 @@ class TestWireContract:
         with ServerClient(*server.address) as probe:  # the server is fine
             assert probe.execute("PING")["ok"] is True
 
+    def test_an_integer_too_long_to_convert_is_a_typed_error(
+        self, server, monkeypatch
+    ):
+        """A request whose ``id`` has 5,000 digits used to kill its
+        connection thread with a bare ``ValueError`` and no reply.  Now
+        the body is malformed like any other: one typed ``ProtocolError``
+        reply, a hang-up, nothing reaching ``threading.excepthook``, and
+        a fresh connection answers ``PING``."""
+        escaped = []
+        monkeypatch.setattr(threading, "excepthook", escaped.append)
+        sock, decoder = raw_connection(server)
+        try:
+            body = b'{"id": ' + b"1" * 5000 + b', "stmt": "PING"}'
+            sock.sendall(struct.pack(">I", len(body)) + body)
+            replies = read_frames(sock, decoder, 2)  # runs into the FIN
+            assert len(replies) == 1
+            assert replies[0]["ok"] is False
+            assert replies[0]["error"]["type"] == "ProtocolError"
+        finally:
+            sock.close()
+        # The connection thread has returned, so anything it raised has
+        # already been handed to the hook.
+        assert wait_until(
+            lambda: not any(t.name == "db-conn" for t in threading.enumerate())
+        )
+        assert escaped == []
+        with ServerClient(*server.address) as probe:
+            assert probe.execute("PING")["ok"] is True
+
     def test_a_result_too_large_for_a_frame_is_a_typed_error(self):
         """60,000 rows of nine int64 columns are 4.3 MB of column frame,
         over the 4 MiB limit: the reply is one typed ProtocolError, and

@@ -66,6 +66,16 @@ class TestFraming:
         with pytest.raises(ProtocolError):
             decode_body(b"[1, 2, 3]")
 
+    def test_integer_too_long_to_convert_rejected(self):
+        """A 5,000-digit integer is valid JSON that ``json.loads`` refuses
+        with a bare ``ValueError`` (the interpreter's digit limit); the
+        decoder reports it as a malformed body like any other."""
+        body = b'{"id": ' + b"1" * 5000 + b', "stmt": "PING"}'
+        with pytest.raises(ProtocolError, match="frame body"):
+            decode_body(body)
+        with pytest.raises(ProtocolError):
+            FrameDecoder().feed(struct.pack(">I", len(body)) + body)
+
     def test_request_builder(self):
         assert request("PING") == {"stmt": "PING"}
         assert request("PING", 9) == {"id": 9, "stmt": "PING"}

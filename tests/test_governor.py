@@ -13,7 +13,6 @@ import pytest
 
 from repro.chaos.injector import FaultInjector, FaultPlan
 from repro.core.database import MainMemoryDatabase
-from repro.cost.counters import OperationCounters
 from repro.cost.parameters import CostParameters
 from repro.errors import (
     AdmissionRejected,
@@ -462,7 +461,10 @@ class TestValidateWorkers:
             validate_workers(bad)
 
     def test_facade_validates(self):
-        with pytest.raises(ConfigurationError):
+        """The facade no longer takes a recovery worker count at all (its
+        durability veneer is gone; ``restart.recover`` validates its own
+        ``workers``), so the stale keyword is a ``TypeError``."""
+        with pytest.raises(TypeError):
             MainMemoryDatabase(recovery_workers=-1)
 
 

@@ -74,9 +74,8 @@ def test_batch_is_the_only_execution_arm_option():
     from repro.governor import GovernorConfig, QueryGuard
     from repro.planner.plan import PlanContext
 
-    #: ``recovery_workers``, ``redo_workers``, the facade's per-restart
-    #: ``crash_and_recover(workers=)`` and the server's statement-thread
-    #: ``workers`` are different things and stay.
+    #: ``recover(workers=)`` and the chaos sweeps' ``redo_workers`` count
+    #: modelled recovery streams, a different thing, and stay.
     removed = {
         "columnar",
         "workers",
@@ -233,3 +232,55 @@ def test_a_relation_is_its_column_buffers():
     assert not hasattr(rel, "_pages")
     assert not any(isinstance(v, list) and v and isinstance(v[0], Page)
                    for v in vars(rel).values())
+
+
+@pytest.mark.parametrize(
+    "knob",
+    [
+        "commit_policy",
+        "log_devices",
+        "group_commit_delay",
+        "log_compress",
+        "log_pipeline",
+        "recovery_workers",
+        "sharded_counters",
+    ],
+)
+def test_the_facade_has_no_durability_knobs(knob):
+    """The facade's second entrance to the Section 5 stack is deleted:
+    its seven constructor keywords are ``TypeError``s, not ignored.
+    ``TransactionEngine``, ``LogManager``, ``Checkpointer`` and
+    ``restart.recover`` are the stack's one entrance."""
+    from repro.core.database import MainMemoryDatabase
+
+    with pytest.raises(TypeError):
+        MainMemoryDatabase(**{knob: 1})
+
+
+def test_unreached_surfaces_are_gone():
+    """The facade's durability veneer, the unsharded-counter SQL path
+    and the redo fork pool are deleted, not kept behind a switch."""
+    import inspect
+
+    from repro.core.database import MainMemoryDatabase
+    from repro.cost.counters import ShardedOperationCounters
+    from repro.recovery import parallel_restart
+    from repro.server.session import SessionManager
+
+    for gone in (
+        "build_recovery",
+        "attach_recovery",
+        "crash_and_recover",
+        "recovery_stats",
+    ):
+        assert not hasattr(MainMemoryDatabase, gone), gone
+    for gone in ("make_pool", "MIN_RECORDS_FOR_POOL", "_CTX", "_partition_task"):
+        assert not hasattr(parallel_restart, gone), gone
+    assert "multiprocessing" not in vars(parallel_restart)
+    assert not re.search(
+        r"^\s*(import|from)\s+multiprocessing\b",
+        inspect.getsource(parallel_restart),
+        re.MULTILINE,
+    )
+    assert not hasattr(SessionManager(n_accounts=2), "_sql_serial_mu")
+    assert type(MainMemoryDatabase().counters) is ShardedOperationCounters

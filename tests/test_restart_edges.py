@@ -404,3 +404,53 @@ class TestParallelRedo:
             assert all(t >= 0 for t in outcome.phase_seconds.values())
         # The batched path fuses undo into the partition replay.
         assert parallel.phase_seconds["undo"] == 0.0
+
+    def test_stream_count_moves_only_the_modelled_time(self):
+        """One crashed history recovered as 1, 2, 4 and 8 streams: the
+        image, page LSNs, winner set and redo / undo counts are identical;
+        every batched run skips the same clean pages and fires the same
+        chaos points in the same order -- one dispatch per partition, then
+        the end-of-redo point -- so dropping the fork pool changed no
+        schedule.  The history has 16 pages: the four written last are
+        checkpointed clean, the rest stay dirty from early LSNs, and the
+        checkpoint of page 0 absorbed a loser's write."""
+        from repro.chaos import FaultInjector
+        from repro.recovery.lock_table import LockMode
+
+        queue, state, lm, engine = fresh_engine(n_records=128, initial=9)
+        snap = DiskSnapshot()
+        ck = Checkpointer(engine, snap, interval=10.0)
+        for record in range(0, 128, 4):
+            engine.submit([("write", record, 100 + record)])
+        engine.locks.acquire(999, 3, LockMode.EXCLUSIVE)
+        engine.submit([("write", 1, 41), ("write", 3, 42)])  # blocks: loser
+        lm.flush()
+        queue.run_to_completion()
+        ck.checkpoint_now(pages=[0, 12, 13, 14, 15])
+        queue.run_until(queue.clock.now + 10)
+        cs = crash(engine, ck)
+
+        outcomes = {}
+        traces = {}
+        for workers in (1, 2, 4, 8):
+            injector = FaultInjector.counting()
+            outcomes[workers] = recover(
+                cs, initial_value=9, workers=workers, injector=injector
+            )
+            traces[workers] = list(injector.trace)
+        serial = outcomes[1]
+        assert serial.updates_redone > 0 and serial.updates_undone > 0
+        for workers in (2, 4, 8):
+            outcome = outcomes[workers]
+            self.assert_equivalent(serial, outcome)
+            assert outcome.pages_skipped_clean == 4
+            assert traces[workers] == [
+                "redo partition %d dispatch" % i for i in range(workers)
+            ] + ["parallel redo merge"]
+            assert outcome.seconds <= serial.seconds
+        # The serial interpreter filters per record and has no seams.
+        assert serial.pages_skipped_clean == 0
+        assert traces[1] == []
+        again = FaultInjector.counting()
+        recover(cs, initial_value=9, workers=4, injector=again)
+        assert again.trace == traces[4]
