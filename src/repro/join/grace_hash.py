@@ -83,7 +83,7 @@ class GraceHashJoin(JoinAlgorithm):
 
     def _execute_batch(self, spec: JoinSpec, output: Relation) -> None:
         """Whole-column variant: the same files, page for page, written a
-        bucket's slice at a time and read back as columnar pages."""
+        bucket's slice at a time and read back as their column buffers."""
         buckets = self._bucket_count(spec)
         r_ki, s_ki = spec.r_key_index, spec.s_key_index
 

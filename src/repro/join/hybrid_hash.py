@@ -47,7 +47,7 @@ row positions by class with one stable sort and hands every class its
 rows as one gathered slice: the resident class to a
 :class:`~repro.join.vectorized.JoinTable`, each spill class to
 :meth:`~repro.join.partition.SpillWriter.write_columns`.  Phase 2 reads a
-bucket back as one columnar page.  Each level is one loop per phase:
+bucket back as its spill file's own column buffers, with no copy.  Each level is one loop per phase:
 partition R, partition S, then one pass over the spilled bucket pairs.
 """
 

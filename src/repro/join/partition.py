@@ -9,7 +9,10 @@ join to bucket-wise joins.
 Spilled buckets stage through one output-buffer page each (that is where
 the GRACE/hybrid fan-out limit ``B < |M|`` comes from), and flushing a
 buffer is a *random* IO unless there is only one spill bucket -- the source
-of the hybrid discontinuity in Figure 1.
+of the hybrid discontinuity in Figure 1.  The buffer is the open tail of
+the bucket's file (:class:`~repro.storage.disk.DiskFile`, one buffer per
+column): rows land there a run at a time, and the disk closes and charges
+a page each time the tail fills one.
 
 The partition function is defined once, per key (:func:`partition_hash`,
 :func:`hybrid_class` -- what the specification arm calls), and computed a
@@ -19,9 +22,10 @@ over its items' hashes, so array arithmetic reproduces it bit for bit.
 The array form is checked against the per-key one once per process and is
 not used if they disagree; any other key column is classified key by key.
 Either way :func:`scatter` groups the row positions by class and the
-production arms spill and read back column slices
-(:meth:`SpillWriter.write_columns`, :func:`read_bucket_columns`), so the
-files are the same page for page.
+production arms spill column slices (:meth:`SpillWriter.write_columns`)
+and read a bucket back as its file's buffers (:func:`read_bucket_columns`);
+both arms write through the same file tail, so the files are the same
+page for page.
 """
 
 from __future__ import annotations
@@ -191,9 +195,11 @@ def partition_fan_out(
 class SpillWriter:
     """Per-bucket output buffering with the paper's IO accounting.
 
-    A bucket's buffer is the :class:`Page` its next flush writes, so rows
-    written one at a time (:meth:`write`) and whole column slices
-    (:meth:`write_columns`) fill the same pages in the same order.
+    A bucket's output buffer is the open tail of its file: rows written
+    one at a time (:meth:`write`) and whole column slices
+    (:meth:`write_columns`) both land there, and the disk closes a page
+    each time the tail fills one -- so both fill the same pages in the
+    same order, and no page is built to hold them.
     """
 
     def __init__(
@@ -207,20 +213,17 @@ class SpillWriter:
         self.file_names = list(file_names)
         self.tuples_per_page = tuples_per_page
         self.counters = counters
-        self._buffers = [Page(0, tuples_per_page) for _ in file_names]
-        self._single_bucket = len(file_names) == 1
+        # One spill bucket => the file grows contiguously (sequential);
+        # many buckets => the disk head jumps between them (random).
+        self._sequential = len(file_names) == 1
         for name in self.file_names:
             if disk.exists(name):
                 disk.delete(name)
             disk.create(name)
 
     def write(self, bucket: int, row: Row) -> None:
-        """Buffer ``row`` for ``bucket``, flushing a full page to disk."""
-        self.counters.move_tuple()
-        page = self._buffers[bucket]
-        page.add(row)
-        if page.is_full:
-            self._flush(bucket)
+        """Buffer ``row`` for ``bucket``, writing a full page to disk."""
+        self.write_columns(bucket, [(value,) for value in row], 1)
 
     def write_columns(
         self, bucket: int, columns: Sequence[Column], count: int
@@ -229,39 +232,20 @@ class SpillWriter:
         slices, with one bulk move charge.
 
         Page contents and per-file page order are identical to calling
-        :meth:`write` per row; flush IO classification is forced (single
+        :meth:`write` per row; the IO classification is forced (single
         vs many buckets), so grouping rows per bucket cannot change the
         sequential/random tallies either.
         """
         self.counters.move_tuple(count)
-        start = 0
-        while start < count:
-            page = self._buffers[bucket]
-            room = min(page.free_slots, count - start)
-            page.extend_columns(
-                columns if room == count
-                else [c[start:start + room] for c in columns],
-                room,
-            )
-            start += room
-            if page.is_full:
-                self._flush(bucket)
-
-    def _flush(self, bucket: int) -> None:
-        page = self._buffers[bucket]
-        if not len(page):
-            return
-        # One spill bucket => the file grows contiguously (sequential);
-        # many buckets => the disk head jumps between them (random).
-        self.disk.append(
-            self.file_names[bucket], page, sequential=self._single_bucket
+        self.disk.append_rows(
+            self.file_names[bucket], columns, count, self.tuples_per_page,
+            sequential=self._sequential,
         )
-        self._buffers[bucket] = Page(0, self.tuples_per_page)
 
     def close(self) -> List[str]:
-        """Flush every partial buffer; return the bucket file names."""
-        for bucket in range(len(self._buffers)):
-            self._flush(bucket)
+        """Write every partial buffer; return the bucket file names."""
+        for name in self.file_names:
+            self.disk.close_tail(name, sequential=self._sequential)
         return self.file_names
 
 
@@ -363,21 +347,14 @@ def read_bucket(
     disk: SimulatedDisk, file_name: str
 ) -> List[Row]:
     """Read a spilled bucket back (sequential IO, charged via the disk)."""
-    rows: List[Row] = []
-    for page in disk.scan(file_name):
-        rows.extend(page.tuples)
-    return rows
+    return list(disk.read_file(file_name).tuples)
 
 
 def read_bucket_columns(disk: SimulatedDisk, file_name: str) -> Page:
-    """Read a spilled bucket back as one oversized columnar page -- the
-    same IO as :func:`read_bucket`, no row tuple.  An empty bucket has no
-    columns."""
-    pages = list(disk.scan(file_name))
-    bucket = Page(0, max(1, sum(map(len, pages))))
-    for page in pages:
-        bucket.extend_columns(page.columns, len(page))
-    return bucket
+    """Read a spilled bucket back as the file's own column buffers -- the
+    same IO as :func:`read_bucket`, no row tuple and no copy (do not
+    mutate).  An empty bucket has no columns."""
+    return disk.read_file(file_name)
 
 
 __all__ = [

@@ -3,11 +3,12 @@
 A :class:`Page` holds up to ``capacity`` tuples as one buffer per column.
 It is the unit the paper counts -- page reads in the Section 2 fault
 model, page IO on the simulated disk, spill files written a page at a
-time -- but not how a relation is stored: a
-:class:`~repro.storage.relation.Relation` keeps its rows in one unbounded
-page (one buffer per column for the whole relation), and its pages are
-arithmetic over positions, cut out as copies only for the readers that
-walk pages.
+time -- but not how a relation or a disk file is stored: a
+:class:`~repro.storage.relation.Relation` and a
+:class:`~repro.storage.disk.DiskFile` each keep their rows in one
+unbounded page (one buffer per column for all of them), and their pages
+are arithmetic over positions, cut out as copies only for the readers
+that walk pages.
 
 Each column lives in a packed ``array('q')``/``array('d')`` buffer (or an
 object list for strings -- see :mod:`repro.storage.codecs`), so batch

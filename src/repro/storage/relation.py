@@ -11,8 +11,8 @@ compacts from the tail, so every page but the last is full.
 
 The batch operators read whole columns (:attr:`Relation.columns`);
 :attr:`Relation.pages` cuts the relation into page copies on demand for
-the readers that walk pages -- the tuple-at-a-time specification arm, the
-spill writer and the simulated disk (:meth:`Relation.spill` /
+the readers that walk pages -- the tuple-at-a-time specification arm and
+the simulated disk's per-page interface (:meth:`Relation.spill` /
 :meth:`Relation.load`).
 """
 

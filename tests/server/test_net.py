@@ -85,7 +85,9 @@ class TestNothingLeaks:
 
 class TestNothingHangs:
     def test_stop_with_idle_parked_and_waiting_connections(self):
-        baseline = threading.active_count()
+        # Threads alive before the server exists -- including any still
+        # winding down from an earlier test -- are not the server's.
+        before = set(threading.enumerate())
         server = DatabaseServer(
             n_accounts=8, group_size=64, group_delay=30.0, lock_wait_timeout=30.0
         )
@@ -113,8 +115,19 @@ class TestNothingHangs:
         ]
         for t in threads:
             t.start()
+
+        def server_threads():
+            """Threads started since ``before`` other than the clients':
+            the accept thread, one per connection, the group-commit
+            flusher."""
+            return [
+                t for t in threading.enumerate()
+                if t not in before and t not in threads
+            ]
+
         assert wait_until(lambda: len(bank._group) == 1)
         assert wait_until(lambda: bank.bank_stats()["lock_waits"] == 1)
+        assert len(server_threads()) >= 6  # accept, four connections, flusher
 
         started = time.monotonic()
         server.stop()
@@ -124,7 +137,7 @@ class TestNothingHangs:
             assert not t.is_alive(), "a client hung across stop()"
         assert set(outcomes) == {"commit", "wait"}
         assert not server._connections
-        assert wait_until(lambda: threading.active_count() == baseline)
+        assert wait_until(lambda: not server_threads()), server_threads()
         with pytest.raises(ConnectionRefusedError):
             socket.create_connection(address, timeout=5)
         for client in (idle, holder, committer, waiter):

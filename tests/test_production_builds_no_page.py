@@ -2,14 +2,20 @@
 
 A relation is its column buffers; :attr:`Relation.pages` cuts page copies
 on demand for the readers that still walk pages -- the tuple-at-a-time
-specification arm (``batch=False``), spilling to the simulated disk and
-the row-wise operators.  The statements the performance ledger times --
-the seven Wisconsin classes, the three spilling joins (512-byte pages, a
+specification arm (``batch=False``), :meth:`Relation.spill` and the
+row-wise operators.  The statements the performance ledger times -- the
+seven Wisconsin classes, the three spilling joins (512-byte pages, a
 grant the build sides are several times larger than) and
 ``delete_where`` / ``analyze`` -- must never take that path on the
-production arm (``batch=True``).  On the same inputs both arms still
-agree on rows, every operation counter and every cancellation check, and
-no spill file outlives its statement.
+production arm (``batch=True``).
+
+Spill files are covered too: a simulated-disk file is its column
+buffers, the spilling joins write runs of rows to a file's tail and read
+a bucket back whole, and on the production arm they must never call the
+disk's per-page ``append``, ``read`` or ``scan``.  On the same inputs
+both arms still agree on rows, every operation counter (both IO tallies
+included) and every cancellation check, and no spill file outlives its
+statement.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from repro.cost.counters import OperationCounters
 from repro.governor import CancellationToken, QueryGuard
 from repro.planner.plan import PlanContext
 from repro.planner.sql import parse_sql
+from repro.storage.disk import SimulatedDisk
 from repro.storage.relation import Relation
 
 WISC_ROWS = 2_000
@@ -121,6 +128,22 @@ def page_views(monkeypatch):
     return built
 
 
+@pytest.fixture
+def disk_pages(monkeypatch):
+    """Count every call to the disk's per-page ``append`` / ``read`` /
+    ``scan``."""
+    calls = []
+    for method in ("append", "read", "scan"):
+        real = getattr(SimulatedDisk, method)
+
+        def counted(disk, *args, _real=real, _method=method, **kwargs):
+            calls.append(_method)
+            return _real(disk, *args, **kwargs)
+
+        monkeypatch.setattr(SimulatedDisk, method, counted)
+    return calls
+
+
 def run(db, statement, batch):
     """Rows, charges, cancellation checks and leftover scratch files of
     one execution of ``statement`` on one arm."""
@@ -141,14 +164,17 @@ def run(db, statement, batch):
     ids=["wisc%d" % i for i in range(len(WISC_SQL))]
     + ["join%d" % i for i in range(len(JOIN_SQL))],
 )
-def test_ledger_statements_build_no_page(page_views, build, statement):
+def test_ledger_statements_build_no_page(
+    page_views, disk_pages, build, statement
+):
     db = build(batch=True)
     rows, charged, checks, files = run(db, statement, batch=True)
     assert not page_views, statement
+    assert not disk_pages, statement
     assert rows and checks and not files
     assert (rows, charged, checks, files) == run(db, statement, batch=False)
     if build is join_db:
-        assert charged["sequential_ios"] + charged["random_ios"] > 0  # it spilled
+        assert charged["sequential_ios"] > 0 and charged["random_ios"] > 0
 
 
 def test_write_statements_build_no_page(page_views):

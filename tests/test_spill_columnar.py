@@ -140,8 +140,15 @@ def test_scatter_lists_positions_by_class_in_input_order(engine):
 
 
 class RecordingDisk(SimulatedDisk):
-    """Keeps, per file, the contents of every page ever appended to it
-    and the number of cancellation checks passed when it was."""
+    """Keeps, per file, the contents of every page ever written to it
+    and the number of cancellation checks passed when it was.
+
+    A page reaches disk at one point, :meth:`SimulatedDisk._seal`, which
+    may close several pages of one file at once; the checks are recorded
+    there, page by page.  A file holds one buffer per column, so a page's
+    kinds are its file's: each page's rows and kinds are taken as stored,
+    when the file is deleted (every spill file is, before its statement
+    ends)."""
 
     def __init__(self, counters, token=None):
         super().__init__(counters)
@@ -149,12 +156,18 @@ class RecordingDisk(SimulatedDisk):
         self.append_checks = []
         self.token = token
 
-    def append(self, name, page, sequential=None):
-        kinds = [getattr(c, "typecode", "o") for c in page.columns]
-        self.written[name].append((list(page.tuples), kinds))
+    def _seal(self, name, f, stops, sequential):
         if self.token is not None:
-            self.append_checks.append(self.token.checks)
-        return super().append(name, page, sequential)
+            self.append_checks.extend([self.token.checks] * len(stops))
+        return super()._seal(name, f, stops, sequential)
+
+    def delete(self, name):
+        f = self.open(name)
+        for i in range(len(f)):
+            page = f.page(i)
+            kinds = [getattr(c, "typecode", "o") for c in page.columns]
+            self.written[name].append((list(page.tuples), kinds))
+        return super().delete(name)
 
 
 def relation(name, dtype, rows, columns):
