@@ -7,7 +7,6 @@ Usage::
     python -m repro throughput            # Section 5 commit-policy ladder
     python -m repro recovery              # checkpoint-interval sweep
     python -m repro sql "SELECT ..."      # query the demo employee database
-    python -m repro list                  # available commands
 
 Each command prints the regenerated rows; the benchmark suite
 (``pytest benchmarks/ --benchmark-only``) additionally asserts the paper's

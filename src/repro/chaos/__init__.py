@@ -51,7 +51,6 @@ from repro.chaos.harness import (
     check_run,
     exhaustive_sweep,
     profile_points,
-    replay_seed,
     run_scenario,
     seeded_sweep,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "executor_sweep",
     "exhaustive_sweep",
     "profile_points",
-    "replay_seed",
     "run_executor_seed",
     "run_scenario",
     "seeded_sweep",

@@ -355,13 +355,6 @@ def seeded_sweep(
     return report
 
 
-def replay_seed(config: ScenarioConfig, seed: int) -> InvariantReport:
-    """Re-run one seeded schedule; raises on any violation (debug entry)."""
-    points = profile_points(config)
-    run = run_scenario(config, FaultInjector.seeded(seed, points))
-    return check_run(run)
-
-
 def _verify(
     report: SweepReport,
     run: ScenarioRun,
@@ -395,7 +388,6 @@ __all__ = [
     "check_run",
     "exhaustive_sweep",
     "profile_points",
-    "replay_seed",
     "run_scenario",
     "seeded_sweep",
 ]

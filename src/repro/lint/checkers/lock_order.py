@@ -331,18 +331,4 @@ def _find_cycle(graph: Dict[str, Set[str]]) -> Optional[List[str]]:
     return None
 
 
-def lock_graph_report(
-    modules: Sequence[SourceModule],
-) -> Dict[str, List[str]]:
-    """The extracted acquisition graph as ``{lock: [locks acquired while
-    held]}`` -- surfaced by ``python -m repro.lint --lock-graph``."""
-    classes = _collect_classes(modules)
-    nodes: Set[str] = set()
-    for info in classes:
-        nodes.update(info.lock_id(attr) for attr in info.locks)
-    edges, _ = build_lock_graph(classes)
-    report = {node: sorted(edges.get(node, ())) for node in sorted(nodes)}
-    return report
-
-
-__all__ = ["LockOrderChecker", "RULE", "build_lock_graph", "lock_graph_report"]
+__all__ = ["LockOrderChecker", "RULE", "build_lock_graph"]

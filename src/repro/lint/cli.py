@@ -141,7 +141,6 @@ def _lock_graph(args: argparse.Namespace) -> int:
     diffed against a runtime-observed edge set (the CI artifact)."""
     import json
 
-    from repro.lint.checkers.lock_order import lock_graph_report
     from repro.lint.ipa import analyze_project
     from repro.lint.runtime import (
         canonical_lock_name,
@@ -179,10 +178,8 @@ def _lock_graph(args: argparse.Namespace) -> int:
             )
         )
     else:
-        for lock, after in lock_graph_report(modules).items():
-            print(
-                "%s -> %s" % (lock, ", ".join(after) if after else "(leaf)")
-            )
+        for held, acquired in sorted(static_edges):
+            print("%s -> %s" % (held, acquired))
         for held, acquired in missing:
             print(
                 "RUNTIME-ONLY %s -> %s (not predicted statically)"

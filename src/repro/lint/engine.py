@@ -159,7 +159,6 @@ class LintConfig:
             # bare name from the packed-buffer batch arms.
             "charge_page_compares": ("compare",),
             "charge_page_moves": ("move_tuple",),
-            "charge_page_hashes": ("hash_key",),
             "charge_page_group": ("hash_key", "compare"),
             "charge_page_fetch": ("compare", "move_tuple"),
         }

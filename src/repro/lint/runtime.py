@@ -218,11 +218,6 @@ def session_edges() -> Set[Tuple[str, str]]:
         return set(_SESSION_EDGES)
 
 
-def reset_session_edges() -> None:
-    with _SESSION_GUARD:
-        _SESSION_EDGES.clear()
-
-
 def canonical_lock_name(name: str) -> str:
     """``repro.governor.Governor._lock`` -> ``Governor._lock``.
 
@@ -284,7 +279,6 @@ __all__ = [
     "current_recorder",
     "install_recorder",
     "record_session_edges",
-    "reset_session_edges",
     "runtime_edges_missing_statically",
     "session_edges",
     "tracked_lock",

@@ -1,11 +1,13 @@
-"""Relational operators beyond join -- Section 3.9 of the paper.
+"""Selection, projection and aggregation -- Section 3.9 of the paper.
 
 The paper observes that the join results carry over: aggregation groups
 tuples with equal grouping attributes, duplicate-eliminating projection
 groups *identical* tuples, and both are fastest as one-pass hash algorithms
 when the result fits in memory, falling back to a hybrid-hash-style
 partitioning when it does not.  Sort-based variants are provided as the
-baseline the hash algorithms displace.
+baseline the hash algorithms displace.  The section's remark that the
+same techniques serve cross product and division is not implemented:
+no plan uses either.
 """
 
 from repro.operators.aggregate import (
@@ -15,13 +17,6 @@ from repro.operators.aggregate import (
     sort_aggregate,
 )
 from repro.operators.projection import hash_project, sort_project
-from repro.operators.relational import (
-    cross_product,
-    difference,
-    divide,
-    intersect,
-    union_,
-)
 from repro.operators.selection import (
     And,
     Comparison,
@@ -44,15 +39,10 @@ __all__ = [
     "Predicate",
     "Prefix",
     "Range",
-    "cross_product",
-    "difference",
-    "divide",
     "hash_aggregate",
     "hash_project",
-    "intersect",
     "select",
     "select_via_index",
     "sort_aggregate",
     "sort_project",
-    "union_",
 ]

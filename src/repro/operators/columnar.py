@@ -45,11 +45,6 @@ def charge_page_moves(counters: OperationCounters, n: int) -> None:
     counters.move_tuple(n)
 
 
-def charge_page_hashes(counters: OperationCounters, n: int) -> None:
-    """``n`` key hashes for one page consumed by a columnar kernel."""
-    counters.hash_key(n)
-
-
 def charge_page_group(counters: OperationCounters, n: int) -> None:
     """One hash plus one group-entry comparison per tuple of a page."""
     counters.hash_key(n)
@@ -63,17 +58,6 @@ def charge_page_fetch(counters: OperationCounters, n: int) -> None:
 
 
 # -- columnar kernels ----------------------------------------------------------
-
-
-def page_keys(page: Page, indexes: Sequence[int]) -> List[Tuple[Any, ...]]:
-    """Key tuples for every row of ``page``, extracted column-wise.
-
-    Always yields tuples (1-tuples for a single column), exactly like
-    :func:`~repro.storage.tuples.tuple_projector` -- the hash-aggregate
-    spill partitioning hashes these keys, so the shape must not change.
-    """
-    cols = [page.column(i) for i in indexes]
-    return list(zip(*cols))
 
 
 def kept_columns(
@@ -264,7 +248,6 @@ __all__ = [
     "charge_page_compares",
     "charge_page_fetch",
     "charge_page_group",
-    "charge_page_hashes",
     "charge_page_moves",
     "column_of",
     "copy_columns",
@@ -273,6 +256,5 @@ __all__ = [
     "int_key_views",
     "kept_columns",
     "narrowed",
-    "page_keys",
     "stable_argsort",
 ]

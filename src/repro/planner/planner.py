@@ -131,12 +131,6 @@ class _SubPlan:
     def distinct_of(self, column: str) -> int:
         col = self.distinct.get(column)
         d = col.distinct if col is not None else 0
-        if col is not None and col.histogram is not None and d > 0:
-            # Measured (histogram-backed) distinct counts are trusted
-            # as-is; the min() damping below exists for the guessy
-            # no-histogram estimates, and applying it here would undo the
-            # point of analyzing with histograms on skewed columns.
-            return max(1, d)
         return max(1, min(d if d else 10, int(self.node.estimated_rows) or 1))
 
 

@@ -50,12 +50,6 @@ def _comparison_selectivity(pred: Comparison, stats: RelationStats) -> float:
         return 1.0 - _comparison_selectivity(
             Comparison(pred.column, "=", pred.value), stats
         )
-    if col.histogram is not None and isinstance(pred.value, (int, float)):
-        # Equi-depth histogram: robust to skew.
-        below = col.histogram.fraction_below(pred.value)
-        if pred.op in ("<", "<="):
-            return below
-        return max(0.0, 1.0 - below)
     if (
         col.minimum is None
         or col.maximum is None
@@ -87,17 +81,16 @@ def _range_selectivity(pred: Range, stats: RelationStats) -> float:
 def _prefix_selectivity(pred: Prefix, stats: RelationStats) -> float:
     """Prefix matches shrink geometrically with prefix length: assume each
     leading character splits the value space ~20 ways (letters are not
-    uniform; 20 is the Selinger-flavoured guess used absent histograms)."""
+    uniform; 20 is the Selinger-flavoured guess)."""
     return max(1e-4, min(1.0, 20.0 ** -len(pred.prefix) * 4.0))
 
 
 def _measured_distinct(d: Union[int, ColumnStats]) -> int:
     """Distinct count behind a join-selectivity argument.
 
-    A :class:`ColumnStats` carries the measured count from ``analyze``;
-    when a histogram was built the measurement is exact over the analyzed
-    sample and is used as-is.  Plain ints pass through unchanged (the
-    historical calling convention).
+    A :class:`ColumnStats` carries the measured count from ``analyze``.
+    Plain ints pass through unchanged (the historical calling
+    convention).
     """
     if isinstance(d, ColumnStats):
         return d.distinct

@@ -31,11 +31,9 @@ from repro.recovery.records import (
     AbortRecord,
     BeginRecord,
     CommitRecord,
-    GroupEncoding,
     LogRecord,
     RecordSizing,
     UpdateRecord,
-    encode_group,
     pack_pages,
 )
 from repro.recovery.restart import (
@@ -64,7 +62,6 @@ __all__ = [
     "DatabaseState",
     "DirtyPageTable",
     "DiskSnapshot",
-    "GroupEncoding",
     "LockMode",
     "LockTable",
     "LogDevice",
@@ -82,7 +79,6 @@ __all__ = [
     "UpdateRecord",
     "VersionManager",
     "crash",
-    "encode_group",
     "pack_pages",
     "parallel_redo",
     "recover",

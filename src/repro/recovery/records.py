@@ -15,7 +15,7 @@ disk log -- :meth:`UpdateRecord.compressed_size` is that saving.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -96,62 +96,6 @@ class UpdateRecord(LogRecord):
         return sizing.compressed_update_bytes
 
 
-@dataclass(frozen=True)
-class GroupEncoding:
-    """The byte layout of one sealed commit group, computed in one pass.
-
-    ``disk_bytes`` is what actually goes to the log device: update records
-    of transactions in the compressible set are charged at the Section 5.4
-    new-value-only size, everything else at full size.  ``full_bytes`` is
-    the uncompressed total, so ``full_bytes - disk_bytes`` is the bandwidth
-    the compression fast path saved for this group.
-    """
-
-    records: int
-    full_bytes: int
-    disk_bytes: int
-    compressed_records: int
-
-
-def encode_group(
-    records: Sequence[LogRecord],
-    sizing: RecordSizing = DEFAULT_SIZING,
-    compressible_tids: Optional[Set[int]] = None,
-) -> GroupEncoding:
-    """Size a whole sealed group in one pass (the batch fast path).
-
-    The record-at-a-time drain used to re-derive each record's disk size on
-    every poke; this encodes the group once, with the per-record-type sizes
-    hoisted out of the loop.  ``compressible_tids`` names the transactions
-    whose old values may be dropped (durably committed under the
-    stable-memory policy); ``None`` disables compression entirely.
-    """
-    update_bytes = sizing.update_bytes
-    compressed_bytes = sizing.compressed_update_bytes
-    full = 0
-    disk = 0
-    compressed = 0
-    for record in records:
-        size = record.size(sizing)
-        full += size
-        if (
-            compressible_tids is not None
-            and size == update_bytes
-            and isinstance(record, UpdateRecord)
-            and record.tid in compressible_tids
-        ):
-            disk += compressed_bytes
-            compressed += 1
-        else:
-            disk += size
-    return GroupEncoding(
-        records=len(records),
-        full_bytes=full,
-        disk_bytes=disk,
-        compressed_records=compressed,
-    )
-
-
 def pack_pages(
     records: Iterable[LogRecord],
     sizing: RecordSizing = DEFAULT_SIZING,
@@ -196,10 +140,8 @@ __all__ = [
     "BeginRecord",
     "CommitRecord",
     "DEFAULT_SIZING",
-    "GroupEncoding",
     "LogRecord",
     "RecordSizing",
     "UpdateRecord",
-    "encode_group",
     "pack_pages",
 ]

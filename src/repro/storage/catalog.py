@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.storage import codecs
-from repro.storage.histogram import EquiDepthHistogram
 from repro.storage.relation import Relation
 from repro.errors import ConfigurationError
 
@@ -25,8 +24,6 @@ class ColumnStats:
     distinct: int = 0
     minimum: Optional[Any] = None
     maximum: Optional[Any] = None
-    #: Optional equi-depth histogram (numeric columns, built on request).
-    histogram: Optional[EquiDepthHistogram] = None
 
     def selectivity_equals(self, cardinality: int) -> float:
         """Estimated fraction of tuples matching ``col = const``."""
@@ -35,13 +32,8 @@ class ColumnStats:
         return 1.0 / self.distinct
 
     def selectivity_range(self, low: Any, high: Any) -> float:
-        """Estimated fraction matching ``low <= col <= high``.
-
-        Uses the equi-depth histogram when one was built (robust to skew);
-        falls back to the uniform min/max interpolation otherwise.
-        """
-        if self.histogram is not None:
-            return self.histogram.fraction_between(low, high)
+        """Estimated fraction matching ``low <= col <= high``, by uniform
+        interpolation between the column's minimum and maximum."""
         if (
             self.minimum is None
             or self.maximum is None
@@ -97,7 +89,7 @@ class Catalog:
         self._access_epochs: Dict[str, int] = {}
         #: Per-relation statistics epoch, bumped by every ``analyze``.
         #: Join fingerprints embed it so a cached join order planned
-        #: against stale histograms cannot be served after a refresh.
+        #: against stale statistics cannot be served after a refresh.
         self._stats_epochs: Dict[str, int] = {}
 
     # -- relations ---------------------------------------------------------------
@@ -183,38 +175,25 @@ class Catalog:
 
     # -- statistics ---------------------------------------------------------------
 
-    def measure(self, name: str, histogram_buckets: int = 0) -> RelationStats:
+    def measure(self, name: str) -> RelationStats:
         """Scan ``name``'s column buffers into a statistics snapshot
-        without recording it (:meth:`publish_stats` does that).
-
-        ``histogram_buckets > 0`` additionally builds equi-depth
-        histograms for numeric columns, sharpening range selectivity on
-        skewed data.
-        """
+        without recording it (:meth:`publish_stats` does that)."""
         rel = self.relation(name)
         columns: Dict[str, ColumnStats] = {}
         for i, f in enumerate(rel.schema.fields):
             values = rel.column(i)
-            packed = (
-                _packed_int_stats(values) if values and histogram_buckets <= 0 else None
-            )
+            packed = _packed_int_stats(values) if values else None
             if packed is not None:
                 columns[f.name] = packed
                 continue
             if values:
                 numeric = isinstance(values[0], (int, float))
-                histogram = None
-                if numeric and histogram_buckets > 0:
-                    histogram = EquiDepthHistogram.build(
-                        values, histogram_buckets
-                    )
                 # The extremes of a column are those of its distinct values.
                 distinct = set(values)
                 columns[f.name] = ColumnStats(
                     distinct=len(distinct),
                     minimum=min(distinct) if numeric else None,
                     maximum=max(distinct) if numeric else None,
-                    histogram=histogram,
                 )
             else:
                 columns[f.name] = ColumnStats()
@@ -230,9 +209,9 @@ class Catalog:
         self._stats_epochs[name] = self._stats_epochs.get(name, 0) + 1
         return stats
 
-    def analyze(self, name: str, histogram_buckets: int = 0) -> RelationStats:
+    def analyze(self, name: str) -> RelationStats:
         """Scan ``name`` and record fresh optimizer statistics."""
-        return self.publish_stats(name, self.measure(name, histogram_buckets))
+        return self.publish_stats(name, self.measure(name))
 
     def stats(self, name: str) -> RelationStats:
         """Statistics for ``name``, analyzing on first request."""

@@ -9,13 +9,13 @@ keep named files of pages, tally sequential vs random transfers into an
 A file is stored the way a relation is: one buffer per column for all
 its rows, plus the row position each page ends at.  Page ``i`` is the
 rows between the ends of pages ``i - 1`` and ``i``, so pages are
-arithmetic, cut out as copies only for the readers that walk pages
-(:meth:`SimulatedDisk.read`, :meth:`SimulatedDisk.scan`).  Writers append
+arithmetic, cut out as a copy only for the reader that walks pages
+(:meth:`SimulatedDisk.read`).  A file is append-only: writers append
 whole runs of rows (:meth:`SimulatedDisk.append_rows`), and a page is
 closed -- and charged -- each time the file's tail crosses a page
 boundary; the rows past the last boundary are the writer's output buffer,
-not yet on disk.  :meth:`SimulatedDisk.read_file` hands a whole file back
-as its buffers.
+not yet on disk.  Page ends only ever grow.  :meth:`SimulatedDisk.read_file`
+hands a whole file back as its buffers.
 
 Sequentiality is determined the way a real drive would see it: an access is
 sequential when it touches the page immediately after the previous access
@@ -29,7 +29,7 @@ transfers would have.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cost.counters import OperationCounters
 from repro.cost.parameters import CostParameters
@@ -208,24 +208,6 @@ class SimulatedDisk:
         if len(f.rows) > f.sealed:
             self._seal(name, f, (len(f.rows),), sequential)
 
-    def write(
-        self, name: str, index: int, page: Page, sequential: Optional[bool] = None
-    ) -> None:
-        """Overwrite page ``index`` of ``name`` in place (``page`` may hold
-        a different number of rows; the later pages move with it)."""
-        f = self.open(name)
-        start, stop = f.bounds(index)
-        old = f.rows.columns
-        rows = Page(0, f.rows.capacity)
-        rows.extend_columns([col[:start] for col in old], start)
-        rows.extend_columns(page.columns, len(page))
-        rows.extend_columns([col[stop:] for col in old], len(f.rows) - stop)
-        f.rows = rows
-        shift = len(page) - (stop - start)
-        for i in range(index, len(f.ends)):
-            f.ends[i] += shift
-        self._charge(name, index, sequential)
-
     def read(
         self, name: str, index: int, sequential: Optional[bool] = None
     ) -> Page:
@@ -233,15 +215,6 @@ class SimulatedDisk:
         page = self.open(name).page(index)
         self._charge(name, index, sequential)
         return page
-
-    def scan(self, name: str) -> Iterator[Page]:
-        """Yield every page of ``name`` with sequential-IO accounting."""
-        f = self.open(name)
-        for i in range(len(f.ends)):
-            # First page goes through the head heuristic (a seek unless the
-            # head happens to be parked just before it); the rest are
-            # sequential by construction.
-            yield self.read(name, i, sequential=None if i == 0 else True)
 
     def read_file(self, name: str) -> Page:
         """Read every page of ``name`` at once: the first page is charged

@@ -11,19 +11,16 @@ compacts from the tail, so every page but the last is full.
 
 The batch operators read whole columns (:attr:`Relation.columns`);
 :attr:`Relation.pages` cuts the relation into page copies on demand for
-the readers that walk pages -- the tuple-at-a-time specification arm and
-the simulated disk's per-page interface (:meth:`Relation.spill` /
-:meth:`Relation.load`).
+the readers that walk pages -- the tuple-at-a-time specification arm.
 """
 
 from __future__ import annotations
 
 import operator
 from bisect import bisect_left
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.storage.codecs import Column, column_bytes, column_kinds, is_packed
-from repro.storage.disk import SimulatedDisk
 from repro.storage.page import Page
 from repro.storage.tuples import Schema
 from repro.errors import ConfigurationError
@@ -170,11 +167,6 @@ class Relation:
         self._version += 1
         return count
 
-    def append_page(self, page: Page) -> int:
-        """Append a copy of ``page``'s tuples; return how many.  The page
-        itself is not kept."""
-        return self.extend_columns(page.columns, len(page))
-
     def truncate(self) -> None:
         """Drop every tuple (the schema survives)."""
         self._store.clear()
@@ -251,33 +243,6 @@ class Relation:
     def key_of(self, field: str) -> Callable[[Row], Any]:
         """A fast key extractor for ``field`` (a C-level itemgetter)."""
         return operator.itemgetter(self.schema.index_of(field))
-
-    # -- disk interchange ------------------------------------------------------------
-
-    def spill(self, disk: SimulatedDisk, file_name: Optional[str] = None) -> str:
-        """Write every page to ``disk`` sequentially; return the file name."""
-        name = file_name or ("rel:" + self.name)
-        if disk.exists(name):
-            disk.delete(name)
-        disk.create(name)
-        for i, page in enumerate(self.pages):
-            disk.append(name, page, sequential=None if i == 0 else True)
-        return name
-
-    @classmethod
-    def load(
-        cls,
-        disk: SimulatedDisk,
-        file_name: str,
-        name: str,
-        schema: Schema,
-        page_bytes: int = DEFAULT_PAGE_BYTES,
-    ) -> "Relation":
-        """Read a spilled relation back from ``disk`` (sequential IO)."""
-        rel = cls(name, schema, page_bytes)
-        for page in disk.scan(file_name):
-            rel.append_page(page)
-        return rel
 
     # -- introspection -----------------------------------------------------------
 

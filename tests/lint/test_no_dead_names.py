@@ -5,8 +5,10 @@ function, method or class whose name occurs exactly once -- at its own
 definition -- across the Python sources of ``src/``, ``tests/``,
 ``benchmarks/`` and ``examples/``.  An occurrence is any identifier-shaped
 word, so a name reached through a string (``getattr``, a span table, an
-error message) counts as used.  Dunder names are exempt: the interpreter
-calls them.  The match is by bare name, so two methods that share a name
+error message) counts as used.  A re-export is not a use: the package
+``__init__.py`` files under ``src/repro`` and every module's own
+``__all__`` list are not counted.  Dunder names are exempt: the
+interpreter calls them.  The match is by bare name, so two methods that share a name
 keep each other alive; the guard catches the clear cases, not every one.
 """
 
@@ -44,11 +46,25 @@ def _definitions() -> Iterator[Tuple[str, str, int]]:
                 yield node.name, str(path.relative_to(REPO_ROOT)), node.lineno
 
 
+def _without_all(source: str) -> str:
+    """``source`` with its ``__all__`` assignments blanked out."""
+    lines = source.splitlines()
+    for node in ast.parse(source).body:
+        targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            lines[node.lineno - 1 : node.end_lineno] = [""] * (
+                node.end_lineno - node.lineno + 1
+            )
+    return "\n".join(lines)
+
+
 def _word_counts() -> Counter:
     counts: Counter = Counter()
     for top in SEARCHED:
         for path in (REPO_ROOT / top).rglob("*.py"):
-            counts.update(_WORD.findall(path.read_text()))
+            if path.name == "__init__.py" and PACKAGE in path.parents:
+                continue
+            counts.update(_WORD.findall(_without_all(path.read_text())))
     return counts
 
 

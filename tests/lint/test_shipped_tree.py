@@ -16,7 +16,7 @@ from pathlib import Path
 
 from repro.lint.checkers.lock_order import LockOrderChecker
 from repro.lint.engine import ERROR, collect_modules, run_lint
-from repro.lint.checkers.lock_order import lock_graph_report
+from repro.lint.ipa import analyze_project
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -49,5 +49,5 @@ def test_shipped_lock_graph_is_acyclic():
 def test_shipped_lock_graph_contains_governor_lock():
     modules, failures = collect_modules()
     assert failures == []
-    report = lock_graph_report(modules)
-    assert "repro.governor.governor.Governor._lock" in report
+    edges = analyze_project(modules).lock_edges()
+    assert ("Governor._lock", "PlanReuseCache._mu") in edges

@@ -23,6 +23,7 @@ from repro.errors import (
     TransactionAborted,
     WouldBlock,
 )
+from repro.planner import SqlError
 from repro.server import BankStore, DatabaseServer, ServerClient
 
 from tests.server.conftest import assert_seal_invariants, wait_until
@@ -245,6 +246,44 @@ class TestTheOtherThreeReasons:
             bank.rollback(running)
         finally:
             bank.close()
+
+
+class TestTheFlushVerb:
+    """``FLUSH`` over the wire is the barrier seal ``flush_now`` is."""
+
+    @pytest.fixture
+    def server(self):
+        server = DatabaseServer(n_accounts=8, group_size=64, group_delay=NEVER)
+        server.start_in_thread()
+        yield server
+        server.stop()
+
+    def test_flush_seals_a_parked_commit(self, server):
+        bank = server.manager.bank
+        running = bank.begin()
+        try:
+            first = Committer(bank).park()
+            with ServerClient(*server.address) as client:
+                reply = client.execute("FLUSH")
+            assert reply["kind"] == "ok"
+            assert reply["meta"]["flushed"] == 1
+            assert first.released()["group_size"] == 1
+            assert reasons(bank) == {"barrier": 1}
+        finally:
+            bank.rollback(running)
+
+    def test_idle_flush_flushes_nothing(self, server):
+        with ServerClient(*server.address) as client:
+            assert client.execute("FLUSH")["meta"]["flushed"] == 0
+        assert reasons(server.manager.bank) == {}
+
+    def test_flush_takes_no_argument(self, server):
+        with ServerClient(*server.address) as client:
+            with pytest.raises(SqlError) as info:
+                client.execute("FLUSH x")
+            assert "trailing token" in str(info.value)
+            assert client.execute("PING")["kind"] == "ok"
+            assert client.execute("FLUSH")["meta"]["flushed"] == 0
 
 
 class TestCrashWithAParkedCommitter:

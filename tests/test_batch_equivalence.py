@@ -36,13 +36,6 @@ from repro.operators.aggregate import (
     sort_aggregate,
 )
 from repro.operators.projection import hash_project, sort_project
-from repro.operators.relational import (
-    cross_product,
-    difference,
-    divide,
-    intersect,
-    union_,
-)
 from repro.operators.selection import (
     And,
     Comparison,
@@ -352,70 +345,6 @@ class TestAggregation:
             runs = run_modes(run)
             assert len(runs[0][0]) == (23 if group_by else 1)
             assert_equivalent(runs)
-
-
-class TestRelationalOperators:
-    def test_cross_product(self):
-        def run(kwargs):
-            counters = OperationCounters()
-            r = kv_relation("r", seeded_pairs(7, 23, 10))
-            s = kv_relation("s", seeded_pairs(8, 17, 10), columns=("k2", "p2"))
-            out = cross_product(r, s, counters, **kwargs)
-            return list(out), counters.as_dict()
-
-        assert_equivalent(run_modes(run))
-
-    @pytest.mark.parametrize("distinct", [False, True])
-    def test_union(self, distinct):
-        def run(kwargs):
-            counters = OperationCounters()
-            a = kv_relation("a", seeded_pairs(9, 80, 15))
-            b = kv_relation("b", seeded_pairs(10, 70, 15))
-            out = union_(a, b, distinct=distinct, counters=counters, **kwargs)
-            return list(out), counters.as_dict()
-
-        assert_equivalent(run_modes(run))
-
-    def test_intersect(self):
-        def run(kwargs):
-            counters = OperationCounters()
-            a = kv_relation("a", seeded_pairs(11, 90, 12))
-            b = kv_relation("b", seeded_pairs(12, 85, 12))
-            out = intersect(a, b, counters, **kwargs)
-            return list(out), counters.as_dict()
-
-        assert_equivalent(run_modes(run))
-
-    def test_difference(self):
-        def run(kwargs):
-            counters = OperationCounters()
-            a = kv_relation("a", seeded_pairs(13, 90, 12))
-            b = kv_relation("b", seeded_pairs(14, 40, 12))
-            out = difference(a, b, counters, **kwargs)
-            return list(out), counters.as_dict()
-
-        assert_equivalent(run_modes(run))
-
-    def test_divide(self):
-        schema = Schema(
-            [Field("g", DataType.INTEGER), Field("x", DataType.INTEGER)]
-        )
-        rng = random.Random(15)
-        r_rows = [(rng.randrange(8), rng.randrange(4)) for _ in range(120)]
-        d_rows = [(v,) for v in (0, 1)]
-
-        def run(kwargs):
-            counters = OperationCounters()
-            r = Relation("r", schema, PAGE_BYTES)
-            r.extend_rows(r_rows)
-            d = Relation(
-                "d", Schema([Field("x", DataType.INTEGER)]), PAGE_BYTES
-            )
-            d.extend_rows(d_rows)
-            out = divide(r, d, ["g"], ["x"], counters=counters, **kwargs)
-            return list(out), counters.as_dict()
-
-        assert_equivalent(run_modes(run))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ and must land exactly where one transfer per page would have.  This
 Hypothesis state machine drives every path that writes or reads a file
 (``append`` of full and partial pages, :class:`SpillWriter` ``write`` /
 ``write_columns`` / ``close`` over one to four buckets, ``read``,
-``scan``, ``read_file``, ``write`` in place, ``delete``) beside a plain
+``read_file``, ``delete``) beside a plain
 ``{name: [page rows]}`` model that charges one page at a time, and
 checks after every step the contents with their exact types and column
 kinds, the page counts, both IO tallies, the moves, the simulated clock
@@ -211,7 +211,7 @@ class DiskMachine(RuleBasedStateMachine):
                 self.close_page(name, tail, len(self.bucket_names) == 1)
         self.writer = None
 
-    # -- reads, writes in place, deletion ----------------------------------------
+    # -- reads, deletion --------------------------------------------------------
 
     @rule(data=st.data(), sequential=SEQUENTIAL)
     def read(self, data, sequential):
@@ -223,19 +223,6 @@ class DiskMachine(RuleBasedStateMachine):
         page = self.disk.read(name, index, sequential)
         self.charge(name, index, sequential)
         assert typed(page.tuples) == typed(self.files[name][index])
-
-    @rule(data=st.data())
-    def scan(self, data):
-        names = sorted(self.files)
-        if not names:
-            return
-        name = data.draw(st.sampled_from(names))
-        pages = list(self.disk.scan(name))
-        for index, rows in enumerate(self.files[name]):
-            self.charge(name, index, None if index == 0 else True)
-        assert [typed(p.tuples) for p in pages] == [
-            typed(rows) for rows in self.files[name]
-        ]
 
     @rule(data=st.data(), columns=st.booleans())
     def read_file(self, data, columns):
@@ -258,17 +245,6 @@ class DiskMachine(RuleBasedStateMachine):
         assert typed(rows) == typed(
             [row for page in self.files[name] for row in page]
         )
-
-    @rule(data=st.data(), rows=st.lists(ROWS, max_size=TPP), sequential=SEQUENTIAL)
-    def write(self, data, rows, sequential):
-        names = [n for n in sorted(self.files) if self.files[n]]
-        if not names:
-            return
-        name = data.draw(st.sampled_from(names))
-        index = data.draw(st.integers(0, len(self.files[name]) - 1))
-        self.disk.write(name, index, page_of(rows), sequential)
-        self.files[name][index] = list(rows)
-        self.charge(name, index, sequential)
 
     @rule(data=st.data())
     def delete(self, data):

@@ -298,10 +298,9 @@ class TestMeasuredSelectivity:
         assert join_selectivity(col, 5) == pytest.approx(1.0 / 60)
         assert join_selectivity(3, col) == join_selectivity(col, col)
 
-    def test_planner_trusts_histogram_backed_distincts(self):
-        # A skewed column whose histogram-backed measurement (40 distinct)
-        # exceeds the old damping cap would previously be clamped; the
-        # planner now uses the measured count for join cardinality.
+    def test_planner_uses_the_measured_distinct_count(self):
+        # An access path reports its column's analyzed distinct count
+        # for join cardinality while its estimated rows do not cap it.
         cat = star_catalog()
         planner = Planner(cat, PlannerConfig(memory_pages=200))
         sub = planner._access_path(

@@ -2,17 +2,16 @@
 
 A relation is its column buffers; :attr:`Relation.pages` cuts page copies
 on demand for the readers that still walk pages -- the tuple-at-a-time
-specification arm (``batch=False``), :meth:`Relation.spill` and the
-row-wise operators.  The statements the performance ledger times -- the
-seven Wisconsin classes, the three spilling joins (512-byte pages, a
-grant the build sides are several times larger than) and
-``delete_where`` / ``analyze`` -- must never take that path on the
-production arm (``batch=True``).
+specification arm (``batch=False``) and the row-wise operators.  The
+statements the performance ledger times -- the seven Wisconsin classes,
+the three spilling joins (512-byte pages, a grant the build sides are
+several times larger than) and ``delete_where`` / ``analyze`` -- must
+never take that path on the production arm (``batch=True``).
 
 Spill files are covered too: a simulated-disk file is its column
 buffers, the spilling joins write runs of rows to a file's tail and read
 a bucket back whole, and on the production arm they must never call the
-disk's per-page ``append``, ``read`` or ``scan``.  On the same inputs
+disk's per-page ``append`` or ``read``.  On the same inputs
 both arms still agree on rows, every operation counter (both IO tallies
 included) and every cancellation check, and no spill file outlives its
 statement.
@@ -130,10 +129,9 @@ def page_views(monkeypatch):
 
 @pytest.fixture
 def disk_pages(monkeypatch):
-    """Count every call to the disk's per-page ``append`` / ``read`` /
-    ``scan``."""
+    """Count every call to the disk's per-page ``append`` / ``read``."""
     calls = []
-    for method in ("append", "read", "scan"):
+    for method in ("append", "read"):
         real = getattr(SimulatedDisk, method)
 
         def counted(disk, *args, _real=real, _method=method, **kwargs):

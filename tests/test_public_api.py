@@ -196,9 +196,8 @@ def test_a_result_crosses_the_wire_as_columns():
 def test_a_relation_is_its_column_buffers():
     """A ``Relation`` stores one buffer per column: ``columns`` and
     ``column(i)`` hand them out whole, ``page_count`` is arithmetic,
-    ``pages`` cuts copies whose changes do not reach the relation, and
-    ``append_page`` copies its argument rather than adopting it.  It keeps
-    no list of page objects."""
+    and ``pages`` cuts copies whose changes do not reach the relation.  It
+    keeps no list of page objects."""
     import inspect
     from array import array
 
@@ -219,15 +218,6 @@ def test_a_relation_is_its_column_buffers():
     view.truncate(1)
     assert rel.pages[1].tuples == [(4,), (5,), (6,), (7,)]
     assert rel.pages[1] is not rel.pages[1]
-
-    page = Page(0, 4)
-    page.extend_rows([(20,), (21,)])
-    assert rel.append_page(page) == 2
-    page.set_cells(0, [0], [-1])
-    page.page_id = 9
-    assert list(rel)[-2:] == [(20,), (21,)]
-    assert all(p is not page for p in rel.pages)
-    assert rel.pages[-1].page_id == 2
 
     assert not hasattr(rel, "_pages")
     assert not any(isinstance(v, list) and v and isinstance(v[0], Page)

@@ -6,8 +6,8 @@ per column and derives its pages arithmetically: page ``p`` is positions
 ``p * c + s``.  That holds only if every page but the last is full -- the
 density premise -- after every mutation path.  This Hypothesis state
 machine drives each of them (``insert``, ``insert_unchecked``,
-``extend_rows``, ``extend_columns``, ``append_page``, ``compaction`` +
-``delete_at``, ``update``, ``truncate``) beside a plain list of rows and
+``extend_rows``, ``extend_columns``, ``compaction`` + ``delete_at``,
+``update``, ``truncate``) beside a plain list of rows and
 checks, after every step, the rows with their exact types, the page
 count, the page copies ``pages`` cuts (with their ``page_id``), and
 ``fetch`` / ``values_at`` / ``tid_range`` / ``scan``.
@@ -29,7 +29,6 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from repro.storage.page import Page
 from repro.storage.relation import Relation
 from repro.storage.tuples import DataType, Field, Schema
 
@@ -110,19 +109,6 @@ class RelationMachine(RuleBasedStateMachine):
     def extend_columns(self, rows, packed):
         assert self.rel.extend_columns(as_columns(rows, packed), len(rows)) == len(rows)
         self.rows.extend(rows)
-
-    @rule(rows=ROW_LISTS, capacity=st.integers(1, 9), packed=st.booleans())
-    def append_page(self, rows, capacity, packed):
-        rows = rows[:capacity]
-        page = Page(7, capacity)
-        page.extend_columns(as_columns(rows, packed), len(rows))
-        assert self.rel.append_page(page) == len(rows)
-        self.rows.extend(rows)
-        # The relation kept a copy: the page is still the caller's.
-        if len(page):
-            page.set_cells(0, [0], [-1])
-            page.truncate(0)
-        assert page.page_id == 7
 
     @rule(data=st.data())
     def delete(self, data):

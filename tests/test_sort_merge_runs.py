@@ -86,9 +86,7 @@ class TestRunFormation:
         names = algo._form_runs(spec, target, "key", "t")
         recovered = []
         for name in names:
-            run = []
-            for page in algo.disk.scan(name):
-                run.extend(k for k, _row in page)
+            run = [k for k, _row in algo.disk.read_file(name)]
             assert run == sorted(run), "run %s not sorted" % name
             recovered.extend(run)
         assert sorted(recovered) == sorted(keys)

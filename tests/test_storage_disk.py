@@ -87,8 +87,7 @@ class TestIOClassification:
         for i in range(10):
             disk.append("f", page(i))
         disk.counters.reset()
-        pages = list(disk.scan("f"))
-        assert len(pages) == 10
+        assert len(disk.read_file("f")) == 10
         assert disk.counters.random_ios <= 1
         assert disk.counters.sequential_ios >= 9
 
@@ -108,20 +107,10 @@ class TestReadWrite:
         got = disk.read("f", 0)
         assert list(got) == [(42,)]
 
-    def test_write_in_place(self, disk):
-        disk.append("f", page(0, [(1,)]))
-        disk.write("f", 0, page(0, [(2,)]))
-        assert list(disk.read("f", 0)) == [(2,)]
-
     def test_out_of_range_read(self, disk):
         disk.create("f")
         with pytest.raises(IndexError):
             disk.read("f", 0)
-
-    def test_out_of_range_write(self, disk):
-        disk.create("f")
-        with pytest.raises(IndexError):
-            disk.write("f", 3, page())
 
     def test_page_count(self, disk):
         disk.create("f")

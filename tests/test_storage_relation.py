@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.cost.counters import OperationCounters
-from repro.storage.disk import SimulatedDisk
 from repro.storage.relation import Relation
 from repro.storage.tuples import DataType, Field, Schema, make_schema
 
@@ -92,32 +90,6 @@ class TestScan:
         rel.insert((5, 50))
         row = next(iter(rel))
         assert rel.value(row, "key") == 5
-
-
-class TestSpill:
-    def test_spill_and_load_roundtrip(self, rel, schema):
-        rel.extend([(i, i) for i in range(30)])
-        disk = SimulatedDisk(OperationCounters())
-        name = rel.spill(disk)
-        loaded = Relation.load(disk, name, "t2", schema, page_bytes=64)
-        assert list(loaded) == list(rel)
-        assert loaded.page_count == rel.page_count
-
-    def test_spill_charges_sequential_io(self, rel):
-        rel.extend([(i, i) for i in range(30)])
-        counters = OperationCounters()
-        disk = SimulatedDisk(counters)
-        rel.spill(disk)
-        assert counters.sequential_ios + counters.random_ios == rel.page_count
-        assert counters.random_ios <= 1
-
-    def test_spill_overwrites_previous(self, rel):
-        disk = SimulatedDisk(OperationCounters())
-        rel.insert((1, 1))
-        name = rel.spill(disk)
-        rel.insert((2, 2))
-        rel.spill(disk)
-        assert disk.page_count(name) == 1  # fresh spill, not appended
 
 
 def test_empty_name_rejected(schema):
