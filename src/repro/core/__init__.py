@@ -2,10 +2,10 @@
 
 :class:`~repro.core.database.MainMemoryDatabase` wires the storage
 substrate, access methods, operators, and the Section 4 planner into the
-interface a downstream user programs against; the recovery subsystem
-(Section 5) is exposed through
-:class:`~repro.core.database.RecoverableBank`-style setups in
-:mod:`repro.recovery` and the examples.
+interface a downstream user programs against.  The Section 5 recovery
+subsystem lives in :mod:`repro.recovery`, and the server's recoverable
+bank in :mod:`repro.server.bank`.  :mod:`repro.core.locks` is the seam
+through which every tracked engine lock is made.
 """
 
 from repro.core.database import MainMemoryDatabase

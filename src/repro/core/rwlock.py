@@ -18,7 +18,7 @@ encodes exactly that contract:
   may call another, or run a query, while it holds the lock.
 
 The internal mutex is registered with the lock-order recorder via
-:func:`~repro.lint.runtime.tracked_lock`; it is never held while user
+:func:`~repro.core.locks.tracked_lock`; it is never held while user
 code runs (only around the state transitions), so the lock adds no edges
 under the governor or the lock table.
 """
@@ -30,8 +30,8 @@ import time
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
+from repro.core.locks import tracked_lock
 from repro.errors import StateError
-from repro.lint.runtime import tracked_lock
 
 
 class ReadWriteLock:

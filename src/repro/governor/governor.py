@@ -37,6 +37,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
+from repro.core.locks import tracked_lock
 from repro.errors import (
     AdmissionRejected,
     ConfigurationError,
@@ -46,7 +47,6 @@ from repro.errors import (
 from repro.governor.cancellation import CancellationToken
 from repro.governor.grant import MemoryGrant
 from repro.governor.guard import QueryGuard
-from repro.lint.runtime import tracked_lock
 
 
 @dataclass

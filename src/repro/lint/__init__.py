@@ -2,10 +2,12 @@
 
 Static half: ``python -m repro.lint`` walks ``src/repro`` and enforces the
 disciplines the analytic model rests on (determinism, counter discipline,
-error taxonomy, chaos-seam coverage, static lock order, public-API
-consistency).  Dynamic half: :mod:`repro.lint.runtime` records actual
-lock-acquisition order under the concurrency tests and asserts the same
-graph stays acyclic.  Rule catalog and suppression syntax: docs/LINTING.md.
+error taxonomy, chaos-seam coverage, lock order over the interprocedural
+lock graph, public-API consistency).  Dynamic half:
+:mod:`repro.lint.runtime` records actual lock-acquisition order under the
+test suite, through the engine's seam in :mod:`repro.core.locks`, and
+asserts the same order stays acyclic.  The engine never imports this
+package.  Rule catalog and suppression syntax: docs/LINTING.md.
 """
 
 from repro.lint.engine import (
@@ -17,11 +19,6 @@ from repro.lint.engine import (
 from repro.lint.runtime import (
     LockOrderRecorder,
     LockOrderViolation,
-    TrackedLock,
-    current_recorder,
-    install_recorder,
-    tracked_lock,
-    uninstall_recorder,
 )
 
 __all__ = [
@@ -30,10 +27,5 @@ __all__ = [
     "LintConfig",
     "LockOrderRecorder",
     "LockOrderViolation",
-    "TrackedLock",
-    "current_recorder",
-    "install_recorder",
     "run_lint",
-    "tracked_lock",
-    "uninstall_recorder",
 ]

@@ -103,7 +103,7 @@ def _judge(
 
     Errors (a mutex or write side is held) outrank warnings (read side
     only); within a class the lexically smallest label wins so the
-    finding message -- and therefore its baseline fingerprint -- is
+    finding message -- and therefore its JSON fingerprint -- is
     deterministic.
     """
     best: Optional[Tuple[FrozenSet[LockRef], Blocker, str]] = None

@@ -6,18 +6,7 @@ import ast
 from typing import Iterator, Optional, Tuple
 
 from repro.lint.engine import Finding, SourceModule
-
-
-def dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
+from repro.lint.ipa import dotted_name
 
 
 def call_name(node: ast.Call) -> Optional[str]:

@@ -9,15 +9,12 @@ from typing import List, Optional, Sequence
 
 from repro.lint.engine import (
     ERROR,
-    WARNING,
+    Finding,
     all_checkers,
-    apply_baseline,
     collect_modules,
     format_json,
     format_text,
-    load_baseline,
     run_lint,
-    write_baseline,
 )
 
 
@@ -48,23 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        help="baseline file: demote its fingerprints to warnings so new "
-        "rules can land warn-only",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        type=Path,
-        metavar="FILE",
-        help="write the current error findings to FILE and exit 0",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="warnings also fail the build",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalog and exit",
@@ -83,18 +63,12 @@ def build_parser() -> argparse.ArgumentParser:
         "exported by the test suite (REPRO_LOCK_GRAPH_OUT) and fail if "
         "any runtime edge is missing from the static graph",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parse source files with N worker threads (default: 1)",
-    )
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     if args.list_rules:
         for checker in all_checkers():
@@ -102,38 +76,30 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print("%-16s %s" % (rule, description))
         return 0
 
+    if args.runtime_graph and not args.lock_graph:
+        parser.error("--runtime-graph requires --lock-graph")
+
     if args.lock_graph:
         return _lock_graph(args)
 
     rules = None
     if args.rules:
         rules = {r.strip() for r in args.rules.split(",") if r.strip()}
-
-    findings = run_lint(paths=args.paths, rules=rules, jobs=args.jobs)
-
-    if args.write_baseline:
-        write_baseline(args.write_baseline, findings)
-        print(
-            "wrote %d fingerprint(s) to %s"
-            % (
-                sum(1 for f in findings if f.severity == ERROR),
-                args.write_baseline,
+        known = {rule for c in all_checkers() for rule in c.rules}
+        unknown = sorted(rules - known)
+        if unknown:
+            parser.error(
+                "unknown rule id(s): %s (known: %s)"
+                % (", ".join(unknown), ", ".join(sorted(known)))
             )
-        )
-        return 0
 
-    if args.baseline:
-        findings = apply_baseline(findings, load_baseline(args.baseline))
+    findings = run_lint(paths=args.paths, rules=rules)
+    _print_findings(findings, args.format)
+    return 1 if any(f.severity == ERROR for f in findings) else 0
 
-    output = (
-        format_json(findings)
-        if args.format == "json"
-        else format_text(findings)
-    )
-    print(output)
 
-    failing = {ERROR, WARNING} if args.strict else {ERROR}
-    return 1 if any(f.severity in failing for f in findings) else 0
+def _print_findings(findings: List[Finding], fmt: str) -> None:
+    print(format_json(findings) if fmt == "json" else format_text(findings))
 
 
 def _lock_graph(args: argparse.Namespace) -> int:
@@ -147,7 +113,10 @@ def _lock_graph(args: argparse.Namespace) -> int:
         runtime_edges_missing_statically,
     )
 
-    modules, _ = collect_modules(args.paths, jobs=args.jobs)
+    modules, failures = collect_modules(args.paths)
+    if failures:
+        _print_findings(failures, args.format)
+        return 1
     static_edges = analyze_project(modules).lock_edges()
     runtime_edges = set()
     if args.runtime_graph:

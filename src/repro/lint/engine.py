@@ -18,9 +18,9 @@ A stand-alone suppression comment also covers the line directly below it,
 so multi-line statements can carry one without fighting the formatter.
 
 Severities: ``error`` findings fail the build; ``warning`` findings are
-informational unless ``--strict``.  A *baseline* file (``--baseline``)
-demotes known findings to warnings so a new rule can land warn-only and be
-promoted once the tree is clean (see docs/LINTING.md).
+informational.  A new rule whose findings the tree cannot yet fix lands
+at ``warning`` severity and is promoted once the tree is clean (see
+docs/LINTING.md).
 """
 
 from __future__ import annotations
@@ -55,8 +55,9 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Location-independent identity used by baseline files (line
-        numbers shift on unrelated edits; rule+path+message rarely do)."""
+        """Location-independent identity, emitted in the JSON report so
+        consumers can match a finding across runs (line numbers shift on
+        unrelated edits; rule+path+message rarely do)."""
         return "%s::%s::%s" % (self.rule, Path(self.path).as_posix(), self.message)
 
     def format(self) -> str:
@@ -319,14 +320,11 @@ def default_root() -> Path:
 
 def collect_modules(
     paths: Optional[Sequence[Path]] = None,
-    jobs: int = 1,
 ) -> Tuple[List[SourceModule], List[Finding]]:
     """Load every ``.py`` under ``paths`` (default: the repro package).
 
     Returns the parsed modules plus parse-failure findings (a file the
-    engine cannot parse is itself an error, not a crash).  ``jobs > 1``
-    reads and parses files on a thread pool (``--jobs N``); results come
-    back in the same deterministic file order either way.
+    engine cannot parse is itself an error, not a crash).
     """
     if not paths:
         paths = [default_root()]
@@ -339,33 +337,22 @@ def collect_modules(
         else:
             files.append(p)
 
-    def load_one(path: Path):
-        try:
-            return load_module(path, root=root)
-        except SyntaxError as exc:
-            return Finding(
-                rule="parse",
-                severity=ERROR,
-                path=str(path),
-                line=exc.lineno or 0,
-                col=exc.offset or 0,
-                message="syntax error: %s" % (exc.msg,),
-            )
-
-    if jobs > 1 and len(files) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(load_one, files))
-    else:
-        results = [load_one(path) for path in files]
     modules: List[SourceModule] = []
     failures: List[Finding] = []
-    for result in results:
-        if isinstance(result, Finding):
-            failures.append(result)
-        else:
-            modules.append(result)
+    for path in files:
+        try:
+            modules.append(load_module(path, root=root))
+        except SyntaxError as exc:
+            failures.append(
+                Finding(
+                    rule="parse",
+                    severity=ERROR,
+                    path=str(path),
+                    line=exc.lineno or 0,
+                    col=exc.offset or 0,
+                    message="syntax error: %s" % (exc.msg,),
+                )
+            )
     return modules, failures
 
 
@@ -380,11 +367,10 @@ def run_lint(
     config: Optional[LintConfig] = None,
     rules: Optional[Set[str]] = None,
     checkers: Optional[Sequence[Checker]] = None,
-    jobs: int = 1,
 ) -> List[Finding]:
     """Run every checker over ``paths``; return unsuppressed findings."""
     config = config or LintConfig()
-    modules, findings = collect_modules(paths, jobs=jobs)
+    modules, findings = collect_modules(paths)
     module_by_path = {m.display_path: m for m in modules}
     for checker in checkers if checkers is not None else all_checkers():
         emitted: List[Finding] = []
@@ -402,46 +388,6 @@ def run_lint(
             findings.append(finding)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
-
-
-# -- baseline --------------------------------------------------------------
-
-
-def load_baseline(path: Path) -> Set[str]:
-    data = json.loads(Path(path).read_text())
-    return set(data.get("fingerprints", ()))
-
-
-def write_baseline(path: Path, findings: Sequence[Finding]) -> None:
-    fingerprints = sorted(
-        {f.fingerprint for f in findings if f.severity == ERROR}
-    )
-    Path(path).write_text(
-        json.dumps({"version": 1, "fingerprints": fingerprints}, indent=2)
-        + "\n"
-    )
-
-
-def apply_baseline(
-    findings: Sequence[Finding], baseline: Set[str]
-) -> List[Finding]:
-    """Demote baselined error findings to warnings (land rules warn-only)."""
-    demoted: List[Finding] = []
-    for f in findings:
-        if f.severity == ERROR and f.fingerprint in baseline:
-            demoted.append(
-                Finding(
-                    rule=f.rule,
-                    severity=WARNING,
-                    path=f.path,
-                    line=f.line,
-                    col=f.col,
-                    message=f.message + " (baselined)",
-                )
-            )
-        else:
-            demoted.append(f)
-    return demoted
 
 
 # -- output ----------------------------------------------------------------
@@ -488,13 +434,10 @@ __all__ = [
     "LintConfig",
     "SourceModule",
     "all_checkers",
-    "apply_baseline",
     "collect_modules",
     "default_root",
     "format_json",
     "format_text",
-    "load_baseline",
     "load_module",
     "run_lint",
-    "write_baseline",
 ]

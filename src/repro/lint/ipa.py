@@ -8,10 +8,9 @@ depends on what its callees do, and whether a write is guarded depends
 on the context every caller establishes.  This module builds, once per
 lint run:
 
-* a **project index** -- every class, its lock declarations (the same
-  ``threading.Lock``/``RLock``/``Condition``/``tracked_lock`` factory
-  model as :mod:`repro.lint.checkers.lock_order`, extended with
-  :class:`~repro.core.rwlock.ReadWriteLock` and its read/write sides),
+* a **project index** -- every class, its lock declarations
+  (``threading.Lock``/``RLock``/``Condition``/``tracked_lock``, and
+  :class:`~repro.core.rwlock.ReadWriteLock` with its read/write sides),
   every function and method, and a light attribute-type environment
   inferred from annotations and constructor calls;
 * a **call graph** with conservative resolution: ``self.m(...)``
@@ -25,7 +24,8 @@ lint run:
   ``write_locked()`` context managers, and explicit
   ``acquire``/``release`` statement pairs), and entry contexts are
   propagated around the call graph to fixpoint -- ``may_entry`` (union
-  over call sites, for the runtime-superset lock graph) and
+  over call sites, for the lock graph the lock-order rule checks and
+  the runtime diff compares against) and
   ``must_entry`` (intersection, for guarded-write reasoning);
 * a per-function **CFG with exception edges** (``try``/``except``/
   ``finally`` with duplicated finally regions, loops, ``with``) used by
@@ -58,12 +58,7 @@ from repro.lint.engine import SourceModule
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else None.
-
-    Duplicated from :mod:`repro.lint.checkers.common` -- importing it
-    would cycle through the checkers package, which imports this
-    module.
-    """
+    """``a.b.c`` for a Name/Attribute chain, else None."""
     parts = []
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)
@@ -407,20 +402,31 @@ class ProjectAnalysis:
     def lock_edges(self) -> Set[Tuple[str, str]]:
         """Canonical ``(held, acquired)`` edges over every may-path.
 
-        This is the static half of the runtime diff: if thread A ever
-        acquires lock B while holding lock A at runtime, the pair must
-        appear here (``Class.attr`` base names, rwlock sides folded into
-        their base so the runtime-observed internal mutex matches).
+        This is the graph the lock-order rule checks for cycles, and the
+        static half of the runtime diff: if a thread ever acquires lock
+        B while holding lock A at runtime, the pair must appear here
+        (``Class.attr`` base names, rwlock sides folded into their base
+        so the runtime-observed internal mutex matches).
         """
-        edges: Set[Tuple[str, str]] = set()
+        return set(self.lock_edge_sites())
+
+    def lock_edge_sites(
+        self,
+    ) -> Dict[Tuple[str, str], Tuple[SourceModule, ast.AST]]:
+        """Each :meth:`lock_edges` edge mapped to its first acquisition
+        site: the module and node that take the second lock (functions
+        in definition order, module-level ones first)."""
+        sites: Dict[Tuple[str, str], Tuple[SourceModule, ast.AST]] = {}
         for qual, summary in self.summaries.items():
             entry = self.may_entry.get(qual, frozenset())
+            module = summary.info.module
             for acq in summary.acquires:
-                context = acq.held | entry
-                for held in context:
+                for held in acq.held | entry:
                     if held.base != acq.lock.base:
-                        edges.add((held.base, acq.lock.base))
-        return edges
+                        sites.setdefault(
+                            (held.base, acq.lock.base), (module, acq.node)
+                        )
+        return sites
 
 
 # -- class & type collection ----------------------------------------------
@@ -1056,7 +1062,7 @@ def analyze_project(modules: Sequence[SourceModule]) -> ProjectAnalysis:
     """Build (or reuse) the project analysis for this module set.
 
     ``run_lint`` hands the same module list to every checker; the
-    analysis is cached on object identity so the four interprocedural
+    analysis is cached on object identity so the five interprocedural
     checkers share one call-graph/dataflow pass.
     """
     key = tuple(id(m) for m in modules)

@@ -1,6 +1,6 @@
 """Dynamic lock-order recording -- the runtime half of the lock-order rule.
 
-The static pass in :mod:`repro.lint.checkers.lock_order` proves the
+The static rule in :mod:`repro.lint.checkers.lock_order` proves the
 *source* acquires locks in one global order; this module checks the same
 invariant on *executions*.  A :class:`LockOrderRecorder` keeps a
 per-thread stack of held locks and, on every acquisition, records an edge
@@ -9,22 +9,52 @@ from each currently-held lock to the new one.  At teardown
 pair of threads acquired two locks in opposite orders -- the ABBA pattern
 that becomes a deadlock under less lucky scheduling.
 
-Production code opts in through :func:`tracked_lock`::
-
-    self._lock = tracked_lock("repro.governor.Governor._lock")
-
-With no recorder installed (the default) that returns a plain
-``threading.Lock`` -- zero overhead.  The test suite installs a global
-recorder (see tests/conftest.py), so every governor and group-commit test
-doubles as a lock-order check.
+Engine locks report here through the seam in :mod:`repro.core.locks`:
+the test suite installs a recorder there before each test (see
+tests/conftest.py), and every ``tracked_lock`` built afterwards calls
+:meth:`LockOrderRecorder.on_acquire` / :meth:`~LockOrderRecorder.on_release`.
+Both halves find cycles with :func:`find_cycle`.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import ReproError
+
+
+def find_cycle(graph: Dict[str, Set[str]]) -> Optional[List[str]]:
+    """One cycle of ``graph`` as its node list, or None if it is acyclic.
+
+    Depth-first over sorted nodes and successors, so the same graph
+    always yields the same cycle.
+    """
+    WHITE, GREY, BLACK = 0, 1, 2
+    colour: Dict[str, int] = {}
+    path: List[str] = []
+
+    def dfs(node: str) -> Optional[List[str]]:
+        colour[node] = GREY
+        path.append(node)
+        for nxt in sorted(graph.get(node, ())):
+            state = colour.get(nxt, WHITE)
+            if state == GREY:
+                return path[path.index(nxt):]
+            if state == WHITE:
+                cycle = dfs(nxt)
+                if cycle is not None:
+                    return cycle
+        path.pop()
+        colour[node] = BLACK
+        return None
+
+    for node in sorted(graph):
+        if colour.get(node, WHITE) == WHITE:
+            cycle = dfs(node)
+            if cycle is not None:
+                return cycle
+    return None
 
 
 class LockOrderViolation(ReproError):
@@ -49,7 +79,7 @@ class LockOrderRecorder:
         self._edges: Dict[Tuple[str, str], Set[str]] = {}
         self.acquisitions = 0
 
-    # -- hooks called by TrackedLock ---------------------------------------
+    # -- hooks called by repro.core.locks.TrackedLock --------------------
 
     def on_acquire(self, name: str) -> None:
         stack = self._stack()
@@ -85,31 +115,7 @@ class LockOrderRecorder:
             return graph
 
     def find_cycle(self) -> Optional[List[str]]:
-        graph = self.edges()
-        colour: Dict[str, int] = {}
-        path: List[str] = []
-
-        def dfs(node: str) -> Optional[List[str]]:
-            colour[node] = 1
-            path.append(node)
-            for nxt in sorted(graph.get(node, ())):
-                state = colour.get(nxt, 0)
-                if state == 1:
-                    return path[path.index(nxt):]
-                if state == 0:
-                    cycle = dfs(nxt)
-                    if cycle is not None:
-                        return cycle
-            path.pop()
-            colour[node] = 2
-            return None
-
-        for node in sorted(graph):
-            if colour.get(node, 0) == 0:
-                cycle = dfs(node)
-                if cycle is not None:
-                    return cycle
-        return None
+        return find_cycle(self.edges())
 
     def assert_acyclic(self) -> None:
         """Raise :class:`LockOrderViolation` if any ABBA pair was seen."""
@@ -121,76 +127,6 @@ class LockOrderRecorder:
         with self._guard:
             self._edges.clear()
             self.acquisitions = 0
-
-
-class TrackedLock:
-    """A lock proxy that reports acquisitions to a recorder.
-
-    Delegates ``acquire``/``release`` to a real lock, so it drops into
-    ``threading.Condition`` unchanged (the condition probes ownership via
-    non-blocking acquire, which records nothing unless it succeeds).
-    """
-
-    def __init__(
-        self,
-        name: str,
-        recorder: LockOrderRecorder,
-        factory: Callable[[], object] = threading.Lock,
-    ) -> None:
-        self.name = name
-        self.recorder = recorder
-        self._lock = factory()
-
-    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        acquired = self._lock.acquire(blocking, timeout)
-        if acquired:
-            self.recorder.on_acquire(self.name)
-        return acquired
-
-    def release(self) -> None:
-        self.recorder.on_release(self.name)
-        self._lock.release()
-
-    def locked(self) -> bool:
-        return self._lock.locked()
-
-    def __enter__(self) -> "TrackedLock":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.release()
-
-    def __repr__(self) -> str:
-        return "TrackedLock(%r)" % (self.name,)
-
-
-#: The process-wide recorder (None = tracking off, plain locks handed out).
-_RECORDER: Optional[LockOrderRecorder] = None
-
-
-def install_recorder(
-    recorder: Optional[LockOrderRecorder] = None,
-) -> LockOrderRecorder:
-    """Install (and return) the process-wide recorder.
-
-    Locks created by :func:`tracked_lock` *after* this call report to it;
-    the test suite installs one before building any engine objects.
-    """
-    global _RECORDER
-    if recorder is None:
-        recorder = LockOrderRecorder()
-    _RECORDER = recorder
-    return recorder
-
-
-def uninstall_recorder() -> None:
-    global _RECORDER
-    _RECORDER = None
-
-
-def current_recorder() -> Optional[LockOrderRecorder]:
-    return _RECORDER
 
 
 # -- session-wide edge accumulation (static-vs-runtime diff) ----------------
@@ -256,31 +192,12 @@ def runtime_edges_missing_statically(
     return missing
 
 
-def tracked_lock(
-    name: str, factory: Callable[[], object] = threading.Lock
-):
-    """A lock that self-reports to the installed recorder (if any).
-
-    This is the production seam: call it wherever a lock is created, and
-    the object is a plain ``factory()`` lock unless a recorder is
-    installed -- tracking costs nothing outside the test suite.
-    """
-    recorder = _RECORDER
-    if recorder is None:
-        return factory()
-    return TrackedLock(name, recorder, factory)
-
-
 __all__ = [
     "LockOrderRecorder",
     "LockOrderViolation",
-    "TrackedLock",
     "canonical_lock_name",
-    "current_recorder",
-    "install_recorder",
+    "find_cycle",
     "record_session_edges",
     "runtime_edges_missing_statically",
     "session_edges",
-    "tracked_lock",
-    "uninstall_recorder",
 ]

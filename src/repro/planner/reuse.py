@@ -36,8 +36,8 @@ from __future__ import annotations
 import threading
 from typing import Dict, Hashable, Iterable, Optional, Set, Tuple
 
+from repro.core.locks import tracked_lock
 from repro.errors import ConfigurationError
-from repro.lint.runtime import tracked_lock
 from repro.storage.relation import Relation
 
 Fingerprint = Hashable

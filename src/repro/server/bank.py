@@ -45,6 +45,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.core.locks import tracked_lock
 from repro.errors import (
     ConfigurationError,
     QueryTimeout,
@@ -53,7 +54,6 @@ from repro.errors import (
     TransactionAborted,
     WouldBlock,
 )
-from repro.lint.runtime import tracked_lock
 from repro.recovery.lock_table import LockMode, LockTable
 
 #: Log record tuples: ("begin", tid) / ("update", tid, rid, old, new) /

@@ -32,8 +32,8 @@ import socket
 import threading
 from typing import Any, Dict, Optional, Tuple
 
+from repro.core.locks import tracked_lock
 from repro.errors import ProtocolError, ReproError, StateError
-from repro.lint.runtime import tracked_lock
 from repro.server.protocol import FrameDecoder, encode_frame, error_payload
 from repro.server.session import Session, SessionManager
 

@@ -74,6 +74,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.database import MainMemoryDatabase
+from repro.core.locks import tracked_lock
 from repro.errors import (
     QueryTimeout,
     ReproError,
@@ -83,7 +84,6 @@ from repro.errors import (
     TransactionAborted,
     WouldBlock,
 )
-from repro.lint.runtime import tracked_lock
 from repro.planner.sql import SqlError
 from repro.server.bank import BankStore
 from repro.server.protocol import ResultColumns

@@ -54,13 +54,13 @@ def chaos_seeds(request) -> list:
         return [replay]
     return list(range(request.config.getoption("--chaos-seeds")))
 
+from repro.core.locks import install_recorder, uninstall_recorder
 from repro.cost.counters import OperationCounters
 from repro.cost.parameters import CostParameters
 from repro.lint.runtime import (
-    install_recorder,
+    LockOrderRecorder,
     record_session_edges,
     session_edges,
-    uninstall_recorder,
 )
 from repro.storage.relation import Relation
 from repro.storage.tuples import DataType, Field, Schema
@@ -77,7 +77,7 @@ def lock_order_recorder():
     into the session-wide union so the static-vs-runtime lock-graph
     diff (tests/lint/test_lock_graph_diff.py) sees the whole run.
     """
-    recorder = install_recorder()
+    recorder = install_recorder(LockOrderRecorder())
     try:
         yield recorder
         recorder.assert_acyclic()

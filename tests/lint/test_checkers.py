@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.lint.checkers.chaos_seams import ChaosSeamChecker
 from repro.lint.checkers.counter_discipline import CounterDisciplineChecker
 from repro.lint.checkers.determinism import DeterminismChecker
@@ -545,6 +551,106 @@ class TestLockOrderStatic:
             """,
         )
         assert lint(tmp_path, [LockOrderChecker()]) == []
+
+    def test_cycle_through_module_function_flagged(self, tmp_path):
+        # Alpha holds _a across a bare call to a module-level helper that
+        # takes _b; Beta nests the other way.
+        write_module(
+            tmp_path,
+            "repro/governor/fixture.py",
+            """\
+            import threading
+
+            def relay(peer):
+                peer.take_b()
+
+            class Alpha:
+                def __init__(self, peer):
+                    self._a = threading.Lock()
+                    self.peer = peer
+
+                def forward(self):
+                    with self._a:
+                        relay(self.peer)
+
+                def take_a(self):
+                    with self._a:
+                        pass
+
+            class Beta:
+                def __init__(self, peer):
+                    self._b = threading.Lock()
+                    self.peer = peer
+
+                def backward(self):
+                    with self._b:
+                        self.peer.take_a()
+
+                def take_b(self):
+                    with self._b:
+                        pass
+            """,
+        )
+        f = _one(lint(tmp_path, [LockOrderChecker()]), "lock-order")
+        assert "Alpha._a -> Beta._b at " in f.message
+        assert "Beta._b -> Alpha._a at " in f.message
+        assert f.message.count("fixture.py:") == 2
+
+    def test_list_append_is_not_a_lock_call(self, tmp_path):
+        # self.items.append() on a list must not resolve to
+        # Journal.append, or Alpha._a -> Journal._l closes a false cycle.
+        write_module(
+            tmp_path,
+            "repro/governor/fixture.py",
+            """\
+            import threading
+
+            class Alpha:
+                def __init__(self):
+                    self._a = threading.Lock()
+                    self.items = []
+
+                def add(self, x):
+                    with self._a:
+                        self.items.append(x)
+
+                def touch(self):
+                    with self._a:
+                        pass
+
+            class Journal:
+                def __init__(self, owner):
+                    self._l = threading.Lock()
+                    self.owner = owner
+
+                def append(self, record):
+                    with self._l:
+                        pass
+
+                def sync(self):
+                    with self._l:
+                        self.owner.touch()
+            """,
+        )
+        assert lint(tmp_path, [LockOrderChecker()]) == []
+
+    def test_engine_does_not_load_the_linter(self):
+        code = (
+            "import sys, repro, repro.core, repro.server, repro.governor, "
+            "repro.planner; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] == ['repro', 'lint']))"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 # -- public API -------------------------------------------------------------

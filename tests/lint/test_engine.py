@@ -1,4 +1,4 @@
-"""Engine-level tests: suppressions, output formats, baselines, exit codes."""
+"""Engine-level tests: suppressions, output formats, fingerprints, exit codes."""
 
 from __future__ import annotations
 
@@ -11,14 +11,10 @@ from repro.lint.checkers.error_taxonomy import ErrorTaxonomyChecker
 from repro.lint.cli import main
 from repro.lint.engine import (
     ERROR,
-    WARNING,
     Finding,
-    apply_baseline,
     format_json,
     format_text,
-    load_baseline,
     run_lint,
-    write_baseline,
 )
 
 from tests.lint.conftest import lint, rules_of, write_module
@@ -169,7 +165,7 @@ def test_text_output_has_location_and_summary(tmp_path):
     assert text.endswith("repro.lint: 1 error(s), 0 warning(s)")
 
 
-# -- baselines --------------------------------------------------------------
+# -- fingerprints -----------------------------------------------------------
 
 
 def _finding(line: int = 1, message: str = "m") -> Finding:
@@ -188,18 +184,6 @@ def test_fingerprint_ignores_line_numbers():
     assert (
         _finding(message="a").fingerprint != _finding(message="b").fingerprint
     )
-
-
-def test_baseline_roundtrip_demotes_to_warning(tmp_path):
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, [_finding()])
-    baseline = load_baseline(baseline_path)
-    assert baseline == {_finding().fingerprint}
-
-    demoted = apply_baseline([_finding(line=99), _finding(message="new")],
-                             baseline)
-    assert [f.severity for f in demoted] == [WARNING, ERROR]
-    assert "(baselined)" in demoted[0].message
 
 
 # -- CLI exit codes ---------------------------------------------------------
@@ -225,15 +209,30 @@ def test_cli_exit_zero_on_clean_tree(tmp_path, capsys):
     assert main([str(tmp_path)]) == 0
 
 
-def test_cli_baseline_flag_demotes(tmp_path, capsys):
+def test_cli_unknown_rule_is_a_usage_error(tmp_path, capsys):
+    # A typo must not run zero rules and pass: it exits 2 and names the
+    # known ids.
     write_module(tmp_path, "repro/storage/fixture.py", _CLOCK)
-    baseline = tmp_path / "baseline.json"
-    assert main([str(tmp_path), "--write-baseline", str(baseline)]) == 0
-    assert main([str(tmp_path), "--baseline", str(baseline)]) == 0
-    # --strict re-promotes the baselined warnings to failures.
-    assert (
-        main([str(tmp_path), "--baseline", str(baseline), "--strict"]) == 1
-    )
+    with pytest.raises(SystemExit) as exc:
+        main([str(tmp_path), "--rules", "lock_order,determinsm"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "determinsm" in err and "lock_order" in err
+    assert "lock-order" in err and "determinism" in err
+
+
+def test_cli_runtime_graph_requires_lock_graph(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--runtime-graph", str(tmp_path / "missing.json")])
+    assert exc.value.code == 2
+    assert "--lock-graph" in capsys.readouterr().err
+
+
+def test_cli_lock_graph_fails_on_unparsable_file(tmp_path, capsys):
+    write_module(tmp_path, "repro/storage/broken.py", "def f(:\n")
+    assert main([str(tmp_path), "--lock-graph"]) == 1
+    out = capsys.readouterr().out
+    assert "[parse]" in out and "broken.py" in out
 
 
 def test_cli_json_format(tmp_path, capsys):

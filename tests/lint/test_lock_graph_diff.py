@@ -30,7 +30,7 @@ import pytest
 
 @pytest.fixture(scope="module")
 def static_edges():
-    modules, parse_failures = collect_modules([], jobs=2)
+    modules, parse_failures = collect_modules([])
     assert parse_failures == []
     return analyze_project(modules).lock_edges()
 

@@ -14,16 +14,15 @@ import threading
 
 import pytest
 
-from repro.governor import Governor, GovernorConfig
-from repro.lint.runtime import (
-    LockOrderRecorder,
-    LockOrderViolation,
+from repro.core.locks import (
     TrackedLock,
     current_recorder,
     install_recorder,
     tracked_lock,
     uninstall_recorder,
 )
+from repro.governor import Governor, GovernorConfig
+from repro.lint.runtime import LockOrderRecorder, LockOrderViolation
 from repro.recovery.log_manager import CommitPolicy, LogManager
 from repro.recovery.records import BeginRecord, UpdateRecord
 from repro.sim.clock import SimulatedClock
