@@ -10,20 +10,32 @@ Within-node search is binary, so a lookup costs about ``log2(||R||)``
 comparisons in total -- the ``C'`` of the Section 2 model -- while touching
 only ``height + 1`` pages; :meth:`BPlusTree.path_pages` exposes the touched
 page ids for the fault-model experiment.
+
+Every insert goes through one loop, :meth:`BPlusTree.insert_batch`
+(:meth:`BPlusTree.insert` is a batch of one).  It descends iteratively,
+keeps a finger on the last leaf it reached so that a key bound for the
+same leaf skips the descent (but not its charge), and charges the
+batch's comparisons once at the end.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from itertools import chain
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.access.interface import Index, remove_value
 from repro.cost.counters import OperationCounters
 from repro.errors import ConfigurationError
 
 DEFAULT_ORDER = 64
+
+
+def _node_search_cost(n: int) -> int:
+    """Comparisons charged for a binary search over a node of ``n`` keys:
+    ``max(1, ceil(log2(n + 1)))``, which is ``n.bit_length()`` (at least
+    one) in integers."""
+    return n.bit_length() or 1
 
 
 class _BNode:
@@ -136,9 +148,7 @@ class BPlusTree(Index):
     # -- search ------------------------------------------------------------------------
 
     def _charge_node_search(self, node_keys: List[Any]) -> None:
-        """Binary search within a node costs ~log2(len) comparisons."""
-        n = len(node_keys)
-        self.counters.compare(max(1, math.ceil(math.log2(n + 1))))
+        self.counters.compare(_node_search_cost(len(node_keys)))
 
     def _find_leaf(self, key: Any) -> _Leaf:
         node = self._root
@@ -168,44 +178,88 @@ class BPlusTree(Index):
     # -- insert -------------------------------------------------------------------------
 
     def insert(self, key: Any, value: Any) -> None:
-        split = self._insert(self._root, key, value)
-        if split is not None:
-            sep, right = split
-            new_root = self._new_internal()
-            new_root.keys = [sep]
-            new_root.children = [self._root, right]
-            self._root = new_root
-            self._height += 1
-        self._size += 1
+        self.insert_batch(((key, value),))
 
-    def _insert(
-        self, node: _BNode, key: Any, value: Any
-    ) -> Optional[Tuple[Any, _BNode]]:
-        if isinstance(node, _Leaf):
-            self._charge_node_search(node.keys)
-            i = bisect_left(node.keys, key)
-            if i < len(node.keys) and node.keys[i] == key:
-                node.values[i].append(value)
-                return None
-            node.keys.insert(i, key)
-            node.values.insert(i, [value])
-            self._distinct += 1
-            if len(node.keys) > self.order:
-                return self._split_leaf(node)
-            return None
+    def insert_batch(self, pairs: Iterable[Tuple[Any, Any]]) -> None:
+        """Insert ``(key, value)`` pairs in order: the tree's one insert loop.
 
-        assert isinstance(node, _Internal)
-        self._charge_node_search(node.keys)
-        child_idx = bisect_right(node.keys, key)
-        split = self._insert(node.children[child_idx], key, value)
-        if split is None:
-            return None
-        sep, right = split
-        node.keys.insert(child_idx, sep)
-        node.children.insert(child_idx + 1, right)
-        if len(node.keys) > self.order:
-            return self._split_internal(node)
-        return None
+        Builds the tree :meth:`insert` per pair would, node for node, and
+        charges the same totals: each node search on the root-to-leaf path
+        costs :func:`_node_search_cost` comparisons, each split moves what
+        its helper charges.  The descent is iterative and the comparisons
+        are counted in a local integer, charged once per batch.
+
+        The loop keeps a *finger* on the last leaf it reached: the leaf,
+        the separators that bound it (``lo <= key < hi``, as
+        ``bisect_right`` routes), the path to it and that path's charge.
+        A key inside the bounds would descend to the same leaf through the
+        same unchanged nodes, so it skips the descent and is charged the
+        path's cost.  A split changes the path, so it drops the finger.
+        Keys arriving in order (a table indexed on its load order) take the
+        finger for all but about one key per leaf.
+        """
+        order = self.order
+        compares = size = distinct = 0
+        leaf: Optional[_Leaf] = None  # the finger: none yet, or dropped by a split
+        try:
+            for key, value in pairs:
+                if leaf is None or (
+                    (lo is not None and key < lo) or (hi is not None and not key < hi)
+                ):
+                    path: List[Tuple[_Internal, int]] = []
+                    path_cost = 0
+                    lo = hi = None
+                    node = self._root
+                    while isinstance(node, _Internal):
+                        keys = node.keys
+                        # _node_search_cost, inlined here and at the leaf.
+                        path_cost += len(keys).bit_length() or 1
+                        i = bisect_right(keys, key)
+                        if i:
+                            lo = keys[i - 1]
+                        if i < len(keys):
+                            hi = keys[i]
+                        path.append((node, i))
+                        node = node.children[i]
+                    leaf = node
+                    keys = leaf.keys
+                    values = leaf.values
+                n = len(keys)
+                compares += path_cost + (n.bit_length() or 1)
+                i = bisect_left(keys, key)
+                if i < n and keys[i] == key:
+                    values[i].append(value)
+                    size += 1
+                    continue
+                keys.insert(i, key)
+                values.insert(i, [value])
+                size += 1
+                distinct += 1
+                if n < order:
+                    continue
+                split: Optional[Tuple[Any, _BNode]] = self._split_leaf(leaf)
+                while split is not None and path:
+                    parent, i = path.pop()
+                    sep, right = split
+                    parent.keys.insert(i, sep)
+                    parent.children.insert(i + 1, right)
+                    split = (
+                        self._split_internal(parent)
+                        if len(parent.keys) > order
+                        else None
+                    )
+                if split is not None:
+                    sep, right = split
+                    new_root = self._new_internal()
+                    new_root.keys = [sep]
+                    new_root.children = [self._root, right]
+                    self._root = new_root
+                    self._height += 1
+                leaf = None
+        finally:
+            self._size += size
+            self._distinct += distinct
+            self.counters.compare(compares)
 
     def _split_leaf(self, leaf: _Leaf) -> Tuple[Any, _Leaf]:
         mid = len(leaf.keys) // 2

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.access.interface import Index, remove_value
 from repro.cost.counters import OperationCounters
@@ -127,7 +127,7 @@ class HashIndex(Index):
         if self._distinct >= self._grow_at:
             self._grow()
 
-    def insert_batch(self, pairs: Sequence[Tuple[Any, Any]]) -> None:
+    def insert_batch(self, pairs: Iterable[Tuple[Any, Any]]) -> None:
         """Insert many (key, value) pairs with one bulk counter charge.
 
         Identical table state and counter totals to calling :meth:`insert`

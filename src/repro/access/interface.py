@@ -12,7 +12,7 @@ from __future__ import annotations
 import abc
 from bisect import bisect_left
 from itertools import islice
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 
 def remove_value(values: List[Any], value: Any) -> None:
@@ -41,6 +41,12 @@ class Index(abc.ABC):
     @abc.abstractmethod
     def insert(self, key: Any, value: Any) -> None:
         """Add ``value`` under ``key`` (duplicates allowed)."""
+
+    def insert_batch(self, pairs: Iterable[Tuple[Any, Any]]) -> None:
+        """:meth:`insert` each ``(key, value)`` pair in order; indexes with
+        a faster bulk loop override this and build the same index."""
+        for key, value in pairs:
+            self.insert(key, value)
 
     @abc.abstractmethod
     def search(self, key: Any) -> List[Any]:

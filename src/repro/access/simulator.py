@@ -120,9 +120,8 @@ def build_indexes(
     random.Random(seed).shuffle(keys)
     avl = AVLTree()
     btree = BPlusTree(order=btree_order)
-    for k in keys:
-        avl.insert(k, k)
-        btree.insert(k, k)
+    avl.insert_batch(zip(keys, keys))
+    btree.insert_batch(zip(keys, keys))
     return avl, btree, keys
 
 

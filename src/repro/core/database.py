@@ -154,6 +154,12 @@ class MainMemoryDatabase:
             ) from None
         with self._catalog_rw.write_locked():
             relation = self.catalog.relation(table)
+            # Refuse a duplicate before the build, which would charge a
+            # whole index that register_index then throws away.
+            if self.catalog.index(table, column) is not None:
+                raise ConfigurationError(
+                    "index on %s.%s already exists" % (table, column)
+                )
             index = self._load_index(
                 factory(counters=self.counters), relation, column
             )
@@ -261,10 +267,10 @@ class MainMemoryDatabase:
     @staticmethod
     def _load_index(index: Any, relation: Relation, column: str) -> Any:
         """Insert every row's ``(key, TID)`` into ``index`` in physical
-        order, keys read from the column buffers; returns ``index``."""
+        order as one batch, keys read from the column buffers; returns
+        ``index``."""
         keys = relation.column(relation.schema.index_of(column))
-        for key, tid in zip(keys, relation.tid_range(0, len(keys))):
-            index.insert(key, tid)
+        index.insert_batch(zip(keys, relation.tid_range(0, len(keys))))
         return index
 
     # -- introspection ------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the B+-tree, including hypothesis invariant checks."""
 
+import bisect
 import itertools
 import math
 import random
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.access.btree import BPlusTree
+from repro.access.btree import BPlusTree, _node_search_cost
 from repro.cost.counters import OperationCounters
 from repro.errors import QueryCancelled
 from repro.governor import CancellationToken
@@ -169,6 +170,10 @@ class TestCounters:
         # The Section 2 model says C' ~ log2(n) ~ 15.6.
         assert abs(per_lookup - math.log2(n)) < 6
 
+    def test_node_search_cost_is_ceil_log2_in_integers(self):
+        for n in range(1 << 16):
+            assert _node_search_cost(n) == max(1, math.ceil(math.log2(n + 1))), n
+
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(-500, 500)))
@@ -280,3 +285,180 @@ class TestRangeTidsCancellation:
         with pytest.raises(QueryCancelled):
             tree.range_tids(token=token)
         assert token.checks == k + 1  # raised at the check before that leaf
+
+
+# -- the batched insert loop against the per-key recursive insert ------------
+
+
+def reference_insert(tree, key, value):
+    """The recursive per-key insert :meth:`BPlusTree.insert_batch` replaced,
+    kept as its specification: same node ids, same splits, and
+    ``max(1, ceil(log2(len + 1)))`` comparisons per node searched."""
+    split = _reference_descend(tree, tree._root, key, value)
+    if split is not None:
+        sep, right = split
+        new_root = tree._new_internal()
+        new_root.keys = [sep]
+        new_root.children = [tree._root, right]
+        tree._root = new_root
+        tree._height += 1
+    tree._size += 1
+
+
+def _reference_descend(tree, node, key, value):
+    tree.counters.compare(max(1, math.ceil(math.log2(len(node.keys) + 1))))
+    if not hasattr(node, "children"):  # a leaf
+        i = bisect.bisect_left(node.keys, key)
+        if i < len(node.keys) and node.keys[i] == key:
+            node.values[i].append(value)
+            return None
+        node.keys.insert(i, key)
+        node.values.insert(i, [value])
+        tree._distinct += 1
+        return tree._split_leaf(node) if len(node.keys) > tree.order else None
+    child_idx = bisect.bisect_right(node.keys, key)
+    split = _reference_descend(tree, node.children[child_idx], key, value)
+    if split is None:
+        return None
+    sep, right = split
+    node.keys.insert(child_idx, sep)
+    node.children.insert(child_idx + 1, right)
+    return tree._split_internal(node) if len(node.keys) > tree.order else None
+
+
+def reference_tree(pairs, **kwargs):
+    tree = BPlusTree(**kwargs)
+    for key, value in pairs:
+        reference_insert(tree, key, value)
+    return tree
+
+
+def tree_state(tree):
+    """Every node (id, keys, value lists, children or next leaf) in walk
+    order, plus height, size, distinct keys and the next node id; the
+    counters are compared on their own."""
+    nodes = []
+    stack = [tree._root]
+    while stack:
+        node = stack.pop()
+        if hasattr(node, "children"):
+            nodes.append((node.node_id, list(node.keys), [c.node_id for c in node.children]))
+            stack.extend(node.children)
+        else:
+            nxt = node.next.node_id if node.next is not None else None
+            nodes.append((node.node_id, list(node.keys), [list(v) for v in node.values], nxt))
+    return nodes, tree.height, len(tree), tree.distinct_keys, tree._next_node_id
+
+
+def assert_same_tree(tree, expected):
+    tree.check_invariants()
+    assert tree_state(tree) == tree_state(expected)
+    assert tree.counters.as_dict() == expected.counters.as_dict()
+
+
+def key_stream(shape, n, seed):
+    rng = random.Random(seed)
+    if shape == "duplicates":
+        return [rng.randrange(7) for _ in range(n)]
+    keys = [rng.randrange(-1000, 1000) for _ in range(n)]
+    if shape == "sorted":
+        keys.sort()
+    elif shape == "reversed":
+        keys.sort(reverse=True)
+    return keys
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    order=st.sampled_from([3, 4, 5, 8, 64]),
+    shape=st.sampled_from(["sorted", "reversed", "random", "duplicates"]),
+    n=st.integers(0, 1500),
+    seed=st.integers(0, 2**32 - 1),
+    chunks=st.lists(st.one_of(st.just(1), st.integers(1, 400)), min_size=1, max_size=12),
+)
+def test_property_batched_tree_is_the_per_key_tree(order, shape, n, seed, chunks):
+    """Fed in chunks (a chunk of one through ``insert``), the batched loop
+    builds the per-key tree node for node and charges what it charges."""
+    pairs = [(k, i) for i, k in enumerate(key_stream(shape, n, seed))]
+    tree = BPlusTree(order=order)
+    start = 0
+    for size in itertools.cycle(chunks):
+        if start >= len(pairs):
+            break
+        if size == 1:
+            tree.insert(*pairs[start])
+        else:
+            tree.insert_batch(pairs[start : start + size])
+        start += size
+    assert_same_tree(tree, reference_tree(pairs, order=order))
+
+
+class TestFinger:
+    """A key that leaves the last leaf's separator bounds must descend."""
+
+    KEYS = range(0, 400, 10)
+
+    def leaf_bounds(self, tree, key):
+        """``(lo, hi)``: the separators around the leaf ``key`` routes to."""
+        lo = hi = None
+        node = tree._root
+        while hasattr(node, "children"):
+            i = bisect.bisect_right(node.keys, key)
+            if i:
+                lo = node.keys[i - 1]
+            if i < len(node.keys):
+                hi = node.keys[i]
+            node = node.children[i]
+        return lo, hi
+
+    def check(self, batch):
+        pairs = [(k, k) for k in self.KEYS]
+        tree = BPlusTree(order=4)
+        tree.insert_batch(pairs)
+        tree.insert_batch(batch)
+        assert_same_tree(tree, reference_tree(pairs + batch, order=4))
+        for key, value in batch:
+            assert value in tree.search(key)
+
+    def bounds(self):
+        lo, hi = self.leaf_bounds(reference_tree([(k, k) for k in self.KEYS], order=4), 200)
+        assert lo is not None and hi is not None  # a leaf bounded on both sides
+        return lo, hi
+
+    def test_key_equal_to_the_right_separator(self):
+        lo, hi = self.bounds()
+        self.check([(lo, "finger"), (hi, "right"), (hi, "right again")])
+
+    def test_key_just_below_the_left_separator(self):
+        lo, hi = self.bounds()
+        self.check([(lo, "finger"), (lo - 1, "left"), (lo - 0.5, "left again")])
+
+    def test_split_on_the_batch_last_key(self):
+        splits = 0
+        for n in range(1, 60):
+            pairs = [(k, k) for k in range(n)]
+            tree = BPlusTree(order=4)
+            tree.insert_batch(pairs)
+            before_last = reference_tree(pairs[:-1], order=4)
+            splits += tree._next_node_id > before_last._next_node_id
+            assert_same_tree(tree, reference_tree(pairs, order=4))
+            # The next batch starts without a finger into a split leaf.
+            tree.insert_batch([(n, "next"), (n - 1, "again")])
+            assert_same_tree(
+                tree, reference_tree(pairs + [(n, "next"), (n - 1, "again")], order=4)
+            )
+        assert splits > 10
+
+    def test_insert_is_a_batch_of_one(self, monkeypatch):
+        batches = []
+        insert_batch = BPlusTree.insert_batch
+
+        def spy(tree, pairs):
+            batches.append(list(pairs))
+            insert_batch(tree, batches[-1])
+
+        monkeypatch.setattr(BPlusTree, "insert_batch", spy)
+        tree = BPlusTree(order=4)
+        tree.insert(3, "c")
+        assert batches == [[(3, "c")]]
+        assert tree.search(3) == ["c"]

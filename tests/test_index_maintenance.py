@@ -23,10 +23,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.access.btree import BPlusTree
 from repro.core.database import MainMemoryDatabase
+from repro.cost.counters import OperationCounters
+from repro.errors import ConfigurationError
 from repro.operators.selection import Comparison
 from repro.planner.query import Query
 from repro.storage.tuples import DataType
+from tests.test_btree import reference_insert, tree_state
 
 
 ORDERED_KINDS = ("btree", "avl")
@@ -407,3 +411,76 @@ class TestRemoveValue:
         values = [{"a": 1}, 3, "x", (1, 2)]
         remove_value(values, "x")
         assert values == [{"a": 1}, 3, (1, 2)]
+
+
+# ---------------------------------------------------------------------------
+# Index builds: one batched loop, charged as the per-key build
+# ---------------------------------------------------------------------------
+
+
+def two_column_db(keys, payload):
+    db = MainMemoryDatabase()
+    db.create_table("t", [("key", DataType.INTEGER), ("b", DataType.INTEGER)])
+    db.table("t").extend_rows([(k, payload(k)) for k in keys])
+    return db
+
+
+def charged(db, action):
+    """The counters ``action()`` charges ``db``, and what it returns."""
+    db.counters.reset()
+    result = action()
+    return db.counters.snapshot().as_dict(), result
+
+
+INTERVALS = [(None, None), (0, 0), (-5, 5), (3_000, 4_500), (9_990, None), (10_000, 20_000)]
+
+
+class TestIndexBuild:
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_create_index_charges_the_per_key_build(self, shuffled):
+        keys = list(range(10_000))
+        if shuffled:
+            random.Random(38).shuffle(keys)
+        db = two_column_db(keys, lambda k: k % 97)
+        charges, index = charged(db, lambda: db.create_index("t", "key"))
+        expected = BPlusTree()
+        for key, tid in zip(keys, db.table("t").tid_range(0, len(keys))):
+            reference_insert(expected, key, tid)
+        assert charges == expected.counters.as_dict()
+        assert tree_state(index) == tree_state(expected)
+        for low, high in INTERVALS:
+            assert index.range_tids(low, high) == expected.range_tids(low, high)
+
+    def test_delete_where_rebuild_is_a_fresh_create_index(self):
+        keys = list(range(1_000))
+        random.Random(7).shuffle(keys)
+        # Three rows in five match: victims outnumber survivors, so the
+        # index is rebuilt rather than maintained in place.
+        doomed = lambda k: 0 if k % 5 < 3 else k % 5  # noqa: E731
+        indexed = two_column_db(keys, doomed)
+        old = indexed.create_index("t", "key")
+        rebuilt, _ = charged(indexed, lambda: indexed.delete_where("t", "b", 0))
+        fresh_db = two_column_db(keys, doomed)
+
+        def delete_then_build():
+            fresh_db.delete_where("t", "b", 0)
+            return fresh_db.create_index("t", "key")
+
+        fresh_charges, fresh = charged(fresh_db, delete_then_build)
+        index = indexed.catalog.index("t", "key")
+        assert index is not old
+        assert rebuilt == fresh_charges
+        assert tree_state(index) == tree_state(fresh)
+        assert list(indexed.table("t")) == list(fresh_db.table("t"))
+        for low, high in INTERVALS:
+            assert index.range_tids(low, high) == fresh.range_tids(low, high)
+
+    @pytest.mark.parametrize("kind", ["btree", "avl", "hash", "paged-binary"])
+    def test_duplicate_create_index_is_refused_before_the_build(self, kind):
+        db = two_column_db(range(5_000), lambda k: k % 13)
+        index = db.create_index("t", "key", kind=kind)
+        db.counters.reset()
+        with pytest.raises(ConfigurationError, match=r"index on t\.key already exists"):
+            db.create_index("t", "key", kind=kind)
+        assert db.counters.snapshot().as_dict() == OperationCounters().as_dict()
+        assert db.catalog.index("t", "key") is index
