@@ -19,7 +19,7 @@ Point lookups (selectivity ``1/n``, far below any crossover) must beat
 the full scan on wall-clock for both tree indexes.
 
 Both sides run the production batch arm: the scan through the predicate's
-column mask, the index probe through the TID-run gather.
+column mask, the index probe through the TID gather.
 
 Knobs: ``REPRO_BENCH_SCALE`` scales tuple counts (CI smoke runs 0.25).
 Emits ``benchmarks/out/bench_columnar_table1.json``.

@@ -1,7 +1,7 @@
 """The access-method protocol shared by every index in the reproduction.
 
-Values are opaque to the index; the database stores TIDs (page, slot pairs
-into a :class:`~repro.storage.relation.Relation`), matching the paper's
+Values are opaque to the index; the database stores TIDs (row positions
+in a :class:`~repro.storage.relation.Relation`), matching the paper's
 observation that hash/sort structures may hold "TIDs and perhaps keys"
 rather than whole tuples.  Duplicate keys are supported everywhere -- each
 key maps to the list of values inserted under it, in insertion order.

@@ -181,7 +181,7 @@ class MainMemoryDatabase:
         if self.reuse is not None:
             self.reuse.invalidate(table)
 
-    def insert(self, table: str, values: Sequence[Any]) -> Tuple[int, int]:
+    def insert(self, table: str, values: Sequence[Any]) -> int:
         """Insert one row, maintaining every index on the table."""
         self._chaos_point("db insert %s" % table)
         with self._catalog_rw.write_locked():
@@ -205,7 +205,7 @@ class MainMemoryDatabase:
             relation = self.catalog.relation(table)
             batch = relation.schema.validate_batch(rows)
             first = relation.cardinality
-            tids = relation.tid_range(first, first + len(batch))
+            tids = range(first, first + len(batch))
             relation.extend_rows(batch)
             for column, index in self.catalog.indexes_on(table).items():
                 col = relation.schema.index_of(column)
@@ -270,7 +270,7 @@ class MainMemoryDatabase:
         order as one batch, keys read from the column buffers; returns
         ``index``."""
         keys = relation.column(relation.schema.index_of(column))
-        index.insert_batch(zip(keys, relation.tid_range(0, len(keys))))
+        index.insert_batch(zip(keys, range(len(keys))))
         return index
 
     # -- introspection ------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import abc
 import operator
-from itertools import compress, groupby
+from itertools import compress
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -478,24 +478,20 @@ def select_tids(
     counters = counters if counters is not None else OperationCounters()
     per_tuple = predicate.comparisons()
     masker = predicate.compile_mask(relation.schema)
-    cap = relation.tuples_per_page
     tids: List[Tid] = []
     base = 0
     for block, _ in column_blocks(relation):
         charge_page_compares(counters, per_tuple * len(block))
         mask = masker(block)
         if hasattr(mask, "nonzero"):
-            pages, slots = codecs.np.divmod(mask.nonzero()[0] + base, cap)
-            tids.extend(zip(pages.tolist(), slots.tolist()))
+            tids.extend((mask.nonzero()[0] + base).tolist())
         else:
-            tids.extend(
-                divmod(base + i, cap) for i in compress(range(len(mask)), mask)
-            )
+            tids.extend(compress(range(base, base + len(mask)), mask))
         base += len(block)
     return tids
 
 
-def _gather_tid_runs(
+def _gather_tids(
     relation: Relation,
     out: Relation,
     tids: List[Tid],
@@ -507,39 +503,23 @@ def _gather_tid_runs(
 
     ``tids`` are in index order and charged in bulk (one compare plus one
     move per TID for range scans, one move for equality -- the same
-    totals as the per-TID fetch loop).  Consecutive TIDs on the same page
-    form a run, appended column-to-column through
+    totals as the per-TID fetch loop).  They land through
     :meth:`~repro.storage.relation.Relation.extend_columns`, so no row
-    tuple is ever built for the qualifying slice: a run whose slots count
-    up one by one (a clustered index) is a slice of the column buffers --
-    adjacent such runs one slice -- and any other run a gather.  Only the
-    columns at ``indexes`` (``None`` = all) are read.
+    tuple is ever built: TIDs that count up one by one (a clustered
+    index) are one slice of each column buffer, and any other list is one
+    gather in index order.  Only the columns at ``indexes`` (``None`` =
+    all) are read.
     """
     charge = charge_page_moves if equality else charge_page_fetch
     charge(counters, len(tids))
+    if not tids:
+        return
     columns = kept_columns(relation, indexes)
-    cap = relation.tuples_per_page
-    low = high = 0  # the clustered slice not yet appended
-
-    def flush() -> None:
-        if high > low:
-            out.extend_columns([col[low:high] for col in columns], high - low)
-
-    for page_no, run in groupby(tids, key=operator.itemgetter(0)):
-        slots = [slot for _, slot in run]
-        first, n = slots[0], len(slots)
-        start = page_no * cap + first
-        if slots == list(range(first, first + n)):
-            if start != high:
-                flush()
-                low = start
-            high = start + n
-        else:
-            flush()
-            low = high = 0
-            positions = [page_no * cap + slot for slot in slots]
-            out.extend_columns(gather_columns(columns, positions), n)
-    flush()
+    first, n = tids[0], len(tids)
+    if tids == list(range(first, first + n)):
+        out.extend_columns([col[first:first + n] for col in columns], n)
+    else:
+        out.extend_columns(gather_columns(columns, tids), n)
 
 
 def _key_interval(predicate: Predicate) -> Tuple[Any, Any, bool, bool]:
@@ -602,7 +582,7 @@ def select_via_index(
 
     The probe is the same in both arms.  The default batch arm
     materialises the qualifying TIDs as a column feeding
-    ``Relation.extend_columns`` directly (see :func:`_gather_tid_runs`);
+    ``Relation.extend_columns`` directly (see :func:`_gather_tids`);
     ``batch=False`` fetches row tuples one TID at a time.  Output rows,
     counter totals, and the cadence of ``token`` checks are identical
     either way.  ``columns`` is :func:`select`'s: the kept columns of the
@@ -617,7 +597,7 @@ def select_via_index(
     )
     equality = isinstance(predicate, Comparison) and predicate.is_equality
     if batch:
-        _gather_tid_runs(relation, out, tids, counters, equality, indexes)
+        _gather_tids(relation, out, tids, counters, equality, indexes)
         return out
     project = _row_projector(indexes)
     for tid in tids:

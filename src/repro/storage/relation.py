@@ -5,9 +5,9 @@ is about: a schema plus its tuples, held column-wise in one unbounded
 :class:`~repro.storage.page.Page` -- one buffer per column for the whole
 relation.  Pages are arithmetic: with ``c`` tuples per page, page ``p``
 holds the rows at positions ``p * c .. (p + 1) * c - 1`` (the paper's
-``|R| = ||R|| / (tuples per page)``), and the TID ``(page, slot)`` names
-position ``page * c + slot``.  Appends land at the end and deletion
-compacts from the tail, so every page but the last is full.
+``|R| = ||R|| / (tuples per page)``).  A TID is a row's position in the
+column buffers, and its page is ``tid // c``.  Appends land at the end
+and deletion compacts from the tail, so every page but the last is full.
 
 The batch operators read whole columns (:attr:`Relation.columns`);
 :attr:`Relation.pages` cuts the relation into page copies on demand for
@@ -28,8 +28,8 @@ from repro.errors import ConfigurationError
 DEFAULT_PAGE_BYTES = 4096
 
 Row = Tuple[Any, ...]
-#: A tuple identifier: ``(page number, slot)``.
-Tid = Tuple[int, int]
+#: A tuple identifier: the row's position in the column buffers.
+Tid = int
 
 
 class Relation:
@@ -114,24 +114,18 @@ class Relation:
             for page_no, start in enumerate(range(0, n, cap))
         ]
 
-    def _position(self, tid: Tid) -> int:
-        page_no, slot = tid
-        if page_no < 0 or not 0 <= slot < self._tuples_per_page:
-            raise IndexError("relation %r has no TID %r" % (self.name, tid))
-        return page_no * self._tuples_per_page + slot
-
     # -- mutation ---------------------------------------------------------------
 
-    def insert(self, values: Sequence[Any]) -> Tuple[int, int]:
-        """Validate and append one tuple; return its (page, slot) TID."""
+    def insert(self, values: Sequence[Any]) -> Tid:
+        """Validate and append one tuple; return its TID."""
         row = self.schema.validate(values)
         return self.insert_unchecked(row)
 
-    def insert_unchecked(self, row: Row) -> Tuple[int, int]:
+    def insert_unchecked(self, row: Row) -> Tid:
         """Append a pre-validated tuple (hot path for generators/joins)."""
-        position = self._store.add(row)
+        tid = self._store.add(row)
         self._version += 1
-        return divmod(position, self._tuples_per_page)
+        return tid
 
     def extend(self, rows: Iterable[Sequence[Any]]) -> int:
         """Validate and insert many tuples; return how many were added.
@@ -181,12 +175,12 @@ class Relation:
         nothing.  Changes nothing; :meth:`delete_at` applies the moves."""
         count = len(self._store)
         keep = count - len(victims)
-        cut = bisect_left(victims, divmod(keep, self._tuples_per_page))
+        cut = bisect_left(victims, keep)
         if not cut:
             return [], []
         doomed = set(victims[cut:])
-        tail = self.tid_range(keep, count)
-        return [tid for tid in tail if tid not in doomed], list(victims[:cut])
+        sources = [tid for tid in range(keep, count) if tid not in doomed]
+        return sources, list(victims[:cut])
 
     def delete_at(
         self, victims: Sequence[Tid], sources: Sequence[Tid], holes: Sequence[Tid]
@@ -197,8 +191,6 @@ class Relation:
         off -- every page but the last stays full."""
         store = self._store
         if sources:
-            sources = list(map(self._position, sources))
-            holes = list(map(self._position, holes))
             for column, col in enumerate(store.columns):
                 store.set_cells(column, holes, list(map(col.__getitem__, sources)))
         store.truncate(len(store) - len(victims))
@@ -206,35 +198,29 @@ class Relation:
 
     # -- access -------------------------------------------------------------------
 
-    def fetch(self, tid: Tuple[int, int]) -> Row:
-        """Return the tuple at TID ``(page, slot)``."""
-        return self._store.row(self._position(tid))
-
-    def tid_range(self, start: int, stop: int) -> List[Tid]:
-        """TIDs of the rows at physical positions ``start .. stop - 1``."""
-        cap = self._tuples_per_page
-        return [divmod(position, cap) for position in range(start, stop)]
+    def fetch(self, tid: Tid) -> Row:
+        """Return the tuple at ``tid`` (``IndexError`` outside
+        ``0 .. cardinality - 1``)."""
+        return self._store.row(tid)
 
     def values_at(self, column: int, tids: Sequence[Tid]) -> List[Any]:
         """Column ``column`` of the rows at ``tids``, in ``tids`` order,
         gathered straight from its buffer."""
-        return list(map(self._store.columns[column].__getitem__, map(self._position, tids)))
+        return list(map(self._store.columns[column].__getitem__, tids))
 
-    def update(self, tid: Tuple[int, int], values: Sequence[Any]) -> Row:
+    def update(self, tid: Tid, values: Sequence[Any]) -> Row:
         """Overwrite the tuple at ``tid``; return the old value."""
         row = self.schema.validate(values)
-        old = self._store.replace(self._position(tid), row)
+        old = self._store.replace(tid, row)
         self._version += 1
         return old
 
     def __iter__(self) -> Iterator[Row]:
         return zip(*self._store.columns)
 
-    def scan(self) -> Iterator[Tuple[Tuple[int, int], Row]]:
+    def scan(self) -> Iterator[Tuple[Tid, Row]]:
         """Yield ``(tid, tuple)`` pairs in physical order."""
-        cap = self._tuples_per_page
-        for position, row in enumerate(zip(*self._store.columns)):
-            yield divmod(position, cap), row
+        return enumerate(zip(*self._store.columns))
 
     def value(self, row: Row, field: str) -> Any:
         """Field accessor by name (thin sugar over the schema index)."""

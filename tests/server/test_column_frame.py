@@ -140,8 +140,8 @@ def test_the_snapshot_is_a_copy():
     rel.extend([(k,) for k in range(5)])
     frame = encode_frame(reply(_snapshot(rel), ["k"]))
     data = _snapshot(rel)
-    rel.update((0, 0), (99,))
-    tail = rel.tid_range(2, 5)
+    rel.update(0, (99,))
+    tail = [2, 3, 4]
     rel.delete_at(tail, *rel.compaction(tail))
     assert list(rel) == [(99,), (1,)]
     assert result_rows(data) == [[0], [1], [2], [3], [4]]

@@ -444,7 +444,7 @@ class TestIndexBuild:
         db = two_column_db(keys, lambda k: k % 97)
         charges, index = charged(db, lambda: db.create_index("t", "key"))
         expected = BPlusTree()
-        for key, tid in zip(keys, db.table("t").tid_range(0, len(keys))):
+        for key, tid in zip(keys, range(len(keys))):
             reference_insert(expected, key, tid)
         assert charges == expected.counters.as_dict()
         assert tree_state(index) == tree_state(expected)

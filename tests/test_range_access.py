@@ -8,9 +8,8 @@
   rows of the filter-over-scan of the same ``Range``; the specification
   arm and the production arm return them in the same (index) order with
   equal counters, index counters and token checks, for all three ordered
-  index kinds and for TID runs that are buffer slices (a clustered
-  index), gathers (slots out of order) and single rows (an unclustered
-  one).
+  index kinds and for TIDs that are one buffer slice (a clustered index)
+  or one gather (out of order, with gaps, or moved by a delete).
 * **The fold.**  The planner turns a lower and an upper bound on one
   column into one ``Range`` -- the tightest bound per side, estimated as
   an interval -- serves it with one two-bounded index scan or one filter,
@@ -153,9 +152,9 @@ def probe_arms(rel, column, kind, predicate, columns=None):
 
 def physically_ordered(order: str) -> Relation:
     """``mixed_relation``'s shape with ``k`` unique, laid out so an index
-    on ``k`` is clustered (every TID run a buffer slice), has its runs on
-    the right pages in the wrong slot order (every run a gather), or is
-    unclustered (nearly every run one row)."""
+    on ``k`` is clustered (its TIDs count up: a buffer slice), has each
+    page's TIDs in reverse, has stretches of consecutive TIDs with jumps
+    between them, or is unclustered (the last three a gather)."""
     keys = list(range(150))
     if order == "reversed-in-page":
         per_page = mixed_relation().tuples_per_page
@@ -163,6 +162,8 @@ def physically_ordered(order: str) -> Relation:
             k for start in range(0, 150, per_page)
             for k in reversed(keys[start:start + per_page])
         ]
+    elif order == "stretches":
+        keys = keys[40:75] + keys[:40] + keys[110:] + keys[75:110]
     elif order == "shuffled":
         random.Random(5).shuffle(keys)
     rel = Relation("t", mixed_relation().schema, 256)
@@ -174,7 +175,9 @@ def physically_ordered(order: str) -> Relation:
 
 class TestTheProbeAndTheGather:
     @pytest.mark.parametrize("kind", sorted(ORDERED_INDEXES))
-    @pytest.mark.parametrize("order", ["clustered", "reversed-in-page", "shuffled"])
+    @pytest.mark.parametrize(
+        "order", ["clustered", "reversed-in-page", "stretches", "shuffled"]
+    )
     def test_arms_agree_in_index_order_with_the_filtered_scan(self, kind, order):
         rel = physically_ordered(order)
         returned = 0
@@ -202,25 +205,69 @@ class TestTheProbeAndTheGather:
         assert returned
 
     def test_a_run_is_a_slice_only_when_its_slots_count_up(self, monkeypatch):
-        """Rows 0, 2, 1, 3 of a page start at slot 0, end at slot 3 and
-        are four: only the order of the two in the middle says gather."""
+        """TIDs that count up one by one are one slice of each buffer and
+        no gather; any other list -- a gap, or TIDs 0, 2, 1, 3 whose ends
+        and count say "run" -- is exactly one gather, in index order."""
         import repro.operators.selection as selection
 
-        gathers = []
-        real = selection.gather_columns
+        gathers, appends = [], []
+        real_gather, real_extend = selection.gather_columns, Relation.extend_columns
         monkeypatch.setattr(
             selection, "gather_columns",
-            lambda columns, slots: gathers.append(list(slots)) or real(columns, slots),
+            lambda columns, tids: gathers.append(list(tids)) or real_gather(columns, tids),
+        )
+        monkeypatch.setattr(
+            Relation, "extend_columns",
+            lambda self, columns, count: appends.append(count)
+            or real_extend(self, columns, count),
         )
         rel = mixed_relation()
-        per_page = rel.tuples_per_page
-        index = BPlusTree()
-        for key, slot in enumerate([0, 2, 1, 3] + list(range(per_page, 2 * per_page))):
-            index.insert(key, divmod(slot, per_page))
-        out = select_via_index(rel, index, Comparison("k", ">=", 0))
         rows = list(rel)
-        assert list(out) == [rows[i] for i in (0, 2, 1, 3)] + rows[per_page:2 * per_page]
-        assert gathers == [[0, 2, 1, 3]]  # the whole second page was a slice
+        per_page = rel.tuples_per_page
+        for tids, gathered in (
+            (list(range(3, 3 * per_page + 5)), []),  # across pages: one slice
+            ([7], []),
+            ([0, 2, 1, 3], [[0, 2, 1, 3]]),
+            ([0, 2, 1, 3] + list(range(per_page, 2 * per_page)),
+             [[0, 2, 1, 3] + list(range(per_page, 2 * per_page))]),
+            ([0, 1, 2, 4], [[0, 1, 2, 4]]),
+            ([5, 4], [[5, 4]]),
+        ):
+            index = BPlusTree()
+            for key, tid in enumerate(tids):
+                index.insert(key, tid)
+            gathers.clear()
+            appends.clear()
+            out = select_via_index(rel, index, Comparison("k", ">=", 0))
+            assert list(out) == [rows[tid] for tid in tids]
+            assert gathers == gathered
+            assert appends == [len(tids)]
+
+    def test_arms_agree_on_value_lists_a_delete_left_out_of_tid_order(self):
+        """An in-place ``delete_where`` re-points the rows it moves, which
+        re-enter their keys' value lists at the end, out of TID order: the
+        arms still return the same rows in the same (index) order, the
+        same counters and the same token checks."""
+        db = MainMemoryDatabase(page_bytes=256, reuse_cache=False)
+        db.create_table("t", [("k", DataType.INTEGER), ("gone", DataType.INTEGER)])
+        db.insert_many("t", [(i % 9, int(i < 6)) for i in range(150)])
+        db.create_index("t", "k")
+        assert db.delete_where("t", "gone", 1) == 6  # moves, no rebuild
+        rel, index = db.table("t"), db.catalog.index("t", "k")
+        assert any(index.search(key) != sorted(index.search(key)) for key in range(9))
+        for predicate in (
+            Range("k", 3, 7), Range("k", 2, 5, high_open=True),
+            Comparison("k", "=", 4), Comparison("k", ">=", 0),
+        ):
+            arms = []
+            for batch in ARMS:
+                counters, token = OperationCounters(), CancellationToken(qid=1)
+                out = select_via_index(
+                    rel, index, predicate, counters, token=token, batch=batch
+                )
+                arms.append((list(out), counters.as_dict(), token.checks))
+            assert arms[0] == arms[1], predicate
+            assert Counter(arms[0][0]) == Counter(select(rel, predicate))
 
 
 class TestPrefixThroughAnIndex:

@@ -2,15 +2,15 @@
 
 A :class:`~repro.storage.relation.Relation` keeps its rows as one buffer
 per column and derives its pages arithmetically: page ``p`` is positions
-``p * c .. (p + 1) * c - 1`` and the TID ``(p, s)`` is position
-``p * c + s``.  That holds only if every page but the last is full -- the
-density premise -- after every mutation path.  This Hypothesis state
-machine drives each of them (``insert``, ``insert_unchecked``,
+``p * c .. (p + 1) * c - 1``, so the row with TID (position) ``t`` is
+slot ``t % c`` of page ``t // c``.  That holds only if every page but the
+last is full -- the density premise -- after every mutation path.  This
+Hypothesis state machine drives each of them (``insert``, ``insert_unchecked``,
 ``extend_rows``, ``extend_columns``, ``compaction`` + ``delete_at``,
 ``update``, ``truncate``) beside a plain list of rows and
 checks, after every step, the rows with their exact types, the page
 count, the page copies ``pages`` cuts (with their ``page_id``), and
-``fetch`` / ``values_at`` / ``tid_range`` / ``scan``.
+``fetch`` / ``values_at`` / ``scan``.
 
 ``--stateful-examples N`` (tests/conftest.py) sets the example budget;
 the nightly CI job runs 2,000.
@@ -82,13 +82,13 @@ class RelationMachine(RuleBasedStateMachine):
 
     @rule(row=ROWS)
     def insert(self, row):
-        assert self.rel.insert(row) == divmod(len(self.rows), self.cap)
+        assert self.rel.insert(row) == len(self.rows)
         self.rows.append(row)
 
     @rule(row=ROWS)
     def insert_unchecked(self, row):
         tid = self.rel.insert_unchecked(SCHEMA.validate(row))
-        assert tid == divmod(len(self.rows), self.cap)
+        assert tid == len(self.rows)
         self.rows.append(row)
 
     @rule(row=ROWS, column=st.integers(0, 2))
@@ -116,15 +116,12 @@ class RelationMachine(RuleBasedStateMachine):
         positions = sorted(data.draw(st.sets(st.integers(0, max(0, n - 1)), max_size=n)))
         if not n:
             return
-        victims = [divmod(p, self.cap) for p in positions]
-        sources, holes = self.rel.compaction(victims)
+        sources, holes = self.rel.compaction(positions)
         survivors = [row for i, row in enumerate(self.rows) if i not in set(positions)]
-        self.rel.delete_at(victims, sources, holes)
+        self.rel.delete_at(positions, sources, holes)
         for source, hole in zip(sources, holes):
-            self.rows[hole[0] * self.cap + hole[1]] = self.rows[
-                source[0] * self.cap + source[1]
-            ]
-        del self.rows[n - len(victims):]
+            self.rows[hole] = self.rows[source]
+        del self.rows[n - len(positions):]
         assert sorted(map(repr, typed(self.rows))) == sorted(map(repr, typed(survivors)))
 
     @rule(data=st.data(), row=ROWS)
@@ -132,7 +129,7 @@ class RelationMachine(RuleBasedStateMachine):
         if not self.rows:
             return
         position = data.draw(st.integers(0, len(self.rows) - 1))
-        old = self.rel.update(divmod(position, self.cap), row)
+        old = self.rel.update(position, row)
         assert typed([old]) == typed([self.rows[position]])
         self.rows[position] = row
 
@@ -163,14 +160,15 @@ class RelationMachine(RuleBasedStateMachine):
         if pages:
             # A page is a copy: changing it does not reach the relation.
             pages[0].set_cells(2, [0], ["changed"])
-            assert typed([rel.fetch((0, 0))]) == typed(rows[:1])
+            assert typed([rel.fetch(0)]) == typed(rows[:1])
 
     @invariant()
     def access_paths(self):
         rel, rows, cap = self.rel, self.rows, self.cap
-        tids = rel.tid_range(0, len(rows))
-        assert tids == [divmod(p, cap) for p in range(len(rows))]
+        tids = list(range(len(rows)))
         assert typed(map(rel.fetch, tids)) == typed(rows)
+        pages = rel.pages
+        assert typed(pages[t // cap][t % cap] for t in tids) == typed(rows)
         assert typed([row for _, row in rel.scan()]) == typed(rows)
         assert [tid for tid, _ in rel.scan()] == tids
         for column in range(3):
@@ -178,9 +176,9 @@ class RelationMachine(RuleBasedStateMachine):
                 [[row[column] for row in rows[::-1]]]
             )
         with pytest.raises(IndexError):
-            rel.fetch(divmod(len(rows), cap))
+            rel.fetch(len(rows))
         with pytest.raises(IndexError):
-            rel.fetch((0, cap))
+            rel.fetch(-1)
 
 
 def test_relation_storage_agrees_with_list_model(request):

@@ -38,7 +38,7 @@ class TestGeometry:
 class TestInsertFetch:
     def test_insert_returns_tid(self, rel):
         tid = rel.insert((1, 10))
-        assert tid == (0, 0)
+        assert tid == 0
         assert rel.fetch(tid) == (1, 10)
 
     def test_insert_validates(self, rel):
@@ -49,14 +49,26 @@ class TestInsertFetch:
 
     def test_tids_across_pages(self, rel):
         tids = [rel.insert((i, i)) for i in range(10)]
-        assert tids[8] == (1, 0)
-        assert rel.fetch((1, 1)) == (9, 9)
+        assert tids == list(range(10))
+        assert tids[8] // rel.tuples_per_page == 1  # the first row of page 1
+        assert rel.fetch(9) == (9, 9)
 
     def test_update(self, rel):
         tid = rel.insert((1, 10))
         old = rel.update(tid, (1, 99))
         assert old == (1, 10)
         assert rel.fetch(tid) == (1, 99)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_fetch_and_update_refuse_a_tid_outside_the_rows(self, rel, bad):
+        """A negative TID must not wrap to the last row, nor one past the
+        end read anything: both are ``IndexError``, and nothing changes."""
+        rel.extend([(i, i) for i in range(3)])  # cardinality 3
+        with pytest.raises(IndexError):
+            rel.fetch(bad)
+        with pytest.raises(IndexError):
+            rel.update(bad, (7, 7))
+        assert list(rel) == [(0, 0), (1, 1), (2, 2)]
 
     def test_extend(self, rel):
         assert rel.extend([(i, i) for i in range(5)]) == 5
@@ -78,8 +90,8 @@ class TestScan:
     def test_scan_yields_tids(self, rel):
         rel.extend([(i, i) for i in range(10)])
         pairs = list(rel.scan())
-        assert pairs[0] == ((0, 0), (0, 0))
-        assert pairs[9] == ((1, 1), (9, 9))
+        assert pairs[0] == (0, (0, 0))
+        assert pairs[9] == (9, (9, 9))
 
     def test_key_of(self, rel):
         rel.insert((5, 50))

@@ -138,7 +138,7 @@ class WritePathMachine(RuleBasedStateMachine):
             # on ``mark`` would leave it stale.
             self.db.drop_index("t", "mark")
             self.epoch += 1
-        for tid in (divmod(position, self.rel.tuples_per_page) for position in doomed):
+        for tid in doomed:
             row = self.rel.fetch(tid)
             assert self.rel.update(tid, row[:4] + (MARK,)) == row
             self.rows.remove(row)
