@@ -46,9 +46,11 @@ array arithmetic (:func:`~repro.join.partition.hybrid_classes`), groups
 row positions by class with one stable sort and hands every class its
 rows as one gathered slice: the resident class to a
 :class:`~repro.join.vectorized.JoinTable`, each spill class to
-:meth:`~repro.join.partition.SpillWriter.write_columns`.  Phase 2 reads a
-bucket back as its spill file's own column buffers, with no copy.  Each level is one loop per phase:
-partition R, partition S, then one pass over the spilled bucket pairs.
+:meth:`~repro.join.partition.SpillWriter.write_columns`.  Each level is
+one loop per phase: partition R, partition S, then one pass over the
+spilled bucket pairs -- GRACE's phase 2
+(:func:`~repro.join.partition.join_bucket_pairs`, both arms), with the
+Section 3.3 recursion as its split hook.
 """
 
 from __future__ import annotations
@@ -62,17 +64,11 @@ from repro.join.partition import (
     SpillWriter,
     hybrid_class,
     hybrid_classes,
+    join_bucket_pairs,
     partition_fan_out,
-    read_bucket,
-    read_bucket_columns,
     scatter,
 )
-from repro.join.vectorized import (
-    JoinTable,
-    column_blocks,
-    join_bucket_columnar,
-    take_rows,
-)
+from repro.join.vectorized import JoinTable, column_blocks, take_rows
 from repro.storage.page import Page
 from repro.storage.relation import Relation
 
@@ -260,33 +256,7 @@ class HybridHashJoin(JoinAlgorithm):
         if demoted:
             pairs.extend(zip(ovf_r.close(), ovf_s.close()))
 
-        # ---- Phase 2: join the spilled bucket pairs. ----
-        bucket_capacity = self._bucket_capacity(spec)
-        for r_file, s_file in pairs:
-            self.checkpoint()
-            r_rows = read_bucket(self.disk, r_file)
-            s_rows = read_bucket(self.disk, s_file)
-            self.disk.delete(r_file)
-            self.disk.delete(s_file)
-
-            if len(r_rows) > bucket_capacity and depth < self.MAX_RECURSION:
-                # Section 3.3's overflow remedy: recurse on this bucket
-                # pair with a fresh (depth-salted) partitioning -- but only
-                # when partitioning can actually split it.  A bucket
-                # dominated by one key is indivisible; repartitioning it
-                # just rewrites the same rows, so it is processed directly
-                # (the hash table runs over its budget, the honest cost of
-                # an unsplittable hot key).
-                if len({r_key(row) for row in r_rows}) > 1:
-                    self._recurse_on_bucket(spec, output, r_rows, s_rows, depth)
-                    continue
-
-            table = HashIndex(self.counters, max_load=params.fudge)
-            for row in r_rows:
-                table.insert(r_key(row), row)
-            for row in s_rows:
-                for r_row in table.probe(s_key(row)):
-                    self.emit(output, r_row, row)
+        self._phase_two(spec, output, pairs, depth)
 
     # -- batch path --------------------------------------------------------------
 
@@ -381,40 +351,49 @@ class HybridHashJoin(JoinAlgorithm):
         if overflow is not None:
             pairs.extend(zip(overflow[0].close(), overflow[1].close()))
 
-        # ---- Phase 2: join the spilled bucket pairs, read back as columns. ----
-        bucket_capacity = self._bucket_capacity(spec)
-        for r_file, s_file in pairs:
-            self.checkpoint()
-            r_bucket = read_bucket_columns(self.disk, r_file)
-            s_bucket = read_bucket_columns(self.disk, s_file)
-            self.disk.delete(r_file)
-            self.disk.delete(s_file)
+        self._phase_two(spec, output, pairs, depth)
 
+    def _phase_two(
+        self,
+        spec: JoinSpec,
+        output: Relation,
+        pairs: List[Tuple[str, str]],
+        depth: int,
+    ) -> None:
+        """Join the spilled bucket pairs (GRACE's phase 2), re-joining one
+        level deeper each pair whose build side exceeds the phase-2 table
+        capacity -- Section 3.3's overflow remedy, with a fresh
+        (depth-salted) partitioning.  A bucket dominated by one key is
+        indivisible: repartitioning it would rewrite the same rows, so it
+        is joined directly, its hash table over budget (the honest cost
+        of an unsplittable hot key)."""
+        bucket_capacity = self._bucket_capacity(spec)
+        r_ki = spec.r_key_index
+
+        def split(r_bucket: Page, s_bucket: Page) -> bool:
             if (
                 len(r_bucket) > bucket_capacity
                 and depth < self.MAX_RECURSION
-                and len(set(r_bucket.column(key_indexes[0]))) > 1
+                and len(set(r_bucket.column(r_ki))) > 1
             ):
                 self._recurse_on_bucket(spec, output, r_bucket, s_bucket, depth)
-                continue
+                return True
+            return False
 
-            join_bucket_columnar(r_bucket, s_bucket, spec, self.counters, output)
+        join_bucket_pairs(self, spec, pairs, output, split)
 
     def _recurse_on_bucket(
         self,
         spec: JoinSpec,
         output: Relation,
-        r_bucket: Any,
-        s_bucket: Any,
+        r_bucket: Page,
+        s_bucket: Page,
         depth: int,
     ) -> None:
-        """Re-join one overflowing bucket pair one level deeper.
-
-        A bucket is a row list (specification arm) or one columnar page
-        (production arm).  The sub-level plans against the *current*
-        effective grant, so a revoked budget keeps shrinking the recursive
-        fan-outs.
-        """
+        """Re-join one overflowing bucket pair, read back as its files'
+        columns, one level deeper.  The sub-level plans against the
+        *current* effective grant, so a revoked budget keeps shrinking
+        the recursive fan-outs."""
         sub_r = Relation(
             "%s~%d" % (spec.r.name, depth + 1), spec.r.schema, spec.r.page_bytes
         )
@@ -422,10 +401,7 @@ class HybridHashJoin(JoinAlgorithm):
             "%s~%d" % (spec.s.name, depth + 1), spec.s.schema, spec.s.page_bytes
         )
         for sub, bucket in ((sub_r, r_bucket), (sub_s, s_bucket)):
-            if isinstance(bucket, Page):
-                sub.extend_columns(bucket.columns, len(bucket))
-            else:
-                sub.extend_rows(bucket)
+            sub.extend_columns(bucket.columns, len(bucket))
         sub_spec = JoinSpec(
             r=sub_r,
             s=sub_s,

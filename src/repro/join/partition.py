@@ -25,18 +25,27 @@ Either way :func:`scatter` groups the row positions by class and the
 production arms spill column slices (:meth:`SpillWriter.write_columns`)
 and read a bucket back as its file's buffers (:func:`read_bucket_columns`);
 both arms write through the same file tail, so the files are the same
-page for page.
+page for page.  Phase 2 -- read a bucket pair back, build R's bucket,
+probe it with S's -- is one loop for GRACE and hybrid hash alike
+(:func:`join_bucket_pairs`).
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
+from repro.access.hash_index import HashIndex
 from repro.cost.counters import OperationCounters
 from repro.errors import ConfigurationError
-from repro.join.vectorized import column_blocks, int_hashes, take_rows
+from repro.join.base import JoinAlgorithm, JoinSpec
+from repro.join.vectorized import (
+    column_blocks,
+    int_hashes,
+    join_bucket_columnar,
+    take_rows,
+)
 from repro.operators.columnar import int_key_views, stable_argsort
 from repro.storage import codecs
 from repro.storage.codecs import Column, np
@@ -256,28 +265,21 @@ def partition_relation(
     disk: SimulatedDisk,
     counters: OperationCounters,
     file_prefix: str,
-    resident_bucket: bool = False,
-    on_resident: Optional[Callable[[Any, Row], None]] = None,
     batch: bool = True,
     checkpoint: Optional[Callable[[], None]] = None,
     key_index: Optional[int] = None,
 ) -> List[str]:
-    """Partition ``relation`` into ``buckets`` spill files by hash.
+    """Partition ``relation`` into ``buckets`` spill files by hash (GRACE
+    phase 1; hybrid hash classifies with :func:`hybrid_classes` instead).
 
-    With ``resident_bucket=True`` (hybrid hash), tuples whose hash lands on
-    residue 0 are *not* spilled: they are handed to ``on_resident`` (which
-    builds the in-memory hash table for R0 or probes it for S0) and the
-    remaining residues map to the ``buckets`` spill files.
-
-    Each tuple is charged one ``hash``; spilled tuples additionally charge
-    one ``move`` into the output buffer (inside :class:`SpillWriter`).
-    Returns the spill file names (empty when everything stayed resident).
+    Each tuple is charged one ``hash`` and one ``move`` into the output
+    buffer (inside :class:`SpillWriter`).  Returns the spill file names.
 
     The default ``batch`` path takes the relation a block of pages at a
     time (:func:`~repro.join.vectorized.column_blocks`): it classifies the
     block's whole key column, groups row positions by residue with one
     stable sort and hands each bucket one gathered column slice --
-    identical files, charges, and resident-callback order.
+    identical files and charges.
 
     ``checkpoint`` (the governor's cooperative cancellation hook) is
     called once per input page in both execution modes, before a block
@@ -289,16 +291,14 @@ def partition_relation(
     once per row.  Key extraction is uncharged in both forms, so the
     counters cannot differ.
     """
-    if buckets < 0:
-        raise ConfigurationError("bucket count cannot be negative")
-    total_classes = buckets + (1 if resident_bucket else 0)
-    if total_classes == 0:
-        raise ConfigurationError("partitioning into zero classes")
-
-    writer: Optional[SpillWriter] = None
-    if buckets > 0:
-        names = ["%s.%d" % (file_prefix, i) for i in range(buckets)]
-        writer = SpillWriter(disk, names, relation.tuples_per_page, counters)
+    if buckets < 1:
+        raise ConfigurationError("partitioning into %d buckets" % buckets)
+    names = ["%s.%d" % (file_prefix, i) for i in range(buckets)]
+    # A cancelled partition leaves its open files on the join's scratch
+    # disk, which dies with the statement, as hybrid hash's writers do;
+    # closing them on the way out would charge flushes nothing reads.
+    # repro-lint: disable=resource-lifecycle
+    writer = SpillWriter(disk, names, relation.tuples_per_page, counters)
 
     if batch:
         for block, starts in column_blocks(relation):
@@ -313,34 +313,21 @@ def partition_relation(
                 if key_index is not None
                 else [key(row) for row in block.tuples]
             )
-            groups = scatter(partition_residues(keys, total_classes), total_classes)
-            if resident_bucket:
-                assert on_resident is not None, "resident bucket needs a consumer"
-                rows = block.tuples
-                for position in groups.pop(0):
-                    on_resident(keys[position], rows[position])
+            groups = scatter(partition_residues(keys, buckets), buckets)
             for bucket, positions in enumerate(groups):
                 if len(positions):
-                    assert writer is not None
                     writer.write_columns(
                         bucket, take_rows(block, positions), len(positions)
                     )
-        return writer.close() if writer is not None else []
+        return writer.close()
 
     tpp = max(1, relation.tuples_per_page)
     for i, row in enumerate(relation):
         if checkpoint is not None and i % tpp == 0:
             checkpoint()
         counters.hash_key()
-        residue = partition_hash(key(row)) % total_classes
-        if resident_bucket and residue == 0:
-            assert on_resident is not None, "resident bucket needs a consumer"
-            on_resident(key(row), row)
-        else:
-            assert writer is not None
-            writer.write(residue - (1 if resident_bucket else 0), row)
-
-    return writer.close() if writer is not None else []
+        writer.write(partition_hash(key(row)) % buckets, row)
+    return writer.close()
 
 
 def read_bucket(
@@ -357,10 +344,61 @@ def read_bucket_columns(disk: SimulatedDisk, file_name: str) -> Page:
     return disk.read_file(file_name)
 
 
+def join_bucket_pairs(
+    join: JoinAlgorithm,
+    spec: JoinSpec,
+    pairs: Iterable[Tuple[str, str]],
+    output: Relation,
+    split: Optional[Callable[[Page, Page], bool]] = None,
+) -> None:
+    """Phase 2 of GRACE and hybrid hash: join every spilled bucket pair.
+
+    Per pair: one cancellation check, both files read back whole and
+    deleted, then ``split`` (hybrid's Section 3.3 recursion; GRACE has
+    none) may take the pair over by returning true.  Otherwise R's
+    bucket becomes a hash table that S's bucket probes -- the production
+    arm on whole columns (:func:`~repro.join.vectorized.join_bucket_columnar`),
+    the specification arm row by row (:func:`_join_bucket_rows`), with the
+    same charges and the same rows in the same order.
+    """
+    for r_file, s_file in pairs:
+        join.checkpoint()
+        r_bucket = read_bucket_columns(join.disk, r_file)
+        s_bucket = read_bucket_columns(join.disk, s_file)
+        join.disk.delete(r_file)
+        join.disk.delete(s_file)
+        if split is not None and split(r_bucket, s_bucket):
+            continue
+        if join.batch:
+            join_bucket_columnar(r_bucket, s_bucket, spec, join.counters, output)
+        else:
+            _join_bucket_rows(r_bucket, s_bucket, spec, join, output)
+
+
+def _join_bucket_rows(
+    r_bucket: Page,
+    s_bucket: Page,
+    spec: JoinSpec,
+    join: JoinAlgorithm,
+    output: Relation,
+) -> None:
+    """The specification arm's build-and-probe of one bucket pair: a
+    :class:`~repro.access.hash_index.HashIndex` of R's rows, probed a row
+    of S at a time (``probe`` charges the hash and the comparisons)."""
+    table = HashIndex(join.counters, max_load=spec.params.fudge)
+    r_key, s_key = spec.r_key, spec.s_key
+    for row in r_bucket.tuples:
+        table.insert(r_key(row), row)
+    for row in s_bucket.tuples:
+        for r_row in table.probe(s_key(row)):
+            join.emit(output, r_row, row)
+
+
 __all__ = [
     "SpillWriter",
     "hybrid_class",
     "hybrid_classes",
+    "join_bucket_pairs",
     "partition_fan_out",
     "partition_hash",
     "partition_relation",

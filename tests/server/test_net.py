@@ -60,7 +60,11 @@ class TestNothingLeaks:
         with ServerClient(*server.address) as warm:
             warm.execute("PING")
         assert wait_until(lambda: not server._connections)
-        baseline = threading.active_count()
+        # The warm-up connection's thread may still be returning after it
+        # left ``_connections``: the baseline is the threads alive now,
+        # and every thread started since must end.
+        baseline = set(threading.enumerate())
+        started = set()
         for i in range(200):
             client = ServerClient(*server.address)
             if i % 3 == 0:
@@ -68,12 +72,15 @@ class TestNothingLeaks:
                 client.execute("ADD %d 1" % (i % 16))
             else:
                 assert client.value("GET %d" % (i % 16)) == 100
+            # The connection's thread is serving it until it goes away.
+            started |= set(threading.enumerate()) - baseline
             if i % 2:
                 client.kill()  # RST
             else:
                 client.close()  # FIN
+        assert len(started) >= 200  # one thread per connection, seen alive
         assert wait_until(lambda: not server._connections)
-        assert wait_until(lambda: threading.active_count() == baseline)
+        assert wait_until(lambda: set(threading.enumerate()) <= baseline)
         assert server.manager.session_count() == 0
         wire = server.wire_stats()
         assert wire["connections_accepted"] == wire["disconnects"] == 201

@@ -84,24 +84,6 @@ class TestPartitionRelation:
                 other_s = {row[0] for row in read_bucket(disk, sf2)}
                 assert not (shared & other_s)
 
-    def test_resident_bucket_consumes_fraction(self, counters):
-        rel = build_relation("t", range(1000))
-        disk = SimulatedDisk(counters)
-        resident = []
-        files = partition_relation(
-            rel,
-            rel.key_of("key"),
-            3,
-            disk,
-            counters,
-            "p",
-            resident_bucket=True,
-            on_resident=lambda k, row: resident.append(row),
-        )
-        spilled = sum(len(read_bucket(disk, f)) for f in files)
-        assert len(resident) + spilled == 1000
-        assert len(resident) == pytest.approx(250, abs=80)  # 1/(3+1) share
-
     def test_charges_hash_per_tuple(self):
         counters = OperationCounters()
         rel = build_relation("t", range(64))

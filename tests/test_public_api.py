@@ -127,10 +127,13 @@ def test_spilling_joins_have_one_production_path():
     with whole columns and kept nothing beside it: the helpers only the
     old path used are gone, the new names are exported, and
     ``PROBE_FLUSH_ROWS`` is still the join package's one block-size
-    constant."""
+    constant.  Simple hash's passes are columnar too, and GRACE and
+    hybrid share one phase-2 loop: no algorithm reads a bucket back by
+    itself."""
     import inspect
 
-    from repro.join import grace_hash, hybrid_hash, partition, vectorized
+    from repro.join import grace_hash, hybrid_hash, partition, simple_hash
+    from repro.join import vectorized
 
     assert not hasattr(partition.SpillWriter, "write_many")
     for gone in ("insert", "probe", "flush", "items"):
@@ -140,19 +143,38 @@ def test_spilling_joins_have_one_production_path():
     # The build side stages into a Relation; its staging class is gone.
     assert not hasattr(vectorized, "ColumnStore")
     assert {"hybrid_classes", "partition_residues", "scatter",
-            "read_bucket_columns"} <= set(partition.__all__)
+            "read_bucket_columns", "join_bucket_pairs"} <= set(partition.__all__)
     assert {"column_blocks", "take_rows"} <= set(vectorized.__all__)
-    # The production level functions read buckets back as columns.
+    for cls, gone in (
+        (grace_hash.GraceHashJoin, ("_execute_batch", "_execute_tuple")),
+        (simple_hash.SimpleHashJoin, ("_execute_one_pass_batch",)),
+    ):
+        for name in gone:
+            assert not hasattr(cls, name), name
+    # One phase 2: GRACE and hybrid (both arms) hand their bucket pairs
+    # to the shared loop, and no algorithm reads a bucket back itself.
+    for fn in (grace_hash.GraceHashJoin._execute,
+               hybrid_hash.HybridHashJoin._phase_two):
+        assert "join_bucket_pairs(" in inspect.getsource(fn)
+    for module in (grace_hash, hybrid_hash, simple_hash):
+        assert not re.search(r"read_bucket(_columns)?\(", inspect.getsource(module))
+    loop = inspect.getsource(partition.join_bucket_pairs)
+    assert "read_bucket_columns(" in loop and "join_bucket_columnar(" in loop
+    # The production functions never build a row list.
     for fn in (
         hybrid_hash.HybridHashJoin._execute_level_batch,
-        grace_hash.GraceHashJoin._execute_batch,
+        partition.join_bucket_pairs,
+        simple_hash.SimpleHashJoin._execute_batch,
     ):
         source = inspect.getsource(fn)
-        assert "read_bucket_columns(" in source
         assert "read_bucket(" not in source
         assert not re.search(r"\.tuples\b", source)
+        assert "HashIndex" not in source and "r_row + s_row" not in source
+    simple = inspect.getsource(simple_hash.SimpleHashJoin._execute_batch)
+    assert "column_blocks(" in simple and "JoinTable(" in simple
     tunables = [
-        name for module in (partition, vectorized, hybrid_hash, grace_hash)
+        name
+        for module in (partition, vectorized, hybrid_hash, grace_hash, simple_hash)
         for name, value in vars(module).items()
         if name.isupper() and not name.startswith("_")
         and isinstance(value, (int, float)) and not isinstance(value, bool)

@@ -243,6 +243,22 @@ class TestSpillFiles:
         assert ios["sequential_ios"] + ios["random_ios"] == 2 * written
 
 
+class TestSimpleHashPasses:
+    @pytest.mark.parametrize("block_rows", [1 << 16, 24])
+    @pytest.mark.parametrize("kind", ["int", "string", "float", "demoted"])
+    def test_arms_agree_over_passes(
+        self, engine, monkeypatch, kind, block_rows
+    ):
+        """Several passes: each block's rows of the pass's residue meet
+        the pass's table and the rest are carried into the next pass, in
+        order -- packed, chained and unpacked in mid-pass alike."""
+        spec = spilling_spec(kind)
+        tuple_arm = run_join("simple-hash", spec, batch=False)
+        monkeypatch.setattr(vectorized, "PROBE_FLUSH_ROWS", block_rows)
+        assert run_join("simple-hash", spec, batch=True) == tuple_arm
+        assert tuple_arm["rows"] and tuple_arm["counters"]["sequential_ios"] > 0
+
+
 # -- (c) the block size ---------------------------------------------------------------
 
 
@@ -295,8 +311,6 @@ class TestBlockSize:
         self, engine, monkeypatch, name, block_rows
     ):
         spec = self.segregated_spec()
-        if name == "simple-hash":
-            spec.memory_pages = 1000  # the one-pass arm is the columnar one
         expected = run_join(name, spec, batch=False)
         monkeypatch.setattr(vectorized, "PROBE_FLUSH_ROWS", block_rows)
         # 20 rows are two and a half pages: a block ends inside a page run.
@@ -410,10 +424,12 @@ class TestEveryPageBoundary:
         assert fired > pages // 2
 
     @pytest.mark.parametrize("block_rows", BLOCK_ROWS)
-    @pytest.mark.parametrize("name", ["hybrid-hash", "grace-hash"])
+    @pytest.mark.parametrize("name", ["hybrid-hash", "grace-hash", "simple-hash"])
     def test_cancel_at_every_checkpoint(self, monkeypatch, name, block_rows):
         """A cancel raises the typed error at the check that observed it,
-        and the block that check belongs to has written nothing."""
+        and the block that check belongs to has written nothing.  Simple
+        hash runs three passes at this grant: its later passes' checks
+        are the ones past phase 1's."""
         spec = spilling_spec(r_rows=120, s_rows=200)
         monkeypatch.setattr(vectorized, "PROBE_FLUSH_ROWS", block_rows)
         total = run_join(name, spec, batch=True)["checks"]
@@ -423,7 +439,8 @@ class TestEveryPageBoundary:
             for _, starts in column_blocks(rel):
                 firsts.append(seen + 1)
                 seen += len(starts)
-        assert total > seen  # phase 2 checks once per bucket pair
+        # Phase 2 checks once per bucket pair, a later pass once per page.
+        assert total > seen
         for at in range(1, total + 1):
             counters = OperationCounters()
             token = CancellationToken(qid=9)
