@@ -8,9 +8,10 @@ Usage::
     python -m repro recovery              # checkpoint-interval sweep
     python -m repro sql "SELECT ..."      # query the demo employee database
 
-Each command prints the regenerated rows; the benchmark suite
-(``pytest benchmarks/ --benchmark-only``) additionally asserts the paper's
-qualitative claims against them.
+Each command prints the regenerated rows; the tier-1 tests
+(``tests/test_access_model.py``, ``tests/test_join_model.py``,
+``tests/test_log_manager.py``, ``tests/test_checkpoint_restart.py``)
+assert the paper's qualitative claims against the same models.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ query raises a typed error and never emits a partial result.
 
 ``check()`` is deliberately tiny: on the happy path it is one attribute
 test plus (only when a deadline is armed) one clock read, which is what
-keeps the governor's overhead within the benchmarked bound
-(benchmarks/bench_governor.py).
+keeps the governor's happy path cheap: the ledger's
+``governor.admit_us_per_stmt`` and the operators' self time watch it
+(benchmarks/ledger).
 
 The optional ``on_check`` hook is the chaos seam: the fault injector
 installs a callback there, turning every hot-loop checkpoint into a

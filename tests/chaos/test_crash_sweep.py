@@ -55,6 +55,24 @@ class TestExhaustiveSweep:
         # All six invariants ran at every crash point.
         assert report.invariants_checked == 6 * report.crashes
 
+    def test_point_counts_follow_the_commit_ladder(self):
+        """Forcing the log at every commit makes more dispatch points than
+        group commit's shared pages (Section 5.2's 100 -> 1000 arithmetic,
+        seen through the crash-point counter), and each synchronous
+        stable-memory append is a durability transition of its own.  The
+        count is a pure function of the scenario."""
+        points = {
+            name: profile_points(config_for(policy, 1))
+            for name, policy in (
+                ("conventional", CommitPolicy.CONVENTIONAL),
+                ("group", CommitPolicy.GROUP),
+                ("stable", CommitPolicy.STABLE),
+            )
+        }
+        assert points["conventional"] > points["group"]
+        assert points["stable"] > points["group"]
+        assert profile_points(config_for(CommitPolicy.GROUP, 1)) == points["group"] > 0
+
     def test_points_cover_more_than_event_boundaries(self):
         """The stable policy's durable appends are synchronous, so its
         sweep must expose points that no event boundary reaches."""

@@ -90,6 +90,77 @@ class TestNothingLeaks:
             assert probe.value("AUDIT") == 1600
 
 
+def transfer_worker(address, seed, tallies, mu, connections=2, txns=3):
+    """BEGIN / ADD debit / ADD credit / COMMIT over fresh connections; a
+    typed error (deadlock victim, lock timeout, admission) rolls back."""
+    import random
+
+    rng = random.Random(seed)
+    committed = 0
+    for _ in range(connections):
+        with ServerClient(*address) as client:
+            for _ in range(txns):
+                src, dst = rng.randrange(128), rng.randrange(128)
+                amount = rng.randrange(1, 100)
+                try:
+                    client.execute("BEGIN")
+                    client.execute("ADD %d %d" % (src, -amount))
+                    client.execute("ADD %d %d" % (dst, amount))
+                    client.execute("COMMIT")
+                    committed += 1
+                except ReproError:
+                    try:
+                        client.execute("ROLLBACK")
+                    except ReproError:
+                        pass
+    with mu:
+        tallies.append(committed)
+
+
+class TestSessionLadderInvariants:
+    def test_every_rung_conserves_and_leaks_nothing(self):
+        """E21's correctness half, over the wire: a lone session and a
+        rung past the governor's ``max_concurrent`` knee each commit,
+        conserve the total balance and return every admission slot; the
+        lone session's groups are groups of one; shutdown leaves the
+        store uncrashed."""
+        server = DatabaseServer(
+            n_accounts=128, initial_balance=1_000, group_size=32,
+            group_delay=0.002, lock_wait_timeout=10.0, statement_timeout=30.0,
+        )
+        address = server.start_in_thread()
+        bank = server.manager.bank
+        knee = server.manager.db.governor.config.max_concurrent
+        try:
+            for sessions in (1, knee + 4):
+                before = bank.bank_stats()
+                tallies, mu = [], threading.Lock()
+                workers = [
+                    threading.Thread(
+                        target=transfer_worker,
+                        args=(address, 1984 + 1000 * sessions + i, tallies, mu),
+                    )
+                    for i in range(sessions)
+                ]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=60)
+                assert sum(tallies) > 0 and len(tallies) == sessions
+                governor = server.manager.db.governor_stats()
+                assert governor["active"] == governor["parked"] == 0, governor
+                assert governor["pages_in_use"] == 0, governor
+                with ServerClient(*address) as probe:
+                    assert probe.value("AUDIT") == 128 * 1_000
+                if sessions == 1:
+                    after = bank.bank_stats()
+                    commits = after["commits"] - before["commits"]
+                    assert commits == after["groups_flushed"] - before["groups_flushed"] > 0
+        finally:
+            server.stop()
+        assert bank.bank_stats()["crashed"] is False
+
+
 class TestNothingHangs:
     def test_stop_with_idle_parked_and_waiting_connections(self):
         # Threads alive before the server exists -- including any still

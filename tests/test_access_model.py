@@ -127,6 +127,13 @@ class TestBreakeven:
             btree_sequential_cost(P, m, n), rel=1e-6
         )
 
+    @pytest.mark.parametrize("fraction", [0.25, 0.5, 0.75])
+    def test_btree_sequential_cheaper_at_partial_residence(self, fraction):
+        """E15's model half: the closed forms rank the structures for a
+        1000-record scan as the measured fault rates do."""
+        m = fraction * avl_storage_pages(P)
+        assert btree_sequential_cost(P, m, 1000) < avl_sequential_cost(P, m, 1000)
+
     def test_btree_dominates_sequential_at_low_memory(self):
         # Sequential scans hit the AVL tree hardest: a fault per record
         # vs a fault per leaf page.
@@ -158,6 +165,24 @@ class TestTable1:
             for key in ("random_H", "sequential_H"):
                 value = row[key]
                 assert 0.0 <= value <= 1.0 or math.isnan(value)
+
+    def test_every_cell_is_in_the_papers_band(self):
+        """E1/E2: "more than 80%-90% of the database" in every (Z, Y)
+        cell; sequential access punishes the AVL tree at least as hard as
+        random access; across Z the threshold is nearly flat (the
+        Z-dependent term can tilt it either way)."""
+        z_values, y_values = (10.0, 20.0, 30.0), (0.5, 0.75, 0.9, 1.0)
+        rows = table1(z_values, y_values)
+        for r in rows:
+            assert 0.80 <= r["random_H"] <= 1.0, r
+            assert 0.80 <= r["sequential_H"] <= 1.0, r
+            assert r["sequential_H"] >= r["random_H"] - 0.02, r
+        for z in z_values:
+            column = [r["random_H"] for r in rows if r["Z"] == z]
+            assert column == sorted(column)
+        for y in y_values:
+            row = [r["random_H"] for r in rows if r["Y"] == y]
+            assert max(row) - min(row) < 0.05
 
 
 class TestValidation:

@@ -1,5 +1,7 @@
 """Tests for the executable Section 2 simulator (measured Table 1)."""
 
+import random
+
 import pytest
 
 from repro.access.simulator import (
@@ -12,7 +14,7 @@ from repro.cost.access_model import (
     AccessMethodParameters,
     random_breakeven_fraction,
 )
-from repro.storage.buffer import ReplacementPolicy
+from repro.storage.buffer import BufferPool, ReplacementPolicy
 
 N = 1500
 PARAMS = AccessMethodParameters()
@@ -103,3 +105,63 @@ class TestMeasuredBreakeven:
         measured = measured_breakeven(n_keys=1200, lookups=400, resolution=10)
         assert measured is not None
         assert measured <= model + 0.1
+
+    def test_measured_breakeven_stays_in_the_headline_band(self):
+        """E12: replaying real lookups, the breakeven sits a little below
+        the closed form (root-biased traffic favours the AVL tree) and
+        stays in the paper's 80-90%+ band."""
+        model = random_breakeven_fraction(PARAMS)
+        measured = measured_breakeven(n_keys=1200, lookups=400, resolution=20)
+        assert measured is not None
+        assert 0.75 <= measured <= model + 0.05
+
+
+def path_fault_rate(index, keys, fraction, policy=ReplacementPolicy.RANDOM):
+    """Fault rate per page touch when random lookups' real search paths
+    go through ``fraction`` of the structure's pages in a buffer pool."""
+    pool = BufferPool(
+        max(1, int(fraction * structure_pages(index))), policy=policy, seed=11
+    )
+    rng = random.Random(7)
+    for phase, count in (("warm", 500), ("measure", 1000)):
+        if phase == "measure":
+            pool.reset_stats()
+        for _ in range(count):
+            for page in index.path_pages(keys[rng.randrange(len(keys))]):
+                pool.access(page)
+    return pool.fault_rate
+
+
+class TestFaultModelOnRealPaths:
+    """E9: Section 2's ``1 - |M|/S`` fault model is an upper bound for
+    real tree traffic, whose root-biased paths keep the upper levels
+    resident even under random replacement."""
+
+    @pytest.fixture(scope="class")
+    def trees(self):
+        return build_indexes(4000, seed=3, btree_order=32)
+
+    @pytest.mark.parametrize("fraction", [0.25, 0.5, 0.75, 0.9])
+    def test_the_model_bounds_both_trees(self, trees, fraction):
+        avl, btree, keys = trees
+        for index in (avl, btree):
+            measured = path_fault_rate(index, keys, fraction)
+            assert measured <= (1 - fraction) + 0.05, (index, measured)
+        assert path_fault_rate(avl, keys, fraction) > 0
+
+    def test_lru_exploits_root_bias_at_least_as_well_as_random(self, trees):
+        _, btree, keys = trees
+        lru = path_fault_rate(btree, keys, 0.5, ReplacementPolicy.LRU)
+        assert lru <= path_fault_rate(btree, keys, 0.5) + 0.02
+
+    def test_avl_lookup_touches_several_times_the_pages(self, trees):
+        """The Section 2 crux: ~log2(n) pages per AVL lookup against the
+        B+-tree's height + 1."""
+        avl, btree, keys = trees
+        rng = random.Random(5)
+        probes = [keys[rng.randrange(len(keys))] for _ in range(500)]
+        avl_pages = sum(len(avl.path_pages(k)) for k in probes) / len(probes)
+        bt_pages = sum(len(btree.path_pages(k)) for k in probes) / len(probes)
+        assert avl_pages > 10
+        assert bt_pages <= 4
+        assert avl_pages / bt_pages > 3

@@ -268,3 +268,49 @@ def test_property_recovery_equals_oracle(seed, horizon, interval, policy,
     out = recover(cs, initial_value=100)
     oracle = replay_committed(cs, initial_value=100)
     assert out.state.values == oracle.values
+
+
+def crashed_banking_history(horizon, interval, seed):
+    """Banking at ~1000 tps over a 32-page database, crashed at
+    ``horizon``; ``interval=None`` never checkpoints."""
+    queue = EventQueue(SimulatedClock())
+    state = DatabaseState(2000, records_per_page=64, initial_value=100)
+    lm = LogManager(queue, policy=CommitPolicy.GROUP)
+    engine = TransactionEngine(state, queue, lm)
+    ck = Checkpointer(engine, DiskSnapshot(), interval=interval or 1.0)
+    if interval is not None:
+        ck.start()
+    bank = BankingWorkload(2000, seed=seed)
+    for i in range(int(horizon * 1000)):
+        script, _ = bank.next_script()
+        engine.submit_at(i * 0.001, script)
+    queue.run_until(horizon)
+    return crash(engine, ck)
+
+
+class TestCheckpointCadence:
+    """E8: fuzzy checkpoints plus the stable dirty-page table bound redo;
+    sweeping faster than the snapshot disk absorbs (32 pages x 10 ms =
+    0.32 s a sweep) queues copies and loosens the bound again."""
+
+    def test_interval_sweep(self):
+        runs = {}
+        for interval in (None, 1.0, 0.5, 0.1):
+            cs = crashed_banking_history(2.0, interval, seed=31)
+            out = recover(cs, initial_value=100)
+            assert out.state.values == replay_committed(cs, initial_value=100).values
+            runs[interval] = (cs.snapshot.page_count, out.log_records_scanned, out.updates_redone)
+        never, coarse, frequent, saturated = (runs[i] for i in (None, 1.0, 0.5, 0.1))
+        assert never[0] == 0
+        assert never[1] >= coarse[1] >= frequent[1]
+        assert frequent[1] < 0.35 * never[1]
+        assert frequent[2] < never[2]
+        assert frequent[1] <= saturated[1] <= never[1]
+
+    def test_dirty_page_table_is_where_redo_starts(self):
+        cs = crashed_banking_history(2.0, 0.2, seed=33)
+        with_table = recover(cs, initial_value=100)
+        without = recover(cs, initial_value=100, use_dirty_page_table=False)
+        assert with_table.state.values == without.state.values
+        assert with_table.log_records_scanned < without.log_records_scanned
+        assert with_table.seconds <= without.seconds

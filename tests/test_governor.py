@@ -425,6 +425,29 @@ class TestGrantRevocationDegradation:
         assert sorted(governed.relation) == sorted(baseline.relation)
         assert governed.counters.as_dict() == baseline.counters.as_dict()
 
+    def test_an_unrevoked_guard_costs_grace_and_selection_nothing(self):
+        """E19's happy path: a guard that is never cancelled or revoked
+        leaves GRACE's and a full-scan selection's rows and counters as
+        they are without one."""
+        from repro.cost.counters import OperationCounters
+        from repro.join.grace_hash import GraceHashJoin
+        from repro.operators.selection import select
+
+        spec = hybrid_instance()
+        baseline = GraceHashJoin().join(spec())
+        guard = QueryGuard(token=CancellationToken(qid=1), grant=MemoryGrant(6))
+        governed = GraceHashJoin().set_guard(guard).join(spec())
+        assert sorted(governed.relation) == sorted(baseline.relation)
+        assert governed.counters.as_dict() == baseline.counters.as_dict()
+
+        r = spec().r
+        plain, tokened = OperationCounters(), OperationCounters()
+        rows = list(select(r, Comparison("key", "<", 50), plain))
+        token = CancellationToken(qid=1)
+        assert list(select(r, Comparison("key", "<", 50), tokened, token=token)) == rows
+        assert tokened.as_dict() == plain.as_dict()
+        assert token.checks > 0
+
     def test_revocation_mid_phase1b_still_correct(self):
         spec = hybrid_instance()
         baseline = HybridHashJoin(batch=True).join(spec())

@@ -2,7 +2,7 @@
 
 ``PackedHashTable`` never executes a chained insert or probe: it derives
 the matches from one sort and the charges from a closed form
-(docs/PERF.md, "Hash kernels").  These tests hold it to ``HashIndex`` --
+(docs/PERF.md §4).  These tests hold it to ``HashIndex`` --
 the specification arm's table -- on generated keys: identical
 ``OperationCounters``, identical (build, probe) match sequence, identical
 ``items()`` order.  The aggregate half holds the column-wise fold of

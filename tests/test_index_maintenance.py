@@ -314,23 +314,34 @@ class TestWriteStatements:
         published = []
         failures = []
         stop = threading.Event()
+        # The inserter drives the interleaving: after every 50th batch it
+        # waits until an ``analyze`` has published, so at least three
+        # snapshots land mid-run whatever the scheduler does.
+        fresh = threading.Event()
 
         def insert():
             try:
-                for batch in batches:
+                for b, batch in enumerate(batches, 1):
                     db.insert_many("t", batch)
+                    if b % 50 == 0:
+                        fresh.clear()
+                        if not fresh.wait(timeout=60):
+                            raise TimeoutError("no analyze published")
             except Exception as exc:  # noqa: BLE001 - reported below
                 failures.append(exc)
             finally:
                 stop.set()
 
+        def publish():
+            db.analyze("t")
+            published.append(db.catalog.stats("t"))
+            fresh.set()
+
         def analyze():
             try:
                 while not stop.is_set():
-                    db.analyze("t")
-                    published.append(db.catalog.stats("t"))
-                db.analyze("t")
-                published.append(db.catalog.stats("t"))
+                    publish()
+                publish()
             except Exception as exc:  # noqa: BLE001 - reported below
                 failures.append(exc)
 

@@ -203,3 +203,72 @@ class TestJoinsOnGeneratedWorkloads:
             r_keys[row[0]] += 1
         expected = sum(r_keys.get(row[0], 0) for row in s)
         assert result.cardinality == expected
+
+
+TENK, ONEK = 10_000, 1_000
+
+WISCONSIN_QUERIES = [
+    ("SELECT * FROM tenk1 WHERE hundred = 42", TENK // 100),
+    ("SELECT * FROM tenk1 WHERE unique2 < %d" % (TENK // 10), TENK // 10),
+    ("SELECT * FROM tenk1 WHERE unique2 < %d" % (TENK // 100), TENK // 100),
+    ("SELECT * FROM tenk1 WHERE unique1 = 4711", 1),
+    ("SELECT unique1, b_unique2 FROM tenk1 "
+     "JOIN bprime ON tenk1.unique1 = bprime.b_unique1", ONEK),
+    ("SELECT hundred, MIN(unique1) AS lo FROM tenk1 GROUP BY hundred", 100),
+    ("SELECT b_ten, COUNT(*) AS n FROM tenk1 "
+     "JOIN bprime ON tenk1.unique1 = bprime.b_unique1 GROUP BY b_ten", 10),
+    ("SELECT DISTINCT ten FROM tenk1", 10),
+]
+
+
+class TestWisconsinSuite:
+    """E17: the Wisconsin benchmark's classic queries through SQL and the
+    planner return their exact cardinalities, and the 1% indexed
+    selection is planned as an index scan far cheaper than the scan."""
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        from repro.storage.relation import Relation
+        from repro.storage.tuples import Field, Schema
+        from repro.workload.generator import wisconsin_relation
+
+        db = MainMemoryDatabase(memory_pages=2000)
+        db.register_table(wisconsin_relation("tenk1", TENK, seed=41))
+        # The 1k-row join partner, renamed apart from tenk1's columns.
+        bprime = Relation(
+            "bprime",
+            Schema([
+                Field(name, DataType.INTEGER)
+                for name in ("b_unique1", "b_unique2", "b_ten", "b_hundred", "b_filler")
+            ]),
+            512,
+        )
+        for row in wisconsin_relation("bprime", ONEK, seed=42):
+            bprime.insert_unchecked(row)
+        db.register_table(bprime)
+        db.create_index("tenk1", "unique1", kind="btree")
+        db.create_index("tenk1", "unique2", kind="btree")
+        db.analyze()
+        return db
+
+    @pytest.mark.parametrize("sql, expected", WISCONSIN_QUERIES)
+    def test_exact_cardinalities(self, db, sql, expected):
+        db.reset_counters()
+        assert db.sql(sql).cardinality == expected
+        assert db.cost_report().total_seconds > 0
+
+    def test_index_beats_scan_at_one_percent(self, db):
+        sql = "SELECT * FROM tenk1 WHERE unique2 < %d" % (TENK // 100)
+        assert "IndexScan" in db.sql_explain(sql)
+        db.reset_counters()
+        indexed = db.sql(sql)
+        indexed_cost = db.cost_report().total_seconds
+        db.drop_index("tenk1", "unique2")
+        try:
+            db.reset_counters()
+            scanned = db.sql(sql)
+            scan_cost = db.cost_report().total_seconds
+        finally:
+            db.create_index("tenk1", "unique2", kind="btree")
+        assert sorted(indexed) == sorted(scanned)
+        assert indexed_cost < scan_cost / 3

@@ -224,3 +224,94 @@ class TestHybridRecursion:
         expected = reference_join(r, s, "key", "skey")
         result = ALL_JOINS["hybrid-hash"]().join(make_spec(r, s, 10))
         assert Counter(result.relation) == expected
+
+
+class TestCountersTrackTheClosedForms:
+    """E5: the executed algorithms' counters, weighted by Table 2, land
+    within a bounded factor of the Section 3 closed forms and keep their
+    decisive orderings (a scaled-down Table 2 shape, 40 tuples a page)."""
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        from repro.workload.generator import join_inputs
+
+        r, s = join_inputs(2000, 2000, key_domain=40_000, page_bytes=320)
+        params = CostParameters(
+            r_pages=r.page_count,
+            s_pages=s.page_count,
+            r_tuples_per_page=r.tuples_per_page,
+            s_tuples_per_page=s.tuples_per_page,
+        )
+        return r, s, params
+
+    @pytest.mark.parametrize("ratio", [0.3, 1.0])
+    def test_measured_against_modelled(self, instance, ratio):
+        from repro.cost.join_model import JoinCostModel
+
+        r, s, params = instance
+        memory = max(params.minimum_memory_pages, params.memory_for_ratio(ratio))
+        modelled = JoinCostModel(params).costs(memory)
+        measured = {
+            name: ALL_JOINS[name]().join(JoinSpec(
+                r=r, s=s, r_field="rkey", s_field="skey",
+                memory_pages=memory, params=params,
+            )).modelled_seconds
+            for name in modelled
+        }
+        assert measured["hybrid-hash"] <= measured["grace-hash"] * 1.05
+        if ratio >= 1.0:
+            assert measured["hybrid-hash"] < measured["sort-merge"]
+            assert measured["simple-hash"] < measured["grace-hash"]
+        for name in modelled:
+            assert 0.4 < measured[name] / modelled[name] < 2.5, name
+
+
+def keyed_relation(name, key_field, keys):
+    relation = Relation(
+        name,
+        make_schema((key_field, DataType.INTEGER), ("v", DataType.INTEGER)),
+        64,
+    )
+    for i, k in enumerate(keys):
+        relation.insert_unchecked((k, i))
+    return relation
+
+
+class TestSkewAblation:
+    """E16: Section 3.3 assumes keys the hash function randomises; under
+    Zipf skew every hash join still agrees, and hybrid's recursion keeps
+    it within a small factor of GRACE (whose phase 2 ignores the grant)
+    and below simple hash."""
+
+    @pytest.mark.parametrize("theta, bound", [(None, 1.25), (0.8, 1.25), (1.2, 2.5)])
+    def test_agreement_and_graceful_degradation(self, theta, bound):
+        from repro.workload.distributions import uniform_keys, zipf_keys
+
+        if theta is None:
+            r_keys, s_keys = uniform_keys(2000, 400, seed=3), uniform_keys(4000, 400, seed=4)
+        else:
+            r_keys = zipf_keys(2000, 400, theta=theta, seed=3)
+            s_keys = zipf_keys(4000, 400, theta=theta, seed=4)
+        r = keyed_relation("r", "key", r_keys)
+        s = keyed_relation("s", "skey", s_keys)
+        params = CostParameters(
+            r_pages=r.page_count, s_pages=s.page_count,
+            r_tuples_per_page=8, s_tuples_per_page=8,
+        )
+        outputs, seconds = {}, {}
+        for name in ("simple-hash", "grace-hash", "hybrid-hash"):
+            result = ALL_JOINS[name]().join(JoinSpec(
+                r=r, s=s, r_field="key", s_field="skey",
+                memory_pages=24, params=params,
+            ))
+            # R's and S's row ids (``r_v``, ``s_v``) name a joined row.
+            index_of = result.relation.schema.index_of
+            pairs = zip(
+                result.relation.column(index_of("r_v")),
+                result.relation.column(index_of("s_v")),
+            )
+            outputs[name] = sorted(v * 4000 + w for v, w in pairs)
+            seconds[name] = result.modelled_seconds
+        assert outputs["simple-hash"] == outputs["grace-hash"] == outputs["hybrid-hash"]
+        assert seconds["hybrid-hash"] < bound * seconds["grace-hash"]
+        assert seconds["hybrid-hash"] < seconds["simple-hash"]

@@ -16,7 +16,7 @@ from repro.cost.join_model import (
     simple_hash_passes,
     sort_merge_cost,
 )
-from repro.cost.parameters import TABLE2_DEFAULTS
+from repro.cost.parameters import TABLE2_DEFAULTS, table3_grid, table3_sample
 
 MODEL = JoinCostModel(TABLE2_DEFAULTS)
 
@@ -236,3 +236,118 @@ class TestModelHelper:
     def test_validate_memory(self):
         with pytest.raises(ValueError):
             MODEL.validate_memory(10)
+
+
+FIGURE1_RATIOS = [0.011, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.495, 0.505, 0.6, 0.8, 1.0]
+
+
+class TestFigure1Geometry:
+    """E3: the chart's shape at the exact Table 2 settings, beyond what
+    the per-algorithm classes above pin."""
+
+    @pytest.fixture(scope="class")
+    def by_ratio(self):
+        rows = figure1_series(TABLE2_DEFAULTS, FIGURE1_RATIOS)
+        return {round(r["ratio"], 3): r for r in rows}
+
+    def test_grace_is_flat_and_sort_merge_never_competes(self, by_ratio):
+        grace = [r["grace-hash"] for r in by_ratio.values()]
+        assert max(grace) - min(grace) < 1.0
+        for r in by_ratio.values():
+            assert r["sort-merge"] > r["grace-hash"]
+            assert r["sort-merge"] > r["hybrid-hash"]
+
+    def test_simple_hash_is_catastrophic_left_and_crosses_sort_merge(self, by_ratio):
+        assert by_ratio[0.011]["simple-hash"] > 10 * by_ratio[0.011]["grace-hash"]
+        assert by_ratio[0.02]["simple-hash"] > by_ratio[0.02]["sort-merge"]
+        assert by_ratio[0.4]["simple-hash"] < by_ratio[0.4]["sort-merge"]
+
+    def test_the_x_axis_is_memory_over_r_times_f(self):
+        for ratio in (0.1, 0.5, 1.0):
+            w = workload(ratio)
+            assert w.memory_ratio == pytest.approx(ratio, rel=1e-3)
+
+    def test_absolute_anchors_of_the_papers_chart(self, by_ratio):
+        """GRACE at roughly 700-1000 s, hybrid with R's table resident at
+        tens of seconds."""
+        assert 500 < by_ratio[0.1]["grace-hash"] < 1100
+        assert by_ratio[1.0]["hybrid-hash"] < 50
+
+
+def figure1_shape(params):
+    """The Figure 1 invariants at one parameter setting, or None when R's
+    table is below the two-pass floor."""
+    floor = params.minimum_memory_pages
+    full = math.ceil(params.r_pages * params.fudge)
+    if full <= floor:
+        return None
+    low, middle, high = (
+        JoinCostModel(params).costs(memory)
+        for memory in (floor, max(floor, full // 3), full)
+    )
+    points = (low, middle, high)
+    return {
+        "hybrid<=grace": all(
+            c["hybrid-hash"] <= c["grace-hash"] * 1.001 for c in points
+        ),
+        "hash beats sort": all(
+            min(c["hybrid-hash"], c["simple-hash"], c["grace-hash"]) < c["sort-merge"]
+            for c in points
+        ),
+        "simple worst at floor": low["simple-hash"] >= low["hybrid-hash"],
+        "hybrid monotone": low["hybrid-hash"] >= middle["hybrid-hash"]
+        >= high["hybrid-hash"] * 0.999,
+        "simple==hybrid at full": abs(high["simple-hash"] - high["hybrid-hash"])
+        <= 1e-6 * max(1.0, high["hybrid-hash"]),
+    }
+
+
+class TestTable3Robustness:
+    """E4: "for each of these values we observed the same qualitative
+    shape and relative positioning of the different algorithms"."""
+
+    def test_random_draws_from_the_table3_box(self):
+        shapes = [figure1_shape(p) for p in table3_sample(60, seed=1984)]
+        evaluated = [s for s in shapes if s is not None]
+        assert len(evaluated) >= 48
+        for name in evaluated[0]:
+            holds = sum(s[name] for s in evaluated)
+            assert holds >= 0.95 * len(evaluated), (name, holds)
+
+    def test_corner_lattice_keeps_hybrid_below_grace(self):
+        corners = [p for i, p in enumerate(table3_grid(2)) if i % 4 == 0]
+        shapes = [s for s in map(figure1_shape, corners) if s is not None]
+        assert len(shapes) > 30
+        assert all(s["hybrid<=grace"] for s in shapes)
+
+
+#: TID (4 B) + key (8 B) against a 100-byte tuple: moves ~8x cheaper.
+TID_PAIRS = TABLE2_DEFAULTS.with_updates(move=2.5e-6, swap=7.5e-6)
+
+
+def costs_at(params, ratio):
+    memory = max(params.minimum_memory_pages, params.memory_for_ratio(ratio))
+    return JoinCostModel(params).costs(memory)
+
+
+class TestTidKeyPairs:
+    """E14: Section 3.2's "we can avoid making a choice" between whole
+    tuples and TID-key pairs."""
+
+    @pytest.mark.parametrize("ratio", [0.05, 0.1, 0.3, 0.6, 1.0])
+    def test_conclusions_survive_cheaper_moves(self, ratio):
+        whole, tids = costs_at(TABLE2_DEFAULTS, ratio), costs_at(TID_PAIRS, ratio)
+        for costs in (whole, tids):
+            winner = min(costs, key=costs.get)
+            assert winner != "sort-merge"
+            assert costs["hybrid-hash"] <= costs[winner] * 1.02
+        assert tids["hybrid-hash"] <= tids["grace-hash"] * 1.001
+        assert tids["sort-merge"] < whole["sort-merge"]
+        assert tids["sort-merge"] > tids["hybrid-hash"]
+
+    def test_fetching_the_tuples_back_erases_the_saving(self):
+        """Two random fetches per result pair over 100,000 results."""
+        whole = costs_at(TABLE2_DEFAULTS, 0.5)["hybrid-hash"]
+        tids = costs_at(TID_PAIRS, 0.5)["hybrid-hash"]
+        assert tids < whole
+        assert tids + 100_000 * 2 * TABLE2_DEFAULTS.io_rand > whole

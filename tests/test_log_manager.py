@@ -322,3 +322,104 @@ class TestAdaptiveFlushRaces:
         assert stats["mean_commits_per_group"] == pytest.approx(4.5)
         assert stats["mean_group_bytes"] > 0
         assert stats["compression_savings_bytes"] == 0
+
+
+def run_transfers(policy, horizon, devices=1, compress=False, arrival_rate=8000):
+    """Section 5.2's debit/credit stream over 20,000 accounts (the log,
+    not locks, is the bottleneck); returns (engine, log manager)."""
+    from repro.recovery.state import DatabaseState
+    from repro.recovery.transactions import TransactionEngine
+    from repro.workload.banking import BankingWorkload
+
+    queue = EventQueue(SimulatedClock())
+    stable = StableMemory(64 * 1024 * 1024) if policy is CommitPolicy.STABLE else None
+    lm = LogManager(queue, policy=policy, devices=devices, stable=stable, compress=compress)
+    engine = TransactionEngine(
+        DatabaseState(20_000, records_per_page=64, initial_value=100), queue, lm
+    )
+    bank = BankingWorkload(20_000, transfer_fraction=1.0, deposit_fraction=0.0, seed=17)
+    for i in range(int(horizon * arrival_rate)):
+        script, _ = bank.next_script()
+        engine.submit_at(i / arrival_rate, script)
+    queue.run_until(horizon)
+    return engine, lm
+
+
+class TestThroughputLadder:
+    """E6: one log device at 10 ms a page caps conventional WAL near
+    100 tps; group commit lifts it about tenfold; k devices scale that;
+    stable memory commits at once, and new-value-only compression
+    stretches its drain bandwidth (a quarter of a simulated second a
+    rung)."""
+
+    HORIZON = 0.25
+
+    @pytest.fixture(scope="class")
+    def ladder(self):
+        rungs = {
+            "conventional": run_transfers(CommitPolicy.CONVENTIONAL, self.HORIZON, arrival_rate=2000),
+            "group": run_transfers(CommitPolicy.GROUP, self.HORIZON),
+            "group x4": run_transfers(CommitPolicy.GROUP, self.HORIZON, devices=4),
+            "stable": run_transfers(CommitPolicy.STABLE, self.HORIZON, arrival_rate=1400),
+            "stable+compress": run_transfers(
+                CommitPolicy.STABLE, self.HORIZON, compress=True, arrival_rate=2200
+            ),
+        }
+        return {
+            name: (engine.throughput(self.HORIZON), engine.mean_commit_latency(), lm)
+            for name, (engine, lm) in rungs.items()
+        }
+
+    def test_the_papers_100_to_1000_ladder(self, ladder):
+        conventional, group = ladder["conventional"][0], ladder["group"][0]
+        assert 80 <= conventional <= 120
+        assert 700 <= group <= 1300
+        assert group / conventional >= 7
+        assert ladder["group x4"][0] >= 2.5 * group
+
+    def test_stable_memory_commits_at_once_and_compression_stretches_it(self, ladder):
+        assert ladder["stable"][1] * 1000 < 0.5
+        assert ladder["group"][1] * 1000 > 5.0
+        assert ladder["stable+compress"][0] > 1.3 * ladder["stable"][0]
+
+    def test_group_commit_batches_about_ten_per_page(self, ladder):
+        """"Up to ten transactions per commit group": 328-byte transfers
+        fit about twelve to a 4 KB page."""
+        throughput, _, lm = ladder["group"]
+        per_page = throughput * self.HORIZON / max(1, lm.log.pages_written)
+        assert 8 <= per_page <= 14
+
+
+def test_compressed_log_recovers_exactly_with_two_thirds_the_bytes():
+    """E7: the same banking history with and without new-value-only
+    compression commits the same transactions, recovers exactly from
+    either log (losers recover from stable memory), and writes about two
+    thirds of the disk bytes -- old values are 60 of an update's 144."""
+    from repro.recovery.restart import crash, recover, replay_committed
+    from repro.recovery.state import DatabaseState
+    from repro.recovery.transactions import TransactionEngine
+    from repro.workload.banking import BankingWorkload
+
+    runs = []
+    for compress in (False, True):
+        queue = EventQueue(SimulatedClock())
+        lm = LogManager(
+            queue, policy=CommitPolicy.STABLE,
+            stable=StableMemory(64 * 1024 * 1024), compress=compress,
+        )
+        engine = TransactionEngine(
+            DatabaseState(5000, records_per_page=64, initial_value=100), queue, lm
+        )
+        bank = BankingWorkload(5000, seed=23)
+        for i in range(800):
+            script, _ = bank.next_script()
+            engine.submit_at(i * 0.00125, script)
+        queue.run_until(1.0)
+        cs = crash(engine)
+        recovered = recover(cs, initial_value=100).state.values
+        assert recovered == replay_committed(cs, initial_value=100).values
+        runs.append((engine.committed_count, lm.bytes_written_to_disk, lm.log.pages_written))
+    (plain_committed, plain_bytes, plain_pages), (committed, packed_bytes, pages) = runs
+    assert committed == plain_committed
+    assert 0.55 < packed_bytes / plain_bytes < 0.75
+    assert pages < plain_pages

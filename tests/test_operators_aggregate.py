@@ -198,3 +198,51 @@ def test_a_cancelled_aggregate_leaves_its_input_writable():
         )
     rel.extend([(1, 2)] * 3)  # raised BufferError while a view was kept
     assert caught.value is not None and len(rel) == 103
+
+
+def grouped(n, groups, seed):
+    rel = Relation("t%d" % n, make_schema(("g", DataType.INTEGER), ("v", DataType.INTEGER)), 320)
+    rng = random.Random(seed)
+    for _ in range(n):
+        rel.insert_unchecked((rng.randrange(groups), rng.randrange(1000)))
+    return rel
+
+
+COUNT_SUM = [
+    AggregateSpec(AggregateFunction.COUNT, alias="n"),
+    AggregateSpec(AggregateFunction.SUM, "v", "total"),
+]
+
+
+class TestHashBeatsSortInModelledSeconds:
+    """E10: "if there is enough memory to hold the result relation, then
+    the fastest algorithm will be a one pass hashing algorithm"."""
+
+    def test_gap_widens_with_input_size(self):
+        from repro.cost.parameters import TABLE2_DEFAULTS
+
+        ratios = []
+        for n in (1_000, 4_000, 16_000):
+            rel = grouped(n, 64, seed=n)
+            hashed, sorted_ = OperationCounters(), OperationCounters()
+            h = hash_aggregate(rel, ["g"], COUNT_SUM, hashed)
+            s = sort_aggregate(rel, ["g"], COUNT_SUM, sorted_)
+            assert sorted(h) == sorted(s)
+            ratios.append(sorted_.cost(TABLE2_DEFAULTS) / hashed.cost(TABLE2_DEFAULTS))
+        assert ratios == sorted(ratios)  # n against n log n
+        assert ratios[0] > 1 and ratios[-1] > 5
+
+    def test_spilling_hash_pays_io_but_still_beats_sorting(self):
+        from repro.cost.parameters import TABLE2_DEFAULTS
+
+        rel = grouped(15_000, 4_500, seed=77)
+        fit, spill, sort = OperationCounters(), OperationCounters(), OperationCounters()
+        hash_aggregate(rel, ["g"], COUNT_SUM, fit, memory_pages=4000)
+        hash_aggregate(
+            rel, ["g"], COUNT_SUM, spill, memory_pages=30, disk=SimulatedDisk(spill)
+        )
+        sort_aggregate(rel, ["g"], COUNT_SUM, sort)
+        one_pass, spilling, sorting = (
+            c.cost(TABLE2_DEFAULTS) for c in (fit, spill, sort)
+        )
+        assert one_pass < spilling < sorting

@@ -79,3 +79,21 @@ class TestDistinctProjection:
     def test_projection_of_whole_row(self, rel):
         out = hash_project(rel, ["a", "b", "c"], distinct=True)
         assert Counter(out) == Counter(set(rel))
+
+
+def test_hash_distinct_beats_sort_distinct_in_modelled_seconds():
+    """E10's projection half: duplicate elimination by hashing is cheaper
+    than by sorting at every size."""
+    from repro.cost.parameters import TABLE2_DEFAULTS
+
+    schema = make_schema(("g", DataType.INTEGER), ("v", DataType.INTEGER))
+    for n in (1_000, 4_000, 16_000):
+        r = Relation("t%d" % n, schema, 320)
+        rng = random.Random(n)
+        for _ in range(n):
+            r.insert_unchecked((rng.randrange(64), rng.randrange(1000)))
+        hashed, sorted_ = OperationCounters(), OperationCounters()
+        h = hash_project(r, ["g"], counters=hashed)
+        s = sort_project(r, ["g"], counters=sorted_)
+        assert sorted(h) == sorted(s)
+        assert hashed.cost(TABLE2_DEFAULTS) < sorted_.cost(TABLE2_DEFAULTS), n

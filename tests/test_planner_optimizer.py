@@ -301,3 +301,108 @@ class TestQueryValidation:
                 projection=["x"],
                 aggregates=[AggregateSpec(AggregateFunction.COUNT)],
             )
+
+
+class TestLargeMemoryPlanning:
+    """E11: with hash joins, Section 4's optimisation reduces to pushing
+    selective operators down; hashing is chosen at every grant above the
+    floor, and input order does not matter."""
+
+    @pytest.fixture(scope="class")
+    def shop(self):
+        cat = Catalog()
+        rng = random.Random(9)
+        customers = Relation(
+            "customers",
+            make_schema(("cust_id", DataType.INTEGER), ("region", DataType.INTEGER)),
+            256,
+        )
+        for i in range(1000):
+            customers.insert_unchecked((i, i % 50))
+        orders = Relation(
+            "orders",
+            make_schema(
+                ("order_id", DataType.INTEGER),
+                ("cust", DataType.INTEGER),
+                ("total", DataType.INTEGER),
+            ),
+            256,
+        )
+        for i in range(5000):
+            orders.insert_unchecked((i, rng.randrange(1000), rng.randrange(1000)))
+        for relation in (customers, orders):
+            cat.register(relation)
+            cat.analyze(relation.name)
+        return cat
+
+    JOIN = JoinClause("orders", "cust", "customers", "cust_id")
+
+    def join_spec(self, shop, s):
+        from repro.cost.parameters import TABLE2_DEFAULTS
+        from repro.join import JoinSpec
+
+        return JoinSpec(
+            r=shop.relation("customers"), s=s, r_field="cust_id", s_field="cust",
+            memory_pages=1024, params=TABLE2_DEFAULTS,
+        )
+
+    def test_hash_join_chosen_at_every_grant(self, shop):
+        query = Query(
+            tables=["orders", "customers"],
+            predicates=[("customers", Comparison("region", "=", 7))],
+            joins=[self.JOIN],
+        )
+        choices = {}
+        for memory in (64, 256, 1024, 4096):
+            node = Planner(shop, PlannerConfig(memory_pages=memory)).plan(query)
+            while not isinstance(node, JoinNode):
+                node = node.children()[0]
+            choices[memory] = node.algorithm
+        assert all("hash" in a for a in choices.values()), choices
+        assert choices[4096] == "hybrid-hash"
+
+    def test_pushdown_beats_filtering_last(self, shop):
+        from repro.cost.counters import OperationCounters
+        from repro.cost.parameters import TABLE2_DEFAULTS
+        from repro.join import ALL_JOINS
+        from repro.operators.selection import select
+        from repro.planner.plan import PlanContext
+
+        cheap = Comparison("total", "<", 10)  # ~1% of orders, probe side
+        query = Query(
+            tables=["orders", "customers"],
+            predicates=[("orders", cheap)],
+            joins=[self.JOIN],
+        )
+        ctx = PlanContext(
+            catalog=shop, memory_pages=1024, params=TABLE2_DEFAULTS,
+            counters=OperationCounters(),
+        )
+        optimized = Planner(shop, PlannerConfig(memory_pages=1024)).plan(query).execute(ctx)
+        naive_counters = OperationCounters()
+        joined = ALL_JOINS["hybrid-hash"](counters=naive_counters).join(
+            self.join_spec(shop, shop.relation("orders"))
+        )
+        naive = select(joined.relation, cheap, naive_counters)
+        assert optimized.cardinality == naive.cardinality > 0
+        assert ctx.counters.cost(TABLE2_DEFAULTS) < 0.5 * naive_counters.cost(
+            TABLE2_DEFAULTS
+        )
+
+    def test_hash_join_cost_ignores_input_order(self, shop):
+        from repro.cost.counters import OperationCounters
+        from repro.cost.parameters import TABLE2_DEFAULTS
+        from repro.join import ALL_JOINS
+
+        orders = shop.relation("orders")
+        costs = []
+        for seed in (1, 2):
+            rows = list(orders)
+            random.Random(seed).shuffle(rows)
+            shuffled = Relation("orders%d" % seed, orders.schema, 256)
+            for row in rows:
+                shuffled.insert_unchecked(row)
+            counters = OperationCounters()
+            ALL_JOINS["hybrid-hash"](counters=counters).join(self.join_spec(shop, shuffled))
+            costs.append(counters.cost(TABLE2_DEFAULTS))
+        assert costs[0] == pytest.approx(costs[1], rel=0.01)

@@ -105,3 +105,70 @@ class TestPlannerIntegration:
         s1 = estimate_selectivity(Prefix("name", "J"), stats)
         s2 = estimate_selectivity(Prefix("name", "Jon"), stats)
         assert 0 < s2 < s1 <= 1
+
+
+def avl_scan_pages(avl, low, high):
+    """The node page of every key an AVL in-order scan over [low, high]
+    yields: one page per record, the favourable reading for the AVL tree
+    (the traversal also touches ancestors)."""
+    pages, stack, node = [], [], avl._root
+    while stack or node is not None:
+        while node is not None:
+            if node.key < low:
+                node = node.right
+                continue
+            stack.append(node)
+            node = node.left
+        if not stack:
+            break
+        current = stack.pop()
+        if current.key > high:
+            break
+        pages.append(current.node_id)
+        node = current.right
+    return pages
+
+
+def scan_faults(index, scan_pages, fraction, names, seed=5):
+    """Faults of one scan through a random-replacement pool holding
+    ``fraction`` of the structure, warmed by unrelated point lookups."""
+    import random
+
+    from repro.access.simulator import structure_pages
+    from repro.storage.buffer import BufferPool, ReplacementPolicy
+
+    pool = BufferPool(
+        max(1, int(fraction * structure_pages(index))),
+        policy=ReplacementPolicy.RANDOM, seed=seed,
+    )
+    rng = random.Random(seed + 1)
+    for _ in range(len(names)):
+        for page in index.path_pages(names[rng.randrange(len(names))]):
+            pool.access(page)
+    pool.reset_stats()
+    for page in scan_pages:
+        pool.access(page)
+    return pool.faults
+
+
+def test_j_star_scan_faults_per_record_versus_per_leaf():
+    """E15, Section 2's case 2 executed: the AVL scan for "J*" touches a
+    page per matching record, the B+-tree's sequence set a few leaves,
+    and at every residence the B+-tree faults at under half the AVL rate."""
+    from repro.access.avl import AVLTree
+    from repro.workload.distributions import name_keys
+
+    names = name_keys(3000, seed=12)
+    avl, btree = AVLTree(), BPlusTree(order=32)
+    for i, name in enumerate(names):
+        avl.insert(name, i)
+        btree.insert(name, i)
+    matches = sum(1 for name in names if name.startswith("J"))
+    avl_pages = avl_scan_pages(avl, "J", "K")
+    bt_pages = list(btree.scan_pages("J", "K"))
+    assert len(avl_pages) == matches
+    assert len(bt_pages) < matches / 5
+    for fraction in (0.25, 0.5, 0.75):
+        avl_faults = scan_faults(avl, avl_pages, fraction, names)
+        bt_faults = scan_faults(btree, bt_pages, fraction, names)
+        assert bt_faults < avl_faults / 2, fraction

@@ -35,6 +35,7 @@ from repro.access.avl import AVLTree
 from repro.access.btree import BPlusTree
 from repro.access.paged_binary import PagedBinaryTree
 from repro.cost.counters import OperationCounters
+from repro.cost.parameters import CostParameters
 from repro.governor import CancellationToken
 from repro.operators.selection import (
     And,
@@ -509,3 +510,76 @@ class TestRangeLookup:
             got = db.range_lookup("t", "k", low, high)
             # Through an ordered index: key order, insertion order within a key.
             assert got == (sorted(wanted) if ordered else wanted)
+
+
+class TestTable1CrossoverByMeasurement:
+    """E22: Section 2 ranks access paths by what they charge.  Over a
+    shuffled integer key, an index range scan's modelled seconds beat a
+    full scan's below a crossover selectivity near the formula's
+    ``comp / (comp + move)`` and lose well above it; both return the same
+    rows, and point lookups sit far below any crossover."""
+
+    LADDER = (0.01, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0)
+    N = 4000
+
+    @pytest.fixture(scope="class")
+    def indexed(self):
+        rel = Relation(
+            "indexed",
+            Schema([Field("key", DataType.INTEGER), Field("payload", DataType.FLOAT)]),
+            4096,
+        )
+        keys = list(range(self.N))
+        random.Random(7).shuffle(keys)
+        rel.extend_rows([(k, k * 0.5) for k in keys])
+        stats = rel.storage_stats()
+        assert stats["packed_columns"] == stats["total_columns"] > 0
+        trees = {}
+        for name, factory in (("btree", BPlusTree), ("avl", AVLTree)):
+            counters = OperationCounters()
+            index = factory(counters=counters)
+            for tid, row in rel.scan():
+                index.insert(row[0], tid)
+            trees[name] = (index, counters)
+        return rel, trees
+
+    def costs(self, rel, trees, predicates):
+        """(rows, modelled seconds) of the full scan and of each tree."""
+        params = CostParameters()
+        scan_counters, out = OperationCounters(), {}
+        scan_rows = sorted(r for p in predicates for r in select(rel, p, scan_counters))
+        out["scan"] = (scan_rows, scan_counters.cost(params))
+        for name, (index, tree_counters) in trees.items():
+            before = tree_counters.cost(params)
+            counters = OperationCounters()
+            rows = sorted(
+                r for p in predicates for r in select_via_index(rel, index, p, counters)
+            )
+            out[name] = (rows, counters.cost(params) + tree_counters.cost(params) - before)
+        return out
+
+    def test_the_crossover_brackets_the_formula(self, indexed):
+        rel, trees = indexed
+        crossing = {"btree": None, "avl": None}
+        for s in self.LADDER:
+            out = self.costs(rel, trees, [Comparison("key", "<", int(s * self.N))])
+            scan_rows, scan_cost = out["scan"]
+            for name in crossing:
+                rows, cost = out[name]
+                assert rows == scan_rows, (name, s)
+                if s <= 0.05:
+                    assert cost < scan_cost, (name, s)
+                if s >= 0.5:
+                    assert scan_cost < cost, (name, s)
+                if crossing[name] is None and scan_cost <= cost:
+                    crossing[name] = s
+        for name, s in crossing.items():
+            assert s is not None and 0.05 < s <= 0.5, (name, s)
+
+    def test_point_lookups_beat_the_scan(self, indexed):
+        rel, trees = indexed
+        probes = [Comparison("key", "=", i * self.N // 64) for i in range(64)]
+        out = self.costs(rel, trees, probes)
+        for name in ("btree", "avl"):
+            assert out[name][0] == out["scan"][0]
+            assert out[name][1] < out["scan"][1]

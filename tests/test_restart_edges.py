@@ -390,6 +390,18 @@ class TestParallelRedo:
         assert w4.seconds <= w2.seconds <= serial.seconds
         assert w4.seconds < serial.seconds
 
+    def test_four_streams_halve_a_banking_restart(self):
+        """E20: on a Section 5 banking history crashed mid-sweep, four
+        modelled redo streams restart in at most half the serial
+        simulated seconds, with the same recovered image."""
+        from tests.test_checkpoint_restart import crashed_banking_history
+
+        cs = crashed_banking_history(1.0, 0.5, seed=41)
+        serial = recover(cs, initial_value=100)
+        parallel = recover(cs, initial_value=100, workers=4)
+        self.assert_equivalent(serial, parallel)
+        assert serial.seconds >= 2.0 * parallel.seconds
+
     def test_phase_timings_reported(self):
         cs = self.rich_crash()
         serial = recover(cs, initial_value=9)

@@ -3,7 +3,7 @@
 The production arm of hybrid hash and GRACE classifies a block's whole
 key column, groups row positions by class with one stable sort, spills
 each class as one gathered column slice and reads buckets back as
-columnar pages (docs/PERF.md, "Spilling joins").  None of that may be
+columnar pages (docs/PERF.md §4).  None of that may be
 observable: these tests hold it to the specification arm on
 
 * the classes -- the array recurrence against ``hybrid_class`` /

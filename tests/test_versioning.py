@@ -153,3 +153,66 @@ class TestPruning:
         queue, lm, engine, versions = setup
         with pytest.raises(ValueError):
             VersionManager(engine)
+
+
+def writer_stream_with_audits(audit_mode, horizon=1.0, accounts=400, width=380):
+    """Transfers arriving every millisecond, plus a ~38 ms audit of
+    ``width`` records every 40 ms: none, as a locking transaction, or
+    over a pinned snapshot.  Returns (writer tps, mean writer latency)."""
+    import random
+
+    queue = EventQueue(SimulatedClock())
+    state = DatabaseState(accounts, records_per_page=64, initial_value=100)
+    engine = TransactionEngine(state, queue, LogManager(queue, policy=CommitPolicy.GROUP))
+    versions = VersionManager(engine) if audit_mode == "versioned" else None
+    rng, audit_rng = random.Random(55), random.Random(56)
+    for i in range(int(horizon * 1000)):
+        a, b = sorted(rng.sample(range(accounts), 2))
+        amount = rng.randrange(1, 10)
+        engine.submit_at(i * 0.001, [
+            ("write", a, lambda v, amount=amount: v - amount),
+            ("write", b, lambda v, amount=amount: v + amount),
+        ])
+    chunk, think = 20, 0.002
+
+    def audit():
+        lo = audit_rng.randrange(accounts - width)
+        ids = list(range(lo, lo + width))
+        if audit_mode == "locking":
+            script = []
+            for offset in range(0, width, chunk):
+                script.extend(("read", i) for i in ids[offset:offset + chunk])
+                script.append(("pause", think))
+            engine.submit(script)
+            return
+        snap = versions.snapshot()
+
+        def read_chunk(offset=0):
+            snap.read_many(ids[offset:offset + chunk])
+            if offset + chunk < width:
+                queue.schedule(think, lambda: read_chunk(offset + chunk), label="chunk")
+            else:
+                snap.release()
+                versions.prune()
+
+        read_chunk()
+
+    if audit_mode != "none":
+        for k in range(1, int(horizon / 0.04)):
+            queue.schedule_at(k * 0.04, audit, label="audit")
+    queue.run_until(horizon)
+    writers = [x for x in engine.committed if len(x.script) == 2]
+    return len(writers) / horizon, sum(w.latency for w in writers) / len(writers)
+
+
+def test_versioned_audits_leave_writers_alone_and_locking_audits_do_not():
+    """E13, Section 6's conjecture: snapshot audits leave writer
+    throughput and latency at the no-audit baseline; locking audits make
+    writers queue behind their shared locks (latency, below saturation)."""
+    base_tps, base_latency = writer_stream_with_audits("none")
+    lock_tps, lock_latency = writer_stream_with_audits("locking")
+    ver_tps, ver_latency = writer_stream_with_audits("versioned")
+    assert ver_tps > 0.95 * base_tps
+    assert ver_latency == pytest.approx(base_latency, rel=0.05)
+    assert lock_tps <= ver_tps
+    assert lock_latency > 1.5 * ver_latency

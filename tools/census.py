@@ -3,9 +3,10 @@
 
     python tools/census.py > census.json
 
-Copies the tree to a temporary directory and runs every non-test entry
-point there: the ledger smoke, each example, the ``python -m repro``
-commands, the benchmark suite at reduced scale and the chaos sweeps.  A
+Copies the tree to a temporary directory and runs its entry points
+there: the ledger smoke, each example, the ``python -m repro``
+commands, the tier-1 tests that hold the paper's claims (``CLAIMS``)
+and the chaos sweeps.  A
 generated ``sitecustomize`` goes first on ``PYTHONPATH``, so every process
 they start -- the ledger's re-exec and its server child included --
 profiles each Python call in every thread and, at exit, writes the code
@@ -17,7 +18,7 @@ Prints one JSON report: every function outside ``repro.lint`` that no
 entry point reached, with module, qualname, first line and length in
 lines, plus totals and each entry point's exit status.  The linter is
 left out because its entry point is its own test suite.  Stdlib only; no
-options; about 5.5 minutes on two vCPUs.
+options; about two minutes on two vCPUs.
 """
 
 from __future__ import annotations
@@ -38,27 +39,50 @@ SQL = (
     "SELECT emp.name, dept.dname FROM emp, dept "
     "WHERE emp.dept = dept.dept_id AND emp.salary > 50000"
 )
-#: ``--benchmark-disable`` is required, not a speed-up: pytest-benchmark
-#: pauses profiling (``sys.setprofile(None)``) around every timed call.
-ENTRY_POINTS: List[Tuple[List[str], Dict[str, str]]] = [
-    (["benchmarks/ledger/run.py", "--smoke"], {}),
+#: The tier-1 tests that assert the paper's tables, figures and ablations
+#: (EXPERIMENTS.md E1-E23) and the correctness half of the paths the ledger
+#: times -- the claims, not the unit tests around them.
+CLAIMS = [
+    "tests/test_access_model.py",
+    "tests/test_access_simulator.py",
+    "tests/test_join_model.py",
+    "tests/test_cost_parameters.py",
+    "tests/test_storage_buffer.py::TestSectionTwoFaultModel",
+    "tests/test_prefix_queries.py::test_j_star_scan_faults_per_record_versus_per_leaf",
+    "tests/test_range_access.py::TestTable1CrossoverByMeasurement",
+    "tests/test_join_algorithms.py::TestCorrectness",
+    "tests/test_join_algorithms.py::TestCountersTrackTheClosedForms",
+    "tests/test_join_algorithms.py::TestSkewAblation",
+    "tests/test_batch_equivalence.py::TestJoinEquivalence",
+    "tests/test_batch_equivalence.py::TestSelection",
+    "tests/test_batch_equivalence.py::TestProjection",
+    "tests/test_batch_equivalence.py::TestAggregation",
+    "tests/test_operators_aggregate.py::TestHashBeatsSortInModelledSeconds",
+    "tests/test_operators_projection.py::test_hash_distinct_beats_sort_distinct_in_modelled_seconds",
+    "tests/test_planner_optimizer.py::TestLargeMemoryPlanning",
+    "tests/test_integration.py::TestWisconsinSuite",
+    "tests/test_governor.py::TestGrantRevocationDegradation",
+    "tests/test_log_manager.py::TestThroughputLadder",
+    "tests/test_log_manager.py::test_compressed_log_recovers_exactly_with_two_thirds_the_bytes",
+    "tests/test_checkpoint_restart.py::TestCheckpointCadence",
+    "tests/test_restart_edges.py::TestParallelRedo",
+    "tests/test_versioning.py",
+    "tests/server/test_net.py::TestSessionLadderInvariants",
+    "tests/server/test_overload.py",
+]
+ENTRY_POINTS: List[List[str]] = [
+    ["benchmarks/ledger/run.py", "--smoke"],
     *[
-        ([str(path.relative_to(ROOT))], {})
+        [str(path.relative_to(ROOT))]
         for path in sorted((ROOT / "examples").glob("*.py"))
     ],
     *[
-        (["-m", "repro", command], {})
+        ["-m", "repro", command]
         for command in ("table1", "figure1", "throughput", "recovery")
     ],
-    (["-m", "repro", "sql", SQL], {}),
-    (
-        [
-            "-m", "pytest", "-q", "-p", "no:cacheprovider", "benchmarks",
-            "--ignore=benchmarks/ledger", "--benchmark-disable",
-        ],
-        {"REPRO_BENCH_SCALE": "0.25"},
-    ),
-    (["-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/chaos"], {}),
+    ["-m", "repro", "sql", SQL],
+    ["-m", "pytest", "-q", "-p", "no:cacheprovider", *CLAIMS],
+    ["-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/chaos"],
 ]
 
 HOOK = '''\
@@ -137,18 +161,17 @@ def run_entry_points(tree: Path, out: Path) -> List[Dict[str, object]]:
     )
     path = [str(hook), str(tree / "src"), os.environ.get("PYTHONPATH", "")]
     runs = []
-    for args, env in ENTRY_POINTS:
+    for args in ENTRY_POINTS:
         started = time.monotonic()
         done = subprocess.run(
             [sys.executable] + args,
             cwd=tree,
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **env),
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
         runs.append({
             "command": " ".join(args),
-            "env": env,
             "returncode": done.returncode,
             "seconds": round(time.monotonic() - started, 1),
         })
@@ -174,7 +197,7 @@ def main() -> int:
         shutil.copytree(
             ROOT, tree,
             ignore=shutil.ignore_patterns(
-                ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".benchmarks"
+                ".git", "__pycache__", ".hypothesis", ".pytest_cache"
             ),
         )
         runs = run_entry_points(tree, out)
