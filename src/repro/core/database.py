@@ -20,7 +20,9 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.access.avl import AVLTree
 from repro.access.btree import BPlusTree
@@ -34,7 +36,7 @@ from repro.operators.selection import Comparison, Range, select, select_tids
 from repro.planner.plan import PlanContext, PlanNode
 from repro.planner.planner import Planner, PlannerConfig
 from repro.planner.query import Query
-from repro.planner.reuse import PlanReuseCache
+from repro.planner.reuse import STAT_KEYS, PlanReuseCache
 from repro.storage.catalog import Catalog
 from repro.storage.relation import Relation
 from repro.storage.tuples import DataType, Field, Schema
@@ -349,12 +351,20 @@ class MainMemoryDatabase:
         an optional per-query deadline in seconds; ``db.cancel(qid)``
         from another thread aborts within one page of work.
         """
+        return self._run(lambda: self._planner.plan(query), timeout)
+
+    def _run(
+        self, plan_of: Callable[[], PlanNode], timeout: Optional[float]
+    ) -> Relation:
+        """Every statement's tail: its chaos point, then, under the
+        catalog's read side, the plan ``plan_of`` returns is admitted
+        through the governor and executed under a grant and a guard."""
         self._chaos_point("db execute")
         # Read-only statements share the catalog lock's read side, so
         # any number of them plan and execute in parallel; DDL/DML take
         # the write side and run alone.
         with self._catalog_rw.read_locked():
-            plan = self._planner.plan(query)
+            plan = plan_of()
             handle = self.governor.admit(self.memory_pages, timeout=timeout)
             try:
                 ctx = PlanContext(
@@ -379,10 +389,27 @@ class MainMemoryDatabase:
     def sql(self, text: str, timeout: Optional[float] = None) -> Relation:
         """Parse, plan, and execute a SQL query (see repro.planner.sql
         for the supported fragment).  ``timeout`` bounds admission plus
-        execution exactly like :meth:`execute`."""
+        execution exactly like :meth:`execute`.
+
+        The reuse cache answers a text it has planned before with that
+        plan while the tables, access paths and statistics it was planned
+        from are unchanged (:meth:`PlanReuseCache.plan_for`); the plan
+        then runs exactly as a fresh one would."""
+        return self._run(lambda: self._plan_sql(text), timeout)
+
+    def _plan_sql(self, text: str) -> PlanNode:
+        """The cached plan for ``text``, or a fresh parse and plan, which
+        is then cached; the caller holds the catalog's read side."""
         from repro.planner.sql import parse_sql
 
-        return self.execute(parse_sql(text, self.catalog), timeout=timeout)
+        reuse = self.reuse
+        plan = reuse.plan_for(text, self.catalog) if reuse is not None else None
+        if plan is None:
+            query = parse_sql(text, self.catalog)
+            plan = self._planner.plan(query)
+            if reuse is not None:
+                reuse.put_plan(text, plan, self.catalog, query.tables)
+        return plan
 
     def sql_explain(self, text: str) -> str:
         """The optimized plan for a SQL query, as text."""
@@ -427,15 +454,10 @@ class MainMemoryDatabase:
         self.counters.reset()
 
     def reuse_stats(self) -> Dict[str, int]:
-        """Hit/miss/invalidation/eviction counts of the reuse cache."""
+        """Hit/miss/invalidation/eviction counts of the reuse cache's
+        results, and its plan hits and misses."""
         if self.reuse is None:
-            return {
-                "entries": 0,
-                "hits": 0,
-                "misses": 0,
-                "invalidations": 0,
-                "evictions": 0,
-            }
+            return dict.fromkeys(("entries",) + STAT_KEYS, 0)
         return self.reuse.stats()
 
     def governor_stats(self) -> Dict[str, Any]:

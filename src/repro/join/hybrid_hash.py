@@ -191,6 +191,11 @@ class HybridHashJoin(JoinAlgorithm):
                 "%s.d%d.%d" % (self.scratch_name(spec, "r"), depth, i)
                 for i in range(buckets)
             ]
+            # A cancelled level leaves its open partition files on the
+            # join's scratch disk, which dies with the statement, as
+            # partition_relation's do; closing them on the way out would
+            # charge flushes nothing reads.
+            # repro-lint: disable=resource-lifecycle
             r_writer = SpillWriter(
                 self.disk, r_names, spec.r.tuples_per_page, self.counters
             )
@@ -225,6 +230,8 @@ class HybridHashJoin(JoinAlgorithm):
                 "%s.d%d.%d" % (self.scratch_name(spec, "s"), depth, i)
                 for i in range(buckets)
             ]
+            # Left open on the way out for the same reason as r_writer.
+            # repro-lint: disable=resource-lifecycle
             s_writer = SpillWriter(
                 self.disk, s_names, spec.s.tuples_per_page, self.counters
             )
@@ -304,6 +311,8 @@ class HybridHashJoin(JoinAlgorithm):
                     "%s.d%d.%d" % (self.scratch_name(spec, "rs"[side]), depth, i)
                     for i in range(buckets)
                 ]
+                # Left open on a cancellation for _execute_level's reason.
+                # repro-lint: disable=resource-lifecycle
                 writer = SpillWriter(
                     self.disk, names, relation.tuples_per_page, self.counters
                 )

@@ -263,7 +263,7 @@ def _escapes(
             if node is acquire_target:
                 continue
             parent = parents.get(id(node))
-            if _is_custodial_rebind(parent, custodial):
+            if _is_custodial_rebind(parent, custodial) or _binds_none(parent):
                 continue
             return True  # rebound: alias tracking lost
         if not isinstance(node.ctx, ast.Load):
@@ -299,6 +299,16 @@ def _is_custodial_rebind(
     if not isinstance(parent.value, ast.Call):
         return False
     return _call_attr_or_name(parent.value) in custodial
+
+
+def _binds_none(parent: Optional[ast.AST]) -> bool:
+    """``v = None`` or ``v: T = None``: the name holds nothing to hand
+    on, so the store is no escape (a pre-binding before the acquire)."""
+    return (
+        isinstance(parent, (ast.Assign, ast.AnnAssign))
+        and isinstance(parent.value, ast.Constant)
+        and parent.value.value is None
+    )
 
 
 def _call_attr_or_name(call: ast.Call) -> str:

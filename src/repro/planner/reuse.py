@@ -1,4 +1,4 @@
-"""Materialised-subplan reuse -- caching plan results across queries.
+"""Reuse across queries -- materialised subplan results and statement plans.
 
 A main memory database pays no IO to keep an intermediate result around,
 so a repeated subplan (the same filter over the same table, the same join
@@ -29,25 +29,79 @@ views without serialising the statements themselves.
 Cache hits return the previously materialised
 :class:`~repro.storage.relation.Relation` *object*; treat it as
 read-only, exactly like the relation a base-table scan returns.
+
+**Plans.**  Section 4's planner reads only each table's schema, access
+paths and statistics, so beside the results the cache keeps statement
+plans, keyed by the exact SQL text (:meth:`PlanReuseCache.plan_for`,
+:meth:`PlanReuseCache.put_plan`).  A plan entry stamps every table the
+statement reads with the :class:`Relation` object (by weak reference, so
+a dropped table's buffers are not kept alive), its access-path epoch and
+the :class:`~repro.storage.catalog.RelationStats` it was planned from;
+it answers only while each table is that same object at that epoch with
+statistics identical or equal to those.  DML changes none of the three,
+nor does an ``analyze`` that measures what it measured before; a drop
+and re-create, an index created or dropped, or statistics that moved
+make the next lookup a miss, which parses and plans afresh.  The check
+reads published statistics only: a table never analyzed is a miss, and
+the lookup does not analyze it.  Plans have an LRU of their own, of the
+same ``max_entries`` bound, so storing a plan never evicts a result;
+``hits``/``misses``/``evictions`` count results only and
+``plan_hits``/``plan_misses`` count plan lookups.  A plan node writes
+no attribute after its constructor, so sessions may run one cached
+plan at the same time.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Hashable, Iterable, Optional, Set, Tuple
+import weakref
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, Optional, Set, Tuple
 
 from repro.core.locks import tracked_lock
 from repro.errors import ConfigurationError
+from repro.storage.catalog import Catalog, RelationStats
 from repro.storage.relation import Relation
+
+if TYPE_CHECKING:
+    from repro.planner.plan import PlanNode
 
 Fingerprint = Hashable
 
 #: The statistic keys tracked both globally and per-thread.
-_STAT_KEYS = ("hits", "misses", "invalidations", "evictions")
+STAT_KEYS = (
+    "hits", "misses", "invalidations", "evictions", "plan_hits", "plan_misses",
+)
+
+#: What a plan was made from, per table it reads: the name, the relation
+#: (weakly), its access-path epoch and its published statistics.
+_Stamp = Tuple[str, "weakref.ref[Relation]", int, Optional[RelationStats]]
+
+
+def _stamp(catalog: Catalog, name: str) -> _Stamp:
+    return (
+        name,
+        weakref.ref(catalog.relation(name)),
+        catalog.access_epoch(name),
+        catalog.published_stats(name),
+    )
+
+
+def _still_holds(catalog: Catalog, stamp: _Stamp) -> bool:
+    """Whether ``catalog`` still shows the table as ``stamp`` recorded it."""
+    name, relation, epoch, stats = stamp
+    if not catalog.has_relation(name) or catalog.relation(name) is not relation():
+        return False
+    published = catalog.published_stats(name)
+    return (
+        catalog.access_epoch(name) == epoch
+        and published is not None
+        and (published is stats or published == stats)
+    )
 
 
 class PlanReuseCache:
-    """Fingerprint-addressed store of materialised subplan results."""
+    """Fingerprint-addressed store of materialised subplan results, and
+    text-addressed store of statement plans."""
 
     def __init__(self, max_entries: int = 64) -> None:
         if max_entries < 1:
@@ -57,11 +111,15 @@ class PlanReuseCache:
         self._entries: Dict[Fingerprint, Relation] = {}
         self._tables: Dict[Fingerprint, Tuple[str, ...]] = {}
         self._by_table: Dict[str, Set[Fingerprint]] = {}
+        #: SQL text -> (plan, one stamp per table it reads), in LRU order.
+        self._plans: Dict[str, Tuple["PlanNode", Tuple[_Stamp, ...]]] = {}
         #: Lookup statistics, exposed through ``stats()``.
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
         self.evictions = 0
+        self.plan_hits = 0
+        self.plan_misses = 0
         self._local = threading.local()
 
     def __len__(self) -> int:
@@ -71,7 +129,7 @@ class PlanReuseCache:
     def _thread_tally(self) -> Dict[str, int]:
         tally = getattr(self._local, "tally", None)
         if tally is None:
-            tally = {key: 0 for key in _STAT_KEYS}
+            tally = dict.fromkeys(STAT_KEYS, 0)
             self._local.tally = tally
         return tally
 
@@ -112,6 +170,37 @@ class PlanReuseCache:
             for name in names:
                 self._by_table.setdefault(name, set()).add(fingerprint)
 
+    def plan_for(self, text: str, catalog: Catalog) -> Optional["PlanNode"]:
+        """The plan stored for SQL ``text`` while every table it reads is
+        as it was planned from, else ``None`` (counts a plan hit or miss).
+        The caller holds the catalog still (its read side) until the plan
+        has run."""
+        with self._mu:
+            entry = self._plans.get(text)
+            tally = self._thread_tally()
+            if entry is None or not all(
+                _still_holds(catalog, stamp) for stamp in entry[1]
+            ):
+                self.plan_misses += 1
+                tally["plan_misses"] += 1
+                return None
+            self.plan_hits += 1
+            tally["plan_hits"] += 1
+            self._plans[text] = self._plans.pop(text)
+            return entry[0]
+
+    def put_plan(
+        self, text: str, plan: "PlanNode", catalog: Catalog, tables: Iterable[str]
+    ) -> None:
+        """Store ``plan`` for ``text``, stamped with what ``catalog`` shows
+        of ``tables`` now -- what the planner has just read."""
+        stamps = tuple(_stamp(catalog, name) for name in tables)
+        with self._mu:
+            self._plans.pop(text, None)
+            while len(self._plans) >= self.max_entries:
+                del self._plans[next(iter(self._plans))]
+            self._plans[text] = (plan, stamps)
+
     def _evict_oldest_locked(self) -> None:
         # Dicts iterate in insertion order and ``get`` moves hits to the
         # end, so the first entry is the least recently used.
@@ -125,14 +214,18 @@ class PlanReuseCache:
 
         The governor registers this as the cache's pressure valve: under
         memory pressure cached materialisations are the cheapest thing to
-        give back (they can always be recomputed).  Returns the number of
-        entries evicted.
+        give back (they can always be recomputed).  Plans are held to the
+        same count.  Returns the number of entries evicted, results and
+        plans.
         """
         target = max(0, int(target_entries))
         evicted = 0
         with self._mu:
             while len(self._entries) > target:
                 self._evict_oldest_locked()
+                evicted += 1
+            while len(self._plans) > target:
+                del self._plans[next(iter(self._plans))]
                 evicted += 1
         return evicted
 
@@ -162,6 +255,7 @@ class PlanReuseCache:
             self._entries.clear()
             self._tables.clear()
             self._by_table.clear()
+            self._plans.clear()
 
     # -- reporting ---------------------------------------------------------------
 
@@ -173,6 +267,8 @@ class PlanReuseCache:
                 "misses": self.misses,
                 "invalidations": self.invalidations,
                 "evictions": self.evictions,
+                "plan_hits": self.plan_hits,
+                "plan_misses": self.plan_misses,
             }
 
     def thread_stats(self) -> Dict[str, int]:
@@ -193,4 +289,4 @@ class PlanReuseCache:
             )
 
 
-__all__ = ["PlanReuseCache"]
+__all__ = ["PlanReuseCache", "STAT_KEYS"]

@@ -84,14 +84,13 @@ from repro.errors import (
     TransactionAborted,
     WouldBlock,
 )
+from repro.planner.reuse import STAT_KEYS
 from repro.planner.sql import SqlError
 from repro.server.bank import BankStore
 from repro.server.protocol import ResultColumns
 from repro.server.retry import RetryPolicy
 from repro.storage.relation import Relation
 
-#: Reuse-cache statistic keys a session's view accumulates.
-_REUSE_KEYS = ("hits", "misses", "invalidations", "evictions")
 
 _TOKEN = re.compile(r"\S+")
 
@@ -189,7 +188,7 @@ class Session:
         #: Seeded per-session jitter source: retry schedules reproduce.
         self._rng = random.Random(0x1984 ^ (session_id * 7919))
         #: This session's private view of shared reuse-cache activity.
-        self.reuse_view: Dict[str, int] = {k: 0 for k in _REUSE_KEYS}
+        self.reuse_view: Dict[str, int] = {k: 0 for k in STAT_KEYS}
 
     # -- dispatch ----------------------------------------------------------------
 
@@ -421,7 +420,7 @@ class Session:
         delta = db.counters.thread_snapshot() - before
         if reuse is not None:
             reuse_after = reuse.thread_stats()
-            for key in _REUSE_KEYS:
+            for key in STAT_KEYS:
                 self.reuse_view[key] += reuse_after[key] - reuse_before[key]
         return StatementResult(
             kind="rows",

@@ -219,6 +219,11 @@ class Catalog:
             return self.analyze(name)
         return self._stats[name]
 
+    def published_stats(self, name: str) -> Optional[RelationStats]:
+        """The statistics :meth:`stats` would return for ``name``, or
+        ``None`` when none are published yet; never analyzes."""
+        return self._stats.get(name)
+
     def stats_epoch(self, relation_name: str) -> int:
         """Monotonic counter of ``analyze`` runs on a relation.
 

@@ -34,7 +34,8 @@ def pytest_addoption(parser):
         help="example budget of each generated test: the write-path state "
         "machine (tests/test_write_path_model.py), the relation storage "
         "machine (tests/test_relation_model.py), the SQL differential "
-        "against sqlite3 (tests/test_generated_sql.py), about 67 SQL "
+        "against sqlite3 (tests/test_generated_sql.py), the cached plan "
+        "against a fresh one (tests/test_plan_reuse.py), about 67 SQL "
         "mutations an example (tests/test_sql_fuzz.py) and, five to ten "
         "times over, the column frame properties "
         "(tests/server/test_column_frame.py); default 30, nightly CI runs "

@@ -409,6 +409,39 @@ class TestResourceLifecycle:
         assert rules_of(findings) == ["resource-lifecycle"]
         assert "bad" in findings[0].message
 
+    def test_writer_pre_bound_to_none_is_still_checked(self, tmp_path):
+        findings = self.run(
+            tmp_path,
+            """
+            from typing import Optional
+
+            class Spill:
+                def plain(self, disk, many):
+                    writer = None
+                    if many:
+                        writer = SpillWriter(disk, ["f"], 8, None)
+                    self.checkpoint()
+                    return writer.close() if writer is not None else []
+
+                def annotated(self, disk, many):
+                    writer: Optional[SpillWriter] = None
+                    if many:
+                        writer = SpillWriter(disk, ["f"], 8, None)
+                    self.checkpoint()
+                    return writer.close() if writer is not None else []
+
+                def rebound(self, disk):
+                    writer = SpillWriter(disk, ["f"], 8, None)
+                    writer = self.other
+                    self.checkpoint()
+            """,
+        )
+        assert rules_of(findings) == ["resource-lifecycle"] * 2
+        assert sorted(f.message.rsplit(".", 1)[1] for f in findings) == [
+            "annotated", "plain",
+        ]
+        assert all("an exception path" in f.message for f in findings)
+
     def test_escaping_resource_is_callers_problem(self, tmp_path):
         findings = self.run(
             tmp_path,

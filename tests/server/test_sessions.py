@@ -217,6 +217,36 @@ class TestReuseViews:
         finally:
             mgr.close()
 
+    def test_concurrent_sessions_share_one_cached_plan(self, server):
+        q = (
+            "SELECT dname, COUNT(*) AS n FROM emp JOIN dept "
+            "ON emp.dept = dept.dept_id WHERE salary > 50000 GROUP BY dname"
+        )
+        rounds = 20
+        replies = [[], []]
+        start = threading.Barrier(2)
+
+        def run(slot):
+            with ServerClient(*server.address) as c:
+                start.wait()
+                for _ in range(rounds):
+                    replies[slot].append(c.rows(q))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(replies[0]) == len(replies[1]) == rounds
+        assert all(reply == replies[0][0] for reply in replies[0] + replies[1])
+        assert sorted(replies[0][0]) == [["books", 1], ["tools", 1], ["toys", 2]]
+        with ServerClient(*server.address) as c:
+            value = c.execute("STATS")["value"]
+        reuse = value["reuse"]
+        assert reuse["plan_hits"] + reuse["plan_misses"] == 2 * rounds
+        assert reuse["plan_misses"] <= 2 and reuse["plan_hits"] >= 2 * rounds - 2
+        assert value["session"]["reuse_view"]["plan_hits"] == 0
+
 
 class TestLifecycle:
     def test_close_session_rolls_back(self):

@@ -50,7 +50,7 @@ class TestCacheUnit:
         assert cache.get("k") is rel
         assert cache.stats() == {
             "entries": 1, "hits": 1, "misses": 1, "invalidations": 0,
-            "evictions": 0,
+            "evictions": 0, "plan_hits": 0, "plan_misses": 0,
         }
 
     def test_invalidate_drops_only_dependents(self):
@@ -160,7 +160,7 @@ class TestDatabaseIntegration:
         assert sorted(db.execute(FILTER_QUERY)) == rows
         assert db.reuse_stats() == {
             "entries": 0, "hits": 0, "misses": 0, "invalidations": 0,
-            "evictions": 0,
+            "evictions": 0, "plan_hits": 0, "plan_misses": 0,
         }
 
     def test_memory_grant_partitions_the_cache(self):
@@ -238,7 +238,10 @@ class TestPrunedSubplans:
         third, 46 in the fourth).  Fewer stored subplans push fewer out:
         the hot roots are hit exactly as often (7 a cycle), and evictions
         start two cycles later and stay below what they were -- the
-        arithmetic gains headroom and can never lose it."""
+        arithmetic gains headroom and can never lose it.  Statement plans
+        sit in an LRU of their own: every hot statement finds its plan
+        (7 a cycle) and the result entries, hits and evictions are the
+        ones recorded before plans were cached."""
         n = 1000  # a tenth of the ledger's scale
         db = wisc_db(n, n // 10, memory_pages=2000)
         recorded = (
@@ -252,7 +255,10 @@ class TestPrunedSubplans:
                 first, width = max(2, int(n * start)), max(1, int(n * share))
                 for lo in (first - 1, first + cycle):  # hot, then cold
                     db.sql(template.format(lo=lo, hi=lo + width))
-            assert db.reuse_stats() == dict(expected, invalidations=0)
+            assert db.reuse_stats() == dict(
+                expected, invalidations=0,
+                plan_hits=7 * cycle, plan_misses=14 + 7 * cycle,
+            )
 
     def test_dml_invalidates_pruned_entries(self):
         db = make_db()
